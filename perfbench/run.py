@@ -1,12 +1,13 @@
 """Recognizer benchmark: one closed-loop client calling `recognize`.
 
     python3 perfbench/run.py --workload bench-default --seed 1 \\
-        --seconds 15 --trace 0
+        --seconds 10 --trace 0
 
 With --trace 0 the run builds the workload's inputs from the seed
-(several times, to time set-up), then issues recognitions one at a time
-for --seconds seconds, checks every answer against the stored reference
-answers, and prints the end-to-end metrics. With --trace 1 it builds the
+(several times, to time set-up), then issues the recognitions one at a
+time, in whole passes over them, until --seconds seconds have passed,
+checks every answer against the stored reference answers, and prints
+the end-to-end metrics. With --trace 1 it builds the
 inputs and issues every recognition once, each time both untraced and
 with spans around every layer's public functions, then runs the
 blocks-world scaling probe, and prints the per-layer metrics and the
@@ -35,7 +36,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = Path(__file__).resolve().parent
 OUT_DIR = BENCH_DIR / "out"
+# Set-up is repeated at least SETUP_REPS times and for at least
+# SETUP_MIN_S seconds, and setup_s is the median build time, so that a
+# short set-up is not one noisy sample.
 SETUP_REPS = 3
+SETUP_MIN_S = 5.0
 P90_MIN_SAMPLES = 100
 PROBE_BLOCKS = (4, 5, 6, 7)
 PROBE_GOAL = "F(on_b1_b2 & X(F(on_b3_b1)))"
@@ -104,6 +109,7 @@ class Pass:
     """What the closed loop saw."""
 
     latencies: list[float] = field(default_factory=list)
+    passes: int = 0
     attempted: int = 0
     failed: int = 0
     mismatched: int = 0
@@ -149,14 +155,16 @@ def issue(inputs, item, reference: dict, p: Pass) -> float:
 
 
 def closed_loop(inputs, reference: dict, seconds: float) -> Pass:
-    """Issue the recognitions in order, one after the other, wrapping
-    round, until `seconds` have passed (at least one recognition)."""
+    """Issue every recognition in order, one after the other, in whole
+    passes over the items, until `seconds` have passed (at least one
+    pass). Only whole passes are timed, so every run weighs each item
+    alike, however fast the machine or the code is."""
     p = Pass()
     start = time.perf_counter()
-    i = 0
     while True:
-        issue(inputs, inputs.items[i % len(inputs.items)], reference, p)
-        i += 1
+        for item in inputs.items:
+            issue(inputs, item, reference, p)
+        p.passes += 1
         if time.perf_counter() - start >= seconds:
             return p
 
@@ -250,7 +258,7 @@ def traced_run(args, reference: dict) -> tuple[dict, Pass, object, dict]:
     build = (args.workload, args.seed, args.smoke)
     inputs = timed(False, workloads.build, *build)
     timed(True, workloads.build, *build)
-    p = Pass()
+    p = Pass(passes=1)
     for i, item in enumerate(inputs.items):
         for traced in ((False, True) if i % 2 else (True, False)):
             timed(traced, issue, inputs, item, reference, p)
@@ -350,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         wanted = PER_LAYER
     else:
         inputs, setup_times = workloads.timed_build(
-            args.workload, args.seed, args.smoke, SETUP_REPS)
+            args.workload, args.seed, args.smoke, SETUP_REPS, SETUP_MIN_S)
         metrics, p = untraced_run(args, inputs, setup_times, reference)
         extra = {"setup_times_s": setup_times}
         wanted = END_TO_END
@@ -370,7 +378,8 @@ def main(argv: list[str] | None = None) -> int:
                     "platform": platform.platform()},
         "tgr": {"commit": git_commit(), "source_digest": source_digest()},
         "correct": correct, "attempted": p.attempted, "failed": p.failed,
-        "samples": samples, "problems": problems,
+        "samples": samples, "items": len(inputs.items), "passes": p.passes,
+        "problems": problems,
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
         **extra,
     }
@@ -381,7 +390,8 @@ def main(argv: list[str] | None = None) -> int:
     for text in problems:
         print(f"problem: {text}")
     for key, (value, unit) in metrics.items():
-        tail = f"  (n={samples})" if key in SAMPLED else ""
+        tail = (f"  (n={samples}, {p.passes} x {len(inputs.items)} items)"
+                if key in SAMPLED else "")
         print(f"{args.workload} {key} {value:.6g} {unit}{tail}")
     print(json.dumps({
         "correct": correct, "attempted": p.attempted, "failed": p.failed,

@@ -2,9 +2,9 @@
 
 Each workload builds, from the benchmark seed, an ordered list of
 recognitions (`Item`s). The timed loop issues them one at a time, in
-list order, to `recognizer.recognize`, wrapping round when it reaches
-the end. Every item has a key under which the reference answers of the
-workload are stored.
+list order, to `recognizer.recognize`, in whole passes over the list.
+Every item has a key under which the reference answers of the workload
+are stored.
 
 Only the public API of `tgr` is used. Building the inputs may solve
 planning tasks (to draw observations from a policy execution); that work
@@ -80,46 +80,29 @@ def answer(result: recognizer.RecognitionResult) -> list:
 
 def build_bench_default(seed: int, smoke: bool) -> Inputs:
     """The recognitions of the bundled bench-default.json, exactly as
-    `tgr bench` issues them; the seed only sets their order.
-
-    A run may end before it has issued them all, and the cost of a
-    recognition depends mostly on its problem's goals. So the datasets
-    take turns, and each dataset goes through its problems (shuffled by
-    the seed) once per pass, at a level that moves on by one each pass:
-    any prefix then weighs datasets, problems and levels almost equally.
-    """
+    `tgr bench` issues them; the seed only shuffles their order."""
     cfg = bench.load_config()
     problems = 1 if smoke else cfg.problems_per_dataset
-    rng = random.Random(f"bench-default:{seed}")
-    levels = cfg.levels
-    sequences: list[list[Item]] = []
+    items: list[Item] = []
     for spec in cfg.datasets:
         domain = fond.parse_domain(spec.domain_text)
         problem = fond.parse_problem(spec.problem_text)
         pool = bench.goal_pool(domain, problem)
-        items: dict[tuple[int, int], Item] = {}
         for index in range(problems):
             gen = bench.generate_problem(domain, problem, cfg, spec.name,
                                          index, pool)
             goals = tuple(logic.parse_formula(g) for g in gen.goals)
-            for level in levels:
+            for level in cfg.levels:
                 rp = recognizer.RecognitionProblem(
                     domain=domain, problem=problem, goals=goals,
                     obs=gen.obs_by_level[level],
                     real_goal_index=gen.true_index)
-                items[index, level] = Item(f"{spec.name}:{index}:{level}",
-                                           rp, gen.true_index)
-        order = list(range(problems))
-        rng.shuffle(order)
-        sequences.append([items[index, levels[(i + r) % len(levels)]]
-                          for r in range(len(levels))
-                          for i, index in enumerate(order)])
+                items.append(Item(f"{spec.name}:{index}:{level}", rp,
+                                  gen.true_index))
+    random.Random(f"bench-default:{seed}").shuffle(items)
     params = {"config": cfg.describe(), "problems_per_dataset": problems,
-              "recognitions": problems * len(levels) * len(sequences),
-              "order": "datasets in turn; per dataset, passes over the "
-                       "seed-shuffled problems with the level rotating"}
-    return Inputs("bench-default", None, params,
-                  tuple(item for block in zip(*sequences) for item in block),
+              "recognitions": len(items), "order": "shuffled by the seed"}
+    return Inputs("bench-default", None, params, tuple(items),
                   cfg.state_cap, cfg.execution_cap, cfg.timeout_s)
 
 
@@ -128,14 +111,15 @@ def build_bench_default(seed: int, smoke: bool) -> Inputs:
 
 BLOCKS = 6
 # One recognition per row, together covering the six bench templates
-# (eventually, conj, ordered / until, once, since). The seed renames the
-# blocks, so every seed poses a planning task of the same size and the
-# solve time does not depend on the seed.
+# (ordered, eventually, conj / since, until, once). The first goal of a
+# row is the true one; the seed renames the blocks and shuffles the
+# goals. So every seed poses planning tasks of the same size, and set-up,
+# which solves the true goals, costs the same on every seed.
 BLOCKS_GOALS = (
-    ("F(on_b1_b4)", "F(on_b3_b1) & F(on_b5_b6)",
-     "F(on_b5_b6 & X(F(on_b4_b5)))"),
-    ("!(on_b4_b5) U on_b5_b2", "on_b3_b2 & O(on_b2_b5)",
-     "on_b1_b2 & (!(on_b3_b6) S holding_b2)"),
+    ("F(on_b5_b6 & X(F(on_b4_b5)))", "F(on_b1_b4)",
+     "F(on_b3_b1) & F(on_b5_b6)"),
+    ("on_b1_b2 & (!(on_b3_b6) S holding_b2)", "!(on_b4_b5) U on_b5_b2",
+     "on_b3_b2 & O(on_b2_b5)"),
 )
 
 
@@ -165,8 +149,9 @@ def _true_execution(domain: fond.Domain, problem: fond.ProblemInstance,
 
 
 def build_blocks_scale(seed: int, smoke: bool) -> Inputs:
-    """Two recognitions on six blocks; in each, the seed picks the true
-    goal and observes half of one of its executions, in order."""
+    """Two recognitions on six blocks; in each, the seed places the true
+    goal among the others and observes half of one of its executions,
+    in order."""
     ref_seed = seed % REFERENCE_SEEDS
     rng = random.Random(f"blocks-scale:{ref_seed}")
     domain = fond.parse_domain(bench.bundled_text("blocks-world",
@@ -179,10 +164,12 @@ def build_blocks_scale(seed: int, smoke: bool) -> Inputs:
     items: list[Item] = []
     rows = BLOCKS_GOALS[:1] if smoke else BLOCKS_GOALS
     for r, row in enumerate(rows):
-        goals = tuple(_rename(g, names) for g in row)
-        true_index = rng.randrange(len(goals))
-        acts = _true_execution(domain, problem, goals[true_index],
-                               rng).actions
+        goals = [_rename(g, names) for g in row]
+        true_goal = goals[0]
+        rng.shuffle(goals)
+        goals = tuple(goals)
+        true_index = goals.index(true_goal)
+        acts = _true_execution(domain, problem, true_goal, rng).actions
         count = math.ceil(len(acts) / 2)
         obs = tuple(acts[i] for i in sorted(rng.sample(range(len(acts)),
                                                        count)))
@@ -261,13 +248,14 @@ def build(workload: str, seed: int, smoke: bool = False) -> Inputs:
     return BUILDERS[workload](seed, smoke)
 
 
-def timed_build(workload: str, seed: int, smoke: bool,
-                reps: int) -> tuple[Inputs, list[float]]:
-    """Build the inputs `reps` times; return the last build and every
-    build time. The builds must agree."""
+def timed_build(workload: str, seed: int, smoke: bool, reps: int,
+                min_s: float) -> tuple[Inputs, list[float]]:
+    """Build the inputs at least `reps` times and for at least `min_s`
+    seconds; return the last build and every build time. The builds
+    must agree."""
     times: list[float] = []
     inputs = None
-    for _ in range(reps):
+    while len(times) < reps or sum(times) < min_s:
         start = time.perf_counter()
         built = build(workload, seed, smoke)
         times.append(time.perf_counter() - start)
