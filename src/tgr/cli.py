@@ -74,38 +74,24 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    domain_text = _read(args.domain)
-    problem_text = _read(args.problem)
-    domain = fond.parse_domain(domain_text)
-    problem = fond.parse_problem(problem_text)
+    domain = fond.parse_domain(_read(args.domain))
+    problem = fond.parse_problem(_read(args.problem))
     if args.goal is not None:
         formula = logic.parse_formula(args.goal)
         if logic.is_propositional(formula):
             grounded = fond.ground(
                 domain, dataclasses.replace(problem, goal=formula))
-            domain_text, problem_text = (
-                fond.domain_to_pddl(domain),
-                fond.problem_to_pddl(grounded.problem))
         else:
-            aug = compilation.compile_goal(domain, problem, formula)
-            grounded = aug.grounded
-            domain_text, problem_text = compilation.emit_pddl(aug, "grounded")
+            grounded = compilation.compile_goal(domain, problem,
+                                                formula).grounded
     else:
         if problem.goal is None:
             raise TgrError("the problem has no goal; pass one with --goal")
         grounded = fond.ground(domain, problem)
 
-    deadline = _deadline(args.deadline)
-    if args.planner == "builtin":
-        policy = planner.solve_strong_cyclic(
-            grounded, state_cap=args.state_cap, deadline=deadline)
-    elif args.planner.startswith("exec:"):
-        policy = planner.solve_with_external(
-            args.planner[len("exec:"):], grounded,
-            domain_text, problem_text, deadline=deadline)
-    else:
-        raise TgrError(
-            f"unknown planner {args.planner!r}; use builtin or exec:<command>")
+    solve = recognizer._resolve_planner(args.planner, args.state_cap,
+                                        _deadline(args.deadline))
+    policy = solve(grounded)
     _write(args.out, planner.policy_to_text(policy))
     print(f"policy: {len(policy.mapping)} states", file=sys.stderr)
     return 0

@@ -11,11 +11,20 @@ order, prunes action bindings whose static precondition literals fail in
 the initial state, and yields an indexed model: states are frozensets of
 fluent indices, `successors` returns one state per nondeterministic
 branch with duplicates merged.
+
+The model is built for repeated expansion. Each action is watched under
+its rarest positive precondition fluent, so `applicable_actions` tests
+only the actions watched by a fluent of the state (plus those without a
+positive precondition). Each branch keeps its unconditional adds and
+deletes as sets, and groups its conditional literals by condition, so a
+condition is evaluated once per `successors` call however many literals
+it guards.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import logic
@@ -453,7 +462,9 @@ def effect_branches(effect: Effect) -> list[tuple[tuple[Formula, Literal], ...]]
 # ---------------------------------------------------------------------------
 # Grounding
 
-# Compiled conditions are nested tuples evaluated against a state set.
+# Compiled conditions are nested tuples evaluated against a state set. A
+# conjunction of literals is flattened to ("lits", positive fluents,
+# negative fluents); the tree remains only above disjunctions.
 def _compile_condition(f: Formula, index: dict[Atom, int], what: str):
     k = f.kind
     if k == "atom":
@@ -469,16 +480,37 @@ def _compile_condition(f: Formula, index: dict[Atom, int], what: str):
     if k == "not":
         return ("not", _compile_condition(f.children[0], index, what))
     if k == "and":
-        return ("and", _compile_condition(f.children[0], index, what),
-                _compile_condition(f.children[1], index, what))
+        left = _compile_condition(f.children[0], index, what)
+        right = _compile_condition(f.children[1], index, what)
+        lits, more = _literals(left), _literals(right)
+        if lits is None or more is None:
+            return ("and", left, right)
+        return ("lits", lits[0] | more[0], lits[1] | more[1])
     if k == "or":
         return ("or", _compile_condition(f.children[0], index, what),
                 _compile_condition(f.children[1], index, what))
     raise UnsupportedFeatureError(f"temporal operator inside {what}")
 
 
+def _literals(cond) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The positive and negative fluents of a compiled conjunction of
+    literals, or None for any other condition."""
+    tag = cond[0]
+    if tag == "lits":
+        return cond[1], cond[2]
+    if tag == "atom":
+        return frozenset((cond[1],)), frozenset()
+    if tag == "not" and cond[1][0] == "atom":
+        return frozenset(), frozenset((cond[1][1],))
+    if tag == "true":
+        return frozenset(), frozenset()
+    return None
+
+
 def _eval_compiled(cond, state: frozenset[int]) -> bool:
     tag = cond[0]
+    if tag == "lits":
+        return cond[1] <= state and cond[2].isdisjoint(state)
     if tag == "atom":
         return cond[1] in state
     if tag == "true":
@@ -498,8 +530,13 @@ class GroundAction:
     index: int
     pre_pos: frozenset[int]
     pre_neg: frozenset[int]
-    # branches[b] = tuple of (compiled condition, fluent index, positive)
-    branches: tuple[tuple[tuple[object, int, bool], ...], ...] = field(repr=False)
+    # The distinct compiled effect conditions of the action.
+    conditions: tuple[object, ...] = field(repr=False)
+    # branches[b] = (adds, deletes, guarded): the unconditional fluent
+    # sets, and (condition index, adds, deletes) per distinct condition.
+    branches: tuple[tuple[frozenset[int], frozenset[int],
+                          tuple[tuple[int, frozenset[int], frozenset[int]], ...]],
+                    ...] = field(repr=False)
 
 
 @dataclass
@@ -515,30 +552,60 @@ class GroundedFond:
     s0: frozenset[int] = frozenset()
     goal: Formula | None = None
     _goal_compiled: object | None = field(default=None, repr=False)
+    # Precondition index: _watch[f] holds (index, pre_pos, pre_neg) of the
+    # actions watched under fluent f; _always those with no positive
+    # precondition.
+    _watch: list[tuple[tuple[int, frozenset[int], frozenset[int]], ...]] = field(
+        init=False, repr=False)
+    _always: tuple[tuple[int, frozenset[int], frozenset[int]], ...] = field(
+        init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        uses = Counter(f for a in self.actions for f in a.pre_pos)
+        watch: list[list] = [[] for _ in self.fluents]
+        always = []
+        for a in self.actions:
+            entry = (a.index, a.pre_pos, a.pre_neg)
+            if a.pre_pos:
+                rarest = min(a.pre_pos, key=lambda f: (uses[f], f))
+                watch[rarest].append(entry)
+            else:
+                always.append(entry)
+        self._watch = [tuple(entries) for entries in watch]
+        self._always = tuple(always)
 
     def applicable(self, state: frozenset[int], action: int) -> bool:
         a = self.actions[action]
-        return a.pre_pos <= state and not a.pre_neg & state
+        return a.pre_pos <= state and a.pre_neg.isdisjoint(state)
 
     def applicable_actions(self, state: frozenset[int]) -> list[int]:
-        return [i for i in range(len(self.actions)) if self.applicable(state, i)]
+        """Indices of the actions applicable in `state`, ascending."""
+        found = [i for i, _, neg in self._always if neg.isdisjoint(state)]
+        watch = self._watch
+        for f in state:
+            for i, pos, neg in watch[f]:
+                if pos <= state and neg.isdisjoint(state):
+                    found.append(i)
+        found.sort()
+        return found
 
     def successors(self, state: frozenset[int], action: int) -> tuple[frozenset[int], ...]:
         a = self.actions[action]
         if not self.applicable(state, action):
             raise InapplicableActionError(
                 f"{a.name} is not applicable in {self.state_str(state)}")
+        if a.conditions:
+            holds = [_eval_compiled(cond, state) for cond in a.conditions]
         out: list[frozenset[int]] = []
-        seen: set[frozenset[int]] = set()
-        for branch in a.branches:
-            adds: set[int] = set()
-            dels: set[int] = set()
-            for cond, fluent, positive in branch:
-                if _eval_compiled(cond, state):
-                    (adds if positive else dels).add(fluent)
-            succ = frozenset((state - dels) | adds)
-            if succ not in seen:
-                seen.add(succ)
+        for adds, dels, guarded in a.branches:
+            if guarded:
+                adds, dels = set(adds), set(dels)
+                for ci, cond_adds, cond_dels in guarded:
+                    if holds[ci]:
+                        adds |= cond_adds
+                        dels |= cond_dels
+            succ = (state - dels) | adds
+            if succ not in out:
                 out.append(succ)
         return tuple(out)
 
@@ -655,27 +722,40 @@ def ground(domain: Domain, problem: ProblemInstance, *,
             if not ok:
                 continue
 
+            conditions: dict[object, int] = {}
             ground_branches = []
             for branch in schema_branches:
-                parts = []
+                adds: set[int] = set()
+                dels: set[int] = set()
+                guarded: dict[int, tuple[set[int], set[int]]] = {}
                 for cond, lit in branch:
-                    gcond = _substitute_formula(cond, theta)
                     ga = subst(lit.atom)
                     if ga not in fluent_index:
                         raise PddlParseError(
                             f"effect atom {pddl_atom_str(ga)} of "
                             f"{schema.name} is not a declared fluent")
-                    parts.append((
-                        _compile_condition(gcond, fluent_index,
-                                           f"effect condition of {schema.name}"),
-                        fluent_index[ga], lit.positive))
-                ground_branches.append(tuple(parts))
+                    if cond.kind == "true":
+                        target = adds if lit.positive else dels
+                    else:
+                        compiled = _compile_condition(
+                            _substitute_formula(cond, theta), fluent_index,
+                            f"effect condition of {schema.name}")
+                        ci = conditions.setdefault(compiled, len(conditions))
+                        cond_adds, cond_dels = guarded.setdefault(
+                            ci, (set(), set()))
+                        target = cond_adds if lit.positive else cond_dels
+                    target.add(fluent_index[ga])
+                ground_branches.append((
+                    frozenset(adds), frozenset(dels),
+                    tuple((ci, frozenset(a), frozenset(d))
+                          for ci, (a, d) in guarded.items())))
 
             name = ground_action_name(schema.name, tuple(combo))
             action_index[name] = len(actions)
             actions.append(GroundAction(
                 name=name, index=len(actions),
                 pre_pos=frozenset(pre_pos), pre_neg=frozenset(pre_neg),
+                conditions=tuple(conditions),
                 branches=tuple(ground_branches)))
             if len(actions) > action_cap:
                 raise GroundingCapError(

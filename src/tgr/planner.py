@@ -1,16 +1,27 @@
 """Strong-cyclic planning over grounded FOND models.
 
-The solver enumerates the reachable state space, then repeatedly prunes
-state-action pairs until a fixpoint: a pair dies when one of its
-outcomes is a dead state, and a state dies when no goal is weakly
-reachable from it through surviving pairs. Surviving pairs reach the
-goal under the usual fairness assumption: every outcome of an action
-that is tried infinitely often occurs infinitely often.
+The solver expands the reachable state space breadth first, numbering
+states in discovery order and recording every state-action pair in one
+id-indexed table: the pair's state, its action, and the ids of its
+outcomes. The pairs of a state are contiguous and in ascending action
+order.
 
-The extracted policy picks, per state, the action whose best outcome is
-closest to the goal (BFS distance in the surviving graph), breaking ties
-by lowest ground-action index. The result is deterministic and is
-checked by `verify_policy` before being returned.
+Pruning then runs to a fixpoint over reverse edges (target state to the
+pairs that lead into it) and per-state counters of live pairs. A dead
+state kills every pair leading into it, and a state whose counter drops
+to zero dies in turn; dead states are propagated through a worklist.
+Each round then runs one backward BFS from the goals through live pairs,
+and kills the live states that reach no goal. Every round is linear in
+the size of the table, and the search stops after a round that kills
+nothing. Surviving pairs reach the goal under the usual fairness
+assumption: every outcome of an action that is tried infinitely often
+occurs infinitely often.
+
+The final round's BFS gives each surviving state its goal distance
+(each action one step, taking the best outcome). The extracted policy
+picks, per state, the action whose best outcome is closest to the goal,
+breaking ties by lowest ground-action index. The result is deterministic
+and is checked by `verify_policy` before being returned.
 """
 
 from __future__ import annotations
@@ -70,127 +81,120 @@ def solve_strong_cyclic(grounded: GroundedFond, *,
         raise UnsolvableError("planning task has no goal")
 
     s0 = grounded.s0
+    if grounded.is_goal(s0):
+        return Policy(grounded, {})
     order: dict[frozenset[int], int] = {s0: 0}
     states: list[frozenset[int]] = [s0]
-    goals: set[frozenset[int]] = set()
-    # candidates[s] = list of (action index, outcome states)
-    candidates: dict[frozenset[int], list[tuple[int, tuple[frozenset[int], ...]]]] = {}
+    goal_ids: list[int] = []
+    # The pairs of state s are first_pair[s] .. first_pair[s + 1] - 1;
+    # pair p is pair_action[p] applied in pair_state[p], leading to the
+    # states pair_outcomes[p].
+    first_pair: list[int] = []
+    pair_state: list[int] = []
+    pair_action: list[int] = []
+    pair_outcomes: list[tuple[int, ...]] = []
 
     i = 0
     while i < len(states):
         state = states[i]
+        first_pair.append(len(pair_action))
         i += 1
         if i % 512 == 0:
             _check_deadline(deadline)
         if grounded.is_goal(state):
-            goals.add(state)
+            goal_ids.append(i - 1)
             continue
-        pairs = []
         for ai in grounded.applicable_actions(state):
-            outcomes = grounded.successors(state, ai)
-            pairs.append((ai, outcomes))
-            for succ in outcomes:
-                if succ not in order:
+            outcomes = []
+            for succ in grounded.successors(state, ai):
+                t = order.get(succ)
+                if t is None:
                     if len(states) >= state_cap:
                         raise PlannerCapError(
                             f"reachable state space exceeded {state_cap} states")
-                    order[succ] = len(states)
+                    t = order[succ] = len(states)
                     states.append(succ)
-        candidates[state] = pairs
+                outcomes.append(t)
+            pair_state.append(i - 1)
+            pair_action.append(ai)
+            pair_outcomes.append(tuple(outcomes))
+    first_pair.append(len(pair_action))
+    del order
 
-    if s0 in goals:
-        return Policy(grounded, {})
+    n = len(states)
+    into: list[list[int]] = [[] for _ in range(n)]
+    for p, outcomes in enumerate(pair_outcomes):
+        for t in outcomes:
+            into[t].append(p)
+    alive = bytearray(b"\x01") * len(pair_action)
+    live = [first_pair[s + 1] - first_pair[s] for s in range(n)]
+    is_goal = bytearray(n)
+    for s in goal_ids:
+        is_goal[s] = 1
+    dead = [s for s in range(n) if not live[s] and not is_goal[s]]
 
-    non_goal = [s for s in states if s not in goals]
-    changed = True
-    while changed:
+    while True:
         _check_deadline(deadline)
-        changed = False
-        # Prune pairs with an outcome that is neither a goal nor a state
-        # that still has surviving pairs.
-        for state in non_goal:
-            pairs = candidates[state]
-            if not pairs:
-                continue
-            kept = [
-                (ai, outcomes) for ai, outcomes in pairs
-                if all(t in goals or candidates.get(t) for t in outcomes)
-            ]
-            if len(kept) != len(pairs):
-                candidates[state] = kept
-                changed = True
-        # Prune states from which no goal is weakly reachable through
-        # surviving pairs.
-        reach: set[frozenset[int]] = set(goals)
-        frontier = True
-        while frontier:
-            frontier = False
-            for state in non_goal:
-                if state in reach or not candidates[state]:
-                    continue
-                if any(t in reach for _, outcomes in candidates[state]
-                       for t in outcomes):
-                    reach.add(state)
-                    frontier = True
-        for state in non_goal:
-            if state not in reach and candidates[state]:
-                candidates[state] = []
-                changed = True
+        # A pair dies with any of its outcomes; a state dies with its
+        # last live pair.
+        while dead:
+            for p in into[dead.pop()]:
+                if alive[p]:
+                    alive[p] = 0
+                    s = pair_state[p]
+                    live[s] -= 1
+                    if not live[s]:
+                        dead.append(s)
+        # Goal distances through live pairs; a live state that gets none
+        # reaches no goal and dies.
+        dist = [-1] * n
+        for s in goal_ids:
+            dist[s] = 0
+        queue = list(goal_ids)
+        qi = 0
+        while qi < len(queue):
+            t = queue[qi]
+            qi += 1
+            d = dist[t] + 1
+            for p in into[t]:
+                if alive[p]:
+                    s = pair_state[p]
+                    if dist[s] < 0:
+                        dist[s] = d
+                        queue.append(s)
+        for s in range(n):
+            if live[s] and dist[s] < 0:
+                live[s] = 0
+                for p in range(first_pair[s], first_pair[s + 1]):
+                    alive[p] = 0
+                dead.append(s)
+        if not dead:
+            break
 
-    if not candidates.get(s0):
+    if not live[0]:
         raise UnsolvableError(
             "no strong-cyclic policy: the initial state was pruned")
 
-    # BFS distance to a goal through surviving pairs, counting each action
-    # as one step and taking the best outcome.
-    dist: dict[frozenset[int], int] = {}
-    queue: list[frozenset[int]] = []
-    for state in states:
-        if state in goals:
-            dist[state] = 0
-            queue.append(state)
-    rev: dict[frozenset[int], list[frozenset[int]]] = {}
-    for state in non_goal:
-        for _, outcomes in candidates[state]:
-            for t in outcomes:
-                rev.setdefault(t, []).append(state)
-    qi = 0
-    while qi < len(queue):
-        target = queue[qi]
-        qi += 1
-        for source in rev.get(target, []):
-            if source not in dist:
-                dist[source] = dist[target] + 1
-                queue.append(source)
-
-    def choice(state: frozenset[int]) -> int:
-        best: tuple[int, int] | None = None
-        for ai, outcomes in candidates[state]:
-            reachable = [dist[t] for t in outcomes if t in dist]
-            if not reachable:
-                continue
-            key = (min(reachable), ai)
-            if best is None or key < best:
-                best = key
-        if best is None:  # pragma: no cover - fixpoint guarantees a choice
-            raise UnsolvableError("extraction failed: no surviving action")
-        return best[1]
-
     mapping: dict[frozenset[int], int] = {}
-    closure = [s0]
-    seen = {s0}
+    closure = [0]
+    seen = {0}
     ci = 0
     while ci < len(closure):
-        state = closure[ci]
+        s = closure[ci]
         ci += 1
-        if state in goals:
+        if is_goal[s]:
             continue
-        ai = choice(state)
-        mapping[state] = ai
-        for succ in grounded.successors(state, ai):
-            if succ not in seen:
-                seen.add(succ)
-                closure.append(succ)
+        best: tuple[int, int] | None = None
+        for p in range(first_pair[s], first_pair[s + 1]):
+            if alive[p]:
+                key = (min(dist[t] for t in pair_outcomes[p]), pair_action[p])
+                if best is None or key < best:
+                    best, chosen = key, p
+        mapping[states[s]] = pair_action[chosen]
+        for t in pair_outcomes[chosen]:
+            if t not in seen:
+                seen.add(t)
+                closure.append(t)
 
     policy = Policy(grounded, mapping)
     report = verify_policy(policy)
@@ -210,8 +214,8 @@ def verify_policy(policy: Policy) -> PolicyReport:
     g = policy.grounded
     reached: list[frozenset[int]] = [g.s0]
     seen = {g.s0}
-    edges: dict[frozenset[int], tuple[frozenset[int], ...]] = {}
-    goals: set[frozenset[int]] = set()
+    preds: dict[frozenset[int], list[frozenset[int]]] = {}
+    goals: list[frozenset[int]] = []
     closed = True
     counterexample: frozenset[int] | None = None
     reason = ""
@@ -221,7 +225,7 @@ def verify_policy(policy: Policy) -> PolicyReport:
         state = reached[i]
         i += 1
         if g.is_goal(state):
-            goals.add(state)
+            goals.append(state)
             continue
         ai = policy.mapping.get(state)
         if ai is None:
@@ -238,26 +242,26 @@ def verify_policy(policy: Policy) -> PolicyReport:
                 reason = (f"mapped action {g.actions[ai].name} is not "
                           f"applicable in {g.state_str(state)}")
             continue
-        succs = g.successors(state, ai)
-        edges[state] = succs
-        for succ in succs:
+        for succ in g.successors(state, ai):
+            preds.setdefault(succ, []).append(state)
             if succ not in seen:
                 seen.add(succ)
                 reached.append(succ)
 
-    # Backward reachability from goals along policy edges.
+    # Backward BFS from the goals along reversed policy edges.
     can_reach = set(goals)
-    changed = True
-    while changed:
-        changed = False
-        for state, succs in edges.items():
-            if state not in can_reach and any(t in can_reach for t in succs):
+    queue = list(goals)
+    qi = 0
+    while qi < len(queue):
+        for state in preds.get(queue[qi], ()):
+            if state not in can_reach:
                 can_reach.add(state)
-                changed = True
+                queue.append(state)
+        qi += 1
 
     strong_cyclic = closed
     for state in reached:
-        if state not in can_reach and state not in goals:
+        if state not in can_reach:
             strong_cyclic = False
             if counterexample is None:
                 counterexample = state

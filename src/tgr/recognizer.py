@@ -336,28 +336,48 @@ def load_bundle(path: str) -> RecognitionProblem:
     except json.JSONDecodeError as exc:
         raise BundleError(f"bundle is not valid JSON: {exc}") from exc
 
+    if not isinstance(data, dict):
+        raise BundleError("bundle must be a JSON object")
     for key in ("domain", "problem", "goals", "obs"):
         if key not in data:
             raise BundleError(f"bundle is missing the {key!r} field")
 
     base = os.path.dirname(os.path.abspath(path))
 
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.normpath(os.path.join(base, p))
+    def read(key: str) -> str:
+        p = data[key]
+        if not isinstance(p, str):
+            raise BundleError(f"{key} must be a path string")
+        if not os.path.isabs(p):
+            p = os.path.normpath(os.path.join(base, p))
+        try:
+            with open(p) as fh:
+                return fh.read()
+        except OSError as exc:
+            raise BundleError(f"cannot read the {key} file: {exc}") from exc
 
-    with open(resolve(data["domain"])) as fh:
-        domain = fond.parse_domain(fh.read())
-    with open(resolve(data["problem"])) as fh:
-        problem = fond.parse_problem(fh.read())
+    def listed(key: str, kinds: tuple[type, ...], what: str) -> list:
+        items = data.get(key, [])
+        if not isinstance(items, list) or any(
+                isinstance(x, bool) or not isinstance(x, kinds) for x in items):
+            raise BundleError(f"{key} must be a list of {what}")
+        return items
 
-    goals = tuple(logic.parse_formula(s) for s in data["goals"])
+    domain = fond.parse_domain(read("domain"))
+    problem = fond.parse_problem(read("problem"))
+
+    goals = tuple(logic.parse_formula(s)
+                  for s in listed("goals", (str,), "formula strings"))
     if not goals:
         raise BundleError("bundle has an empty goal list")
-    obs = tuple(canonical_action(s) for s in data["obs"])
-    priors = tuple(float(p) for p in data.get("priors", ()))
+    obs = tuple(canonical_action(s)
+                for s in listed("obs", (str,), "action strings"))
+    priors = tuple(float(p)
+                   for p in listed("priors", (int, float), "numbers"))
     real = data.get("real_goal_index")
     if real is not None:
-        real = int(real)
+        if isinstance(real, bool) or not isinstance(real, int):
+            raise BundleError("real_goal_index must be an integer")
         if not 0 <= real < len(goals):
             raise BundleError(f"real_goal_index {real} out of range")
     rp = RecognitionProblem(domain=domain, problem=problem, goals=goals,

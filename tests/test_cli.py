@@ -189,3 +189,33 @@ def test_unexpected_error_exits_3(tireworld_files, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" in err
     assert "wires crossed" in err
+
+
+def test_plan_exec_without_command_is_input_error(tireworld_files, capsys):
+    domain, problem = tireworld_files
+    rc = cli.main(["plan", "--domain", domain, "--problem", problem,
+                   "--planner", "exec:"])
+    assert rc == 1
+    assert "--planner exec: needs a command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("priors", ["x", 1]),
+    ("real_goal_index", "a"),
+    ("goals", "F(vAt_51)"),
+    ("obs", [["(move 11 21)"]]),
+    ("domain", "missing.pddl"),
+    ("problem", "missing.pddl"),
+])
+def test_malformed_bundle_field_exits_1(tmp_path, capsys, field, value):
+    bundle = json.loads(open(os.path.join(EXAMPLE1, "bundle.json")).read())
+    for key in ("domain", "problem"):
+        bundle[key] = os.path.normpath(os.path.join(EXAMPLE1, bundle[key]))
+    bundle[field] = value
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    rc = cli.main(["recognize", "--bundle", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err.replace(str(tmp_path), "")
+    assert err.startswith("error:")
+    assert field in err
