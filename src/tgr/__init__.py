@@ -10,8 +10,8 @@ from .fond import (Domain, GroundedFond, ProblemInstance, ground,
 from .logic import Atom, Formula, atoms, dialect, evaluate, parse_formula, to_nnf
 from .planner import (Policy, PolicyReport, policy_from_text, policy_to_text,
                       solve_strong_cyclic, verify_policy)
-from .recognizer import (RecognitionProblem, RecognitionResult, load_bundle,
-                         recognize)
+from .recognizer import (RecognitionProblem, RecognitionResult, analyze,
+                         load_bundle, recognize, score)
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,8 @@ __all__ = [
     "policy_to_text", "policy_from_text",
     "Execution", "enumerate_executions", "average_distances",
     "order_relations",
-    "RecognitionProblem", "RecognitionResult", "recognize", "load_bundle",
+    "RecognitionProblem", "RecognitionResult", "recognize", "analyze",
+    "score", "load_bundle",
     "BenchConfig", "load_config", "run_benchmark",
     "__version__",
 ]

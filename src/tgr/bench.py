@@ -346,25 +346,34 @@ def generate_problem(domain: Domain, problem: ProblemInstance,
 def evaluate_problem(domain: Domain, problem: ProblemInstance,
                      gen: GeneratedProblem, cfg: BenchConfig, *,
                      canonical: bool = False) -> list[dict]:
-    """Run the recognizer on one generated problem at every level."""
+    """Analyse the goals of one generated problem once and score every
+    level against that analysis. A record's time_s is the analysis time
+    plus that level's scoring time."""
     goals = tuple(logic.parse_formula(g) for g in gen.goals)
     n = len(goals)
+    start = time.perf_counter()
+    try:
+        analysis = recognizer.analyze(
+            recognizer.RecognitionProblem(
+                domain=domain, problem=problem, goals=goals, obs=()),
+            state_cap=cfg.state_cap, execution_cap=cfg.execution_cap,
+            deadline=time.monotonic() + cfg.timeout_s)
+        analysis_error = None
+    except TgrError as exc:
+        analysis, analysis_error = None, f"{type(exc).__name__}: {exc}"
+    analysis_s = time.perf_counter() - start
+
     records: list[dict] = []
     for level in cfg.levels:
         obs = gen.obs_by_level[level]
-        rp = recognizer.RecognitionProblem(
-            domain=domain, problem=problem, goals=goals, obs=obs,
-            real_goal_index=gen.true_index)
         start = time.perf_counter()
-        error: str | None = None
-        result = None
-        try:
-            result = recognizer.recognize(
-                rp, state_cap=cfg.state_cap, execution_cap=cfg.execution_cap,
-                deadline=time.monotonic() + cfg.timeout_s)
-        except TgrError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
+        error, result = analysis_error, None
+        if error is None:
+            try:
+                result = recognizer.score(analysis, obs)
+            except TgrError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+        elapsed = analysis_s + time.perf_counter() - start
         if error is None and elapsed > cfg.timeout_s:
             # Over budget counts as a miss even when an answer came back.
             error = "timeout"

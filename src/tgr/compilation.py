@@ -28,21 +28,12 @@ from .fond import (ActionSchema, Domain, Effect, Literal, Parameter,
 from .logic import Atom, Formula
 
 
-def _type_chain(domain: Domain, t: str) -> set[str]:
-    parents = dict(domain.types)
-    chain = {"object"}
-    cur: str | None = t
-    while cur is not None and cur not in chain:
-        chain.add(cur)
-        cur = parents.get(cur)
-    return chain
-
-
 def validate_goal_atoms(domain: Domain, problem: ProblemInstance,
                         formula: Formula) -> None:
     """Every atom of the goal must be a well-typed ground instance of a
     declared predicate over declared objects."""
     obj_types = dict(problem.objects)
+    by_type = fond._type_table(domain, problem)
     for a in sorted(logic.atoms(formula)):
         schema = domain.predicate(a.predicate)
         if schema is None:
@@ -60,7 +51,7 @@ def validate_goal_atoms(domain: Domain, problem: ProblemInstance,
                 raise CompileError(
                     f"goal atom {fond.pddl_atom_str(a)}: {arg!r} is not a "
                     "declared object")
-            if param.type not in _type_chain(domain, obj_types[arg]):
+            if arg not in by_type.get(param.type, ()):
                 raise CompileError(
                     f"goal atom {fond.pddl_atom_str(a)}: object {arg!r} has "
                     f"type {obj_types[arg]!r}, expected {param.type!r}")

@@ -48,47 +48,34 @@ def enumerate_executions(policy: Policy,
     g = policy.grounded
     if aug is not None and aug.grounded is not g:
         raise TgrError("policy was not produced from the given compiled task")
-    sync_schema = aug.sync_schema if aug is not None else None
+    sync = g.action_index[aug.sync_name] if aug is not None else None
+    project = aug.project if aug is not None else (lambda atoms: atoms)
 
-    def is_sync(name: str) -> bool:
-        return sync_schema is not None \
-            and name[1:-1].split()[0] == sync_schema
-
-    def project(state: frozenset[int]) -> frozenset[Atom]:
-        atoms = g.atoms_of(state)
-        return aug.project(atoms) if aug is not None else atoms
-
-    def make_execution(actions: list[str],
-                       states: list[frozenset[int]]) -> Execution:
-        if sync_schema is not None:
-            stripped = tuple(compilation.strip_sync(actions, sync_schema))
-            trace = [project(states[0])]
-            trace.extend(project(states[j + 1])
-                         for j, name in enumerate(actions)
-                         if not is_sync(name))
-        else:
-            stripped = tuple(actions)
-            trace = [project(s) for s in states]
-        return Execution(stripped, tuple(trace), tuple(actions))
+    # The current path: all its actions, those other than the sync action,
+    # and the initial state followed by the state after each of those. A
+    # frame keeps the lengths of the first two at its state to cut back to.
+    raw: list[str] = []
+    actions: list[str] = []
+    trace: list[frozenset[int]] = [g.s0]
 
     kept: dict[tuple[str, ...], Execution] = {}
     raw_found = 0
 
-    def record(actions: list[str], states: list[frozenset[int]]) -> None:
+    def record() -> None:
         nonlocal raw_found
         raw_found += 1
         if raw_found > cap:
             raise ExecutionCapError(
                 f"policy has more than {cap} goal-reaching paths")
-        ex = make_execution(actions, states)
-        kept.setdefault(ex.actions, ex)
+        key = tuple(actions)
+        if key not in kept:
+            kept[key] = Execution(
+                key, tuple(project(g.atoms_of(s)) for s in trace), tuple(raw))
 
-    path_states: list[frozenset[int]] = [g.s0]
-    path_actions: list[str] = []
     visit_counts: dict[frozenset[int], int] = {g.s0: 1}
 
     if g.is_goal(g.s0):
-        record(path_actions, path_states)
+        record()
         return list(kept.values())
 
     def frame_for(state: frozenset[int]):
@@ -96,29 +83,27 @@ def enumerate_executions(policy: Policy,
         if ai is None:
             raise TgrError(
                 f"policy is not closed: no action for {g.state_str(state)}")
-        return [state, g.actions[ai].name, g.successors(state, ai), 0]
+        return [state, ai, g.successors(state, ai), 0, len(raw), len(actions)]
 
     stack = [frame_for(g.s0)]
     while stack:
         frame = stack[-1]
-        state, action_name, outcomes, idx = frame
+        state, ai, outcomes, idx, n_raw, n_kept = frame
         if idx >= len(outcomes):
             stack.pop()
             visit_counts[state] -= 1
-            if path_actions:
-                path_states.pop()
-                path_actions.pop()
             continue
         frame[3] += 1
         succ = outcomes[idx]
         if visit_counts.get(succ, 0) >= max_visits:
             continue
-        path_actions.append(action_name)
-        path_states.append(succ)
+        del raw[n_raw:], actions[n_kept:], trace[n_kept + 1:]
+        raw.append(g.actions[ai].name)
+        if ai != sync:
+            actions.append(raw[-1])
+            trace.append(succ)
         if g.is_goal(succ):
-            record(path_actions, path_states)
-            path_actions.pop()
-            path_states.pop()
+            record()
             continue
         visit_counts[succ] = visit_counts.get(succ, 0) + 1
         stack.append(frame_for(succ))

@@ -1,13 +1,13 @@
-"""Goal recognition over candidate temporal goals.
+"""Goal recognition over candidate temporal goals, in two stages.
 
-Each candidate goal is compiled (temporal) or planned directly
-(propositional), solved for a strong-cyclic policy, and summarized by
-its execution set. Observed actions are scored against each goal by how
-many actions typically remain after them in that goal's executions;
-actions that never occur get a large constant distance, and an observed
-pair that matches no execution's ordering incurs a penalty factor. Lower
-average scores mean better explanations; the posterior combines them
-with the goal priors.
+`analyze` compiles (temporal) or plans directly (propositional) each
+candidate goal, solves it for a strong-cyclic policy, and reduces its
+executions to a goal model: how many actions typically remain after
+each action, and which action pairs some execution orders. `score` ranks
+the goals against observations from those models alone: actions that
+never occur get a large constant distance, and an observed pair that no
+execution orders incurs a penalty factor. Lower average scores explain
+better; the posterior combines them with the goal priors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import compilation, executions as executions_mod, fond, logic, planner
 from .errors import (BundleError, CompileError, ExecutionCapError,
                      AutomatonCapError, GroundingCapError, TgrError,
                      UnsolvableError)
-from .executions import ABSENT_DISTANCE, Execution
+from .executions import ABSENT_DISTANCE
 from .fond import Domain, ProblemInstance
 from .logic import Formula
 from .planner import Policy
@@ -66,20 +66,31 @@ class RecognitionProblem:
 
 @dataclass
 class GoalAnalysis:
-    """Everything the pipeline derived for one candidate goal."""
+    """Everything the pipeline derived for one candidate goal: `analyze`
+    fills in the goal model, `score` the rest on a copy."""
 
     formula: Formula
     solvable: bool
     error: str | None = None
     n_executions: int = 0
     distances: dict[str, float] | None = field(default=None, repr=False)
-    executions: list[Execution] | None = field(default=None, repr=False)
+    pairs: frozenset[tuple[str, str]] | None = field(default=None, repr=False)
     penalties: tuple[int, ...] = ()
     scores: tuple[float, ...] = ()
     avg_score: float | None = None
     likelihood: float = 0.0
     prior: float = 0.0
     posterior: float = 0.0
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One unscored GoalAnalysis per candidate goal, in goal order."""
+
+    models: tuple[GoalAnalysis, ...]
+    actions: frozenset[str]  # ground action names observations may use
+    planner_calls: int
+    elapsed_s: float
 
 
 @dataclass
@@ -117,22 +128,19 @@ class RecognitionResult:
 
 
 def penalty(o_prev: str | None, o_i: str,
-            execs: Sequence[Execution]) -> int:
-    """1 when the observed pair (o_prev before o_i) matches the order
-    relations of no execution; 0 for the first observation."""
+            pairs: frozenset[tuple[str, str]]) -> int:
+    """1 when no execution orders o_prev before o_i, that is when the
+    pair is missing from the goal's order pairs; 0 for the first
+    observation."""
     if o_prev is None:
         return 0
-    pair = (o_prev, o_i)
-    for ex in execs:
-        if pair in executions_mod.order_relations(ex):
-            return 0
-    return 1
+    return 0 if (o_prev, o_i) in pairs else 1
 
 
-def pairwise_score(o_prev: str | None, o_i: str, goal_index: int,
-                   tables: Sequence[dict[str, float] | None],
-                   execs: Sequence[Sequence[Execution] | None]) -> float:
-    """e^penalty * d(o_i, goal) / sum over goals of d(o_i, goal').
+def pairwise_score(p: int, o_i: str, goal_index: int,
+                   tables: Sequence[dict[str, float] | None]) -> float:
+    """e^p * d(o_i, goal) / sum over goals of d(o_i, goal'), where p is
+    the penalty of the observation for this goal.
 
     Goals without a distance table (unsolvable) are left out of the sum.
     Returns 0 when every distance in the denominator is zero.
@@ -144,24 +152,8 @@ def pairwise_score(o_prev: str | None, o_i: str, goal_index: int,
                       for t in tables if t is not None)
     if denominator == 0:
         return 0.0
-    goal_execs = execs[goal_index] or ()
-    p = penalty(o_prev, o_i, goal_execs)
     d = table.get(o_i, ABSENT_DISTANCE)
     return math.exp(p) * d / denominator
-
-
-def average_score(obs: Sequence[str], goal_index: int,
-                  tables: Sequence[dict[str, float] | None],
-                  execs: Sequence[Sequence[Execution] | None]) -> float:
-    """Mean pairwise score over consecutive observation pairs."""
-    if not obs:
-        raise TgrError("cannot score an empty observation sequence")
-    total = 0.0
-    prev: str | None = None
-    for o in obs:
-        total += pairwise_score(prev, o, goal_index, tables, execs)
-        prev = o
-    return total / len(obs)
 
 
 def likelihood(avg: float) -> float:
@@ -214,17 +206,24 @@ def _resolve_planner(spec: "str | PlannerFn", state_cap: int,
     raise TgrError(f"unknown planner {spec!r}; use builtin or exec:<command>")
 
 
-def recognize(problem: RecognitionProblem, *,
-              planner_spec: "str | PlannerFn" = "builtin",
-              state_cap: int = planner.DEFAULT_STATE_CAP,
-              execution_cap: int = executions_mod.DEFAULT_EXECUTION_CAP,
-              deadline: float | None = None,
-              keep_executions: bool = False) -> RecognitionResult:
-    """Run the full pipeline for every candidate goal and rank them.
+def _check_observations(obs: Sequence[str], actions: frozenset[str]) -> None:
+    for name in obs:
+        if name not in actions:
+            raise BundleError(
+                f"observed action {name} is not a ground action of the domain")
+
+
+def analyze(problem: RecognitionProblem, *,
+            planner_spec: "str | PlannerFn" = "builtin",
+            state_cap: int = planner.DEFAULT_STATE_CAP,
+            execution_cap: int = executions_mod.DEFAULT_EXECUTION_CAP,
+            deadline: float | None = None) -> Analysis:
+    """Build the model of every candidate goal of `problem`.
 
     The planner is invoked exactly once per candidate goal; goals whose
-    pipeline fails (uncompilable or unsolvable) keep likelihood 0 and
-    stay in the ranking with their error recorded.
+    pipeline fails (uncompilable or unsolvable) stay, unsolvable, with
+    their error recorded. The priors and observations are checked before
+    any goal is planned, but the observations do not enter the analysis.
     """
     start = time.monotonic()
     if not problem.goals:
@@ -232,17 +231,14 @@ def recognize(problem: RecognitionProblem, *,
     priors = problem.normalized_priors()
     solve = _resolve_planner(planner_spec, state_cap, deadline)
 
-    base_grounded = fond.ground(problem.domain,
-                                replace(problem.problem, goal=None))
-    for name in problem.obs:
-        if name not in base_grounded.action_index:
-            raise BundleError(
-                f"observed action {name} is not a ground action of the domain")
+    actions = frozenset(fond.ground(
+        problem.domain, replace(problem.problem, goal=None)).action_index)
+    _check_observations(problem.obs, actions)
 
-    analyses: list[GoalAnalysis] = []
+    models: list[GoalAnalysis] = []
     planner_calls = 0
-    for goal in problem.goals:
-        analysis = GoalAnalysis(formula=goal, solvable=False)
+    for goal, prior in zip(problem.goals, priors):
+        model = GoalAnalysis(formula=goal, solvable=False, prior=prior)
         try:
             if logic.is_propositional(goal):
                 aug = None
@@ -256,56 +252,68 @@ def recognize(problem: RecognitionProblem, *,
             policy = solve(grounded)
             execs = executions_mod.enumerate_executions(
                 policy, aug, cap=execution_cap)
-            analysis.solvable = True
-            analysis.n_executions = len(execs)
-            analysis.distances = executions_mod.average_distances(execs)
-            analysis.executions = execs
+            model.solvable = True
+            model.n_executions = len(execs)
+            model.distances = executions_mod.average_distances(execs)
+            model.pairs = frozenset().union(
+                *map(executions_mod.order_relations, execs))
         except (UnsolvableError, CompileError, AutomatonCapError,
                 GroundingCapError, ExecutionCapError) as exc:
-            analysis.error = str(exc)
+            model.error = str(exc)
             log.info("goal %s dropped to likelihood 0: %s", goal, exc)
-        analyses.append(analysis)
+        models.append(model)
 
-    tables = [a.distances for a in analyses]
-    exec_sets = [a.executions for a in analyses]
-    for i, analysis in enumerate(analyses):
-        analysis.prior = priors[i]
-        if not analysis.solvable:
+    return Analysis(models=tuple(models), actions=actions,
+                    planner_calls=planner_calls,
+                    elapsed_s=time.monotonic() - start)
+
+
+def score(analysis: Analysis, obs: Sequence[str]) -> RecognitionResult:
+    """Rank the analysed goals against one observation sequence. The
+    result holds scored copies of the goal models; its elapsed time
+    includes the analysis time."""
+    start = time.monotonic()
+    _check_observations(obs, analysis.actions)
+    models = [replace(m) for m in analysis.models]
+    tables = [m.distances for m in models]
+    for i, model in enumerate(models):
+        if not model.solvable:
             continue
-        if problem.obs:
-            scores = []
-            pens = []
-            prev: str | None = None
-            for o in problem.obs:
-                pens.append(penalty(prev, o, analysis.executions or ()))
-                scores.append(pairwise_score(prev, o, i, tables, exec_sets))
-                prev = o
-            analysis.scores = tuple(scores)
-            analysis.penalties = tuple(pens)
-            analysis.avg_score = sum(scores) / len(scores)
-        else:
-            # Nothing observed: every solvable goal explains equally well.
-            analysis.avg_score = 0.0
-        analysis.likelihood = likelihood(analysis.avg_score)
+        model.penalties = tuple(penalty(prev, o, model.pairs)
+                                for prev, o in zip((None, *obs), obs))
+        model.scores = tuple(pairwise_score(p, o, i, tables)
+                             for p, o in zip(model.penalties, obs))
+        # Nothing observed: every solvable goal explains equally well.
+        model.avg_score = sum(model.scores) / len(obs) if obs else 0.0
+        model.likelihood = likelihood(model.avg_score)
 
-    post = posteriors([a.likelihood for a in analyses], priors)
-    for analysis, p in zip(analyses, post):
-        analysis.posterior = p
+    post = posteriors([m.likelihood for m in models],
+                      [m.prior for m in models])
+    for model, p in zip(models, post):
+        model.posterior = p
     best = max(post)
     gstar = tuple(i for i, p in enumerate(post)
                   if math.isclose(p, best, rel_tol=1e-9, abs_tol=1e-12))
 
-    if not keep_executions:
-        for analysis in analyses:
-            analysis.executions = None
-
     return RecognitionResult(
-        goals=problem.goals,
-        analyses=tuple(analyses),
+        goals=tuple(m.formula for m in models),
+        analyses=tuple(models),
         gstar=gstar,
-        planner_calls=planner_calls,
-        elapsed_s=time.monotonic() - start,
+        planner_calls=analysis.planner_calls,
+        elapsed_s=analysis.elapsed_s + time.monotonic() - start,
     )
+
+
+def recognize(problem: RecognitionProblem, *,
+              planner_spec: "str | PlannerFn" = "builtin",
+              state_cap: int = planner.DEFAULT_STATE_CAP,
+              execution_cap: int = executions_mod.DEFAULT_EXECUTION_CAP,
+              deadline: float | None = None) -> RecognitionResult:
+    """Analyse the goals of `problem` and score its observations."""
+    return score(analyze(problem, planner_spec=planner_spec,
+                         state_cap=state_cap, execution_cap=execution_cap,
+                         deadline=deadline),
+                 problem.obs)
 
 
 # ---------------------------------------------------------------------------

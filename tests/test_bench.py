@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tgr import bench, fond, logic
+from tgr import bench, fond, logic, recognizer
 from tgr.errors import BundleError
 
 TIREWORLD = bench.bundled_dataset("triangle-tireworld")
@@ -164,6 +164,31 @@ def test_run_benchmark_records_and_summary():
         assert row["goals"] == 2.0
         assert 0.0 <= row["tpr"] <= 1.0
         assert row["fnr"] == pytest.approx(1.0 - row["tpr"])
+
+
+def test_evaluate_problem_matches_per_level_recognize():
+    cfg = tiny_config()
+    domain = fond.parse_domain(TIREWORLD.domain_text)
+    problem = fond.parse_problem(TIREWORLD.problem_text)
+    for index in range(cfg.problems_per_dataset):
+        gen = bench.generate_problem(domain, problem, cfg,
+                                     "triangle-tireworld", index)
+        goals = tuple(logic.parse_formula(g) for g in gen.goals)
+        records = bench.evaluate_problem(domain, problem, gen, cfg,
+                                         canonical=True)
+        assert [r["level"] for r in records] == list(cfg.levels)
+        for rec in records:
+            res = recognizer.recognize(
+                recognizer.RecognitionProblem(
+                    domain=domain, problem=problem, goals=goals,
+                    obs=gen.obs_by_level[rec["level"]]),
+                state_cap=cfg.state_cap, execution_cap=cfg.execution_cap)
+            assert rec["error"] is None
+            assert rec["gstar"] == list(res.gstar)
+            assert rec["posteriors"] == [a.posterior for a in res.analyses]
+            assert rec["hit"] == (gen.true_index in res.gstar)
+            assert rec["planner_calls"] == res.planner_calls == len(goals)
+            assert rec["time_s"] == 0.0
 
 
 def test_same_seed_runs_are_byte_identical():

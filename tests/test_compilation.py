@@ -66,6 +66,38 @@ def test_goal_atom_validation():
         compilation.compile_goal(ldom, lprob, logic.parse_formula("F((at p1 l1))"))
 
 
+SUBTYPED_DOMAIN = """
+(define (domain fleet)
+  (:requirements :strips :typing)
+  (:types vehicle location - object truck - vehicle)
+  (:predicates (at ?v - vehicle ?l - location))
+  (:action park
+    :parameters (?t - truck ?l - location)
+    :precondition (and)
+    :effect (at ?t ?l)))
+"""
+
+SUBTYPED_PROBLEM = """
+(define (problem fleet-1)
+  (:domain fleet)
+  (:objects t1 - truck l1 - location)
+  (:init)
+  (:goal (at t1 l1)))
+"""
+
+
+def test_goal_atoms_follow_the_type_hierarchy():
+    dom = fond.parse_domain(SUBTYPED_DOMAIN)
+    prob = fond.parse_problem(SUBTYPED_PROBLEM)
+    # t1 is a truck, a truck is a vehicle, and at wants a vehicle
+    aug = compilation.compile_goal(dom, prob,
+                                   logic.parse_formula("F((at t1 l1))"))
+    assert planner.solve_strong_cyclic(aug.grounded)
+    with pytest.raises(CompileError, match="expected 'vehicle'"):
+        compilation.compile_goal(dom, prob,
+                                 logic.parse_formula("F((at l1 l1))"))
+
+
 def test_unsatisfiable_goal_is_a_compile_error():
     dom, prob = tireworld()
     with pytest.raises(CompileError):

@@ -49,6 +49,31 @@ def test_trace_shape_and_projection():
         assert logic.evaluate(aug.formula, ex.trace)
 
 
+@pytest.mark.parametrize("goal", [
+    "F((vAt 22))",
+    "((vAt 22) & O((vAt 21)))",
+    "F((vAt 21) & X(F((vAt 22))))",
+])
+@pytest.mark.parametrize("clash", [False, True])
+def test_actions_are_the_raw_sequence_without_sync(goal, clash):
+    dom = fond.parse_domain(TIREWORLD.domain_text)
+    prob = fond.parse_problem(TIREWORLD.problem_text)
+    if clash:
+        # a domain predicate named q0 pushes the automaton names to the
+        # sync- prefix, so the sync action is (sync-trans)
+        dom = fond.Domain(dom.name, dom.requirements, dom.types,
+                          dom.predicates + (fond.PredicateSchema("q0", ()),),
+                          dom.actions)
+    aug = compilation.compile_goal(dom, prob, logic.parse_formula(goal))
+    assert (aug.sync_schema == "sync-trans") == clash
+    execs = executions.enumerate_executions(
+        planner.solve_strong_cyclic(aug.grounded), aug)
+    assert execs
+    for ex in execs:
+        assert ex.actions == tuple(
+            compilation.strip_sync(ex.raw_actions, aug.sync_schema))
+
+
 def test_satisfying_trace_content():
     aug, policy = solved_f22()
     execs = executions.enumerate_executions(policy, aug)

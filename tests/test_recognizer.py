@@ -5,8 +5,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tgr import bench, executions, fond, logic, planner, recognizer
+from tgr import (bench, compilation, executions, fond, logic, planner,
+                 recognizer)
 from tgr.errors import BundleError, TgrError
 
 EX1 = "src/tgr/data/example1"
@@ -19,6 +21,10 @@ def tireworld_problem(goals, obs, **kw):
         problem=fond.parse_problem(TIREWORLD.problem_text),
         goals=tuple(logic.parse_formula(g) for g in goals),
         obs=tuple(obs), **kw)
+
+
+def never(*args, **kwargs):
+    raise AssertionError("a goal was compiled or planned")
 
 
 def test_worked_example_reproduces():
@@ -71,9 +77,15 @@ def test_priors_shift_the_posterior():
     assert ratio[0] > ratio[1] == pytest.approx(ratio[2])
 
 
-def test_bad_priors():
+def test_bad_priors(monkeypatch):
     with pytest.raises(BundleError):
         tireworld_problem(["F(p)"], [], priors=(1.0, 2.0)).normalized_priors()
+    # recognize rejects them before any goal is compiled or planned
+    monkeypatch.setattr(compilation, "compile_goal", never)
+    with pytest.raises(BundleError, match="2 priors for 1 goals"):
+        recognizer.recognize(
+            tireworld_problem(["F((vAt 22))"], [], priors=(1.0, 2.0)),
+            planner_spec=never)
     with pytest.raises(BundleError):
         tireworld_problem(["F(p)"], [], priors=(-1.0,)).normalized_priors()
     with pytest.raises(BundleError):
@@ -119,10 +131,13 @@ def test_propositional_goal_routes_classically():
     assert res.analyses[0].n_executions == res.analyses[1].n_executions
 
 
-def test_observations_must_be_ground_actions():
-    with pytest.raises(BundleError):
+def test_observations_must_be_ground_actions(monkeypatch):
+    # rejected before any goal is compiled or planned
+    monkeypatch.setattr(compilation, "compile_goal", never)
+    with pytest.raises(BundleError, match="not a ground action"):
         recognizer.recognize(
-            tireworld_problem(["F((vAt 22))"], ["(move 11 99)"]))
+            tireworld_problem(["F((vAt 22))"], ["(move 11 99)"]),
+            planner_spec=never)
 
 
 def test_unknown_planner_spec():
@@ -132,15 +147,6 @@ def test_unknown_planner_spec():
     with pytest.raises(TgrError):
         recognizer.recognize(tireworld_problem(["F((vAt 22))"], []),
                              planner_spec="quantum")
-
-
-def test_keep_executions_flag():
-    rp = tireworld_problem(["F((vAt 22))"], [])
-    without = recognizer.recognize(rp)
-    assert without.analyses[0].executions is None
-    with_ex = recognizer.recognize(rp, keep_executions=True)
-    assert isinstance(with_ex.analyses[0].executions[0],
-                      executions.Execution)
 
 
 def test_result_json_shape():
@@ -159,23 +165,86 @@ def test_scoring_functions_directly():
     e2 = executions.Execution(("a", "c", "b"), (frozenset(),) * 4,
                               ("a", "c", "b"))
     execs = [e1, e2]
-    assert recognizer.penalty(None, "a", execs) == 0
-    assert recognizer.penalty("a", "b", execs) == 0
-    assert recognizer.penalty("b", "a", execs) == 1
+    pairs = executions.order_relations(e1) | executions.order_relations(e2)
+    assert recognizer.penalty(None, "a", pairs) == 0
+    assert recognizer.penalty("a", "b", pairs) == 0
+    assert recognizer.penalty("b", "a", pairs) == 1
     tables = [executions.average_distances(execs)]
-    assert recognizer.pairwise_score(None, "a", 0, tables, [execs]) == \
-        pytest.approx(1.0)
+    assert recognizer.pairwise_score(0, "a", 0, tables) == pytest.approx(1.0)
     # an observation absent from every execution scores the absence constant
-    missing = recognizer.pairwise_score(None, "zz", 0, tables, [execs])
+    missing = recognizer.pairwise_score(0, "zz", 0, tables)
     assert missing == pytest.approx(1.0)  # sole goal: d/d
     # "b" only ever occurs last, so its distance is zero for every goal
-    # and the zero-denominator rule scores the pair 0
-    avg = recognizer.average_score(["a", "b"], 0, tables, [execs])
-    assert avg == pytest.approx(0.5 * (1.0 + 0.0))
+    # and the zero-denominator rule scores it 0, penalty or not
+    assert recognizer.pairwise_score(1, "b", 0, tables) == 0.0
+    model = recognizer.GoalAnalysis(formula=logic.parse_formula("F(g)"),
+                                    solvable=True, distances=tables[0],
+                                    pairs=pairs, prior=1.0)
+    analysis = recognizer.Analysis(models=(model,),
+                                   actions=frozenset("abc"),
+                                   planner_calls=1, elapsed_s=0.0)
+    scored = recognizer.score(analysis, ["a", "b"]).analyses[0]
+    assert scored.penalties == (0, 0)
+    assert scored.scores == pytest.approx((1.0, 0.0))
+    assert scored.avg_score == pytest.approx(0.5 * (1.0 + 0.0))
     assert recognizer.likelihood(0.0) == 1.0
     assert recognizer.likelihood(1.0) == 0.5
     assert recognizer.posteriors([0.5, 0.5], [0.5, 0.5]) == \
         pytest.approx([0.5, 0.5])
+
+
+ACTIONS = st.sampled_from("abcd")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(ACTIONS, max_size=6), max_size=5), ACTIONS, ACTIONS)
+def test_pair_set_penalty_matches_some_execution_ordering_the_pair(
+        seqs, o_prev, o_i):
+    execs = [executions.Execution(tuple(s), (frozenset(),) * (len(s) + 1),
+                                  tuple(s)) for s in seqs]
+
+    def reference(prev, cur):
+        # The definition scoring used before the pair sets: 1 unless some
+        # execution orders prev before cur.
+        if prev is None:
+            return 0
+        for ex in execs:
+            if (prev, cur) in executions.order_relations(ex):
+                return 0
+        return 1
+
+    # the reduction analyze applies to a goal's executions
+    pairs = frozenset().union(*map(executions.order_relations, execs))
+    assert recognizer.penalty(o_prev, o_i, pairs) == reference(o_prev, o_i)
+
+
+@pytest.mark.parametrize("case", ["example1", "tireworld"])
+def test_one_analysis_scores_every_prefix_like_recognize(case):
+    if case == "example1":
+        rp = recognizer.load_bundle(EX1)
+    else:
+        # a goal no policy reaches (13) and a propositional goal ride along
+        rp = tireworld_problem(
+            ["F((vAt 51))", "F((vAt 33))", "F((vAt 13))", "(vAt 22)"],
+            ["(move 11 21)", "(changetire 21)", "(move 21 22)",
+             "(move 22 23)"],
+            priors=(1.0, 2.0, 1.0, 1.0))
+    analysis = recognizer.analyze(rp)
+    prefixes = [rp.obs[:k] for k in range(len(rp.obs) + 1)]
+    # score the longest prefix first: reuse must not depend on order
+    scored = {p: recognizer.score(analysis, p) for p in reversed(prefixes)}
+    for prefix in prefixes:
+        want = recognizer.recognize(dataclasses.replace(rp, obs=prefix))
+        got = scored[prefix]
+        assert got.goals == want.goals
+        assert got.analyses == want.analyses  # every field, exactly
+        assert got.gstar == want.gstar
+        assert got.planner_calls == want.planner_calls == len(rp.goals)
+    # scoring filled copies; the goal models stay unscored
+    for model in analysis.models:
+        assert model.scores == () and model.posterior == 0.0
+    with pytest.raises(BundleError, match="not a ground action"):
+        recognizer.score(analysis, ["(move 11 99)"])
 
 
 def test_gstar_ties_use_isclose():
