@@ -1,6 +1,6 @@
 """Temporal goal recognition in nondeterministic planning domains."""
 
-from .automata import Dfa, Pdfa, accepts, lift, ltlf_to_dfa, pltlf_to_dfa, to_dot
+from .automata import Dfa, Pdfa, lift, ltlf_to_dfa, pltlf_to_dfa, to_dot
 from .bench import BenchConfig, load_config, run_benchmark
 from .compilation import AugmentedProblem, compile_goal, emit_pddl, strip_sync
 from .executions import (Execution, average_distances, enumerate_executions,
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Atom", "Formula", "parse_formula", "evaluate", "atoms", "dialect",
     "to_nnf",
-    "Dfa", "Pdfa", "ltlf_to_dfa", "pltlf_to_dfa", "accepts", "lift", "to_dot",
+    "Dfa", "Pdfa", "ltlf_to_dfa", "pltlf_to_dfa", "lift", "to_dot",
     "Domain", "ProblemInstance", "GroundedFond", "parse_domain",
     "parse_problem", "ground",
     "AugmentedProblem", "compile_goal", "emit_pddl", "strip_sync",

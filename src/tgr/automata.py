@@ -335,10 +335,6 @@ def formula_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
             else ltlf_to_dfa(f, state_cap))
 
 
-def accepts(dfa: Dfa, trace: Sequence[Iterable[Atom]]) -> bool:
-    return dfa.accepts(trace)
-
-
 # ---------------------------------------------------------------------------
 # Minimization and guard synthesis
 

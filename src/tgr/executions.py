@@ -1,25 +1,36 @@
 """Enumerate the executions of a strong-cyclic policy.
 
 An execution is a path from the initial state to a goal state that
-follows the policy and visits no state more than twice, which lets each
-fairness loop fire at most once. For compiled tasks the sync actions are
-stripped and the bookkeeping fluents projected away; two paths with the
-same stripped action sequence count as one execution (the first found in
-DFS order is kept as the representative).
+follows the policy and visits no state more than `MAX_VISITS` times,
+which lets each fairness loop fire at most once. For compiled tasks the
+sync actions are stripped and the bookkeeping fluents projected away;
+two paths with the same stripped action sequence count as one execution
+(the first found in DFS order is kept as the representative).
+
+Many paths run through the same few policy states, so the work that
+depends only on a state is done once per enumeration, the first time a
+path reaches it: the goal test, the policy's action and that action's
+outcomes, and the projected atom set. The traces of the kept executions
+share these atom-set objects.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import time
 from dataclasses import dataclass
 
 from . import compilation
-from .errors import ExecutionCapError, TgrError
+from .errors import DeadlineExceeded, ExecutionCapError, TgrError
 from .logic import Atom
 from .planner import Policy
 
 DEFAULT_EXECUTION_CAP = 10_000
 ABSENT_DISTANCE = math.e ** 5
+# A path enters each state at most twice: the paper's "each fairness loop
+# fires at most once".
+MAX_VISITS = 2
 
 
 @dataclass(frozen=True)
@@ -39,11 +50,12 @@ class Execution:
 def enumerate_executions(policy: Policy,
                          aug: "compilation.AugmentedProblem | None" = None,
                          *, cap: int = DEFAULT_EXECUTION_CAP,
-                         max_visits: int = 2) -> list[Execution]:
+                         deadline: float | None = None) -> list[Execution]:
     """All executions of `policy`, deduplicated by stripped action sequence.
 
     Raises ExecutionCapError when more than `cap` goal-reaching paths are
-    found before deduplication.
+    found before deduplication, and DeadlineExceeded when the monotonic
+    clock passes `deadline` (checked at the start and every 512 steps).
     """
     g = policy.grounded
     if aug is not None and aug.grounded is not g:
@@ -51,12 +63,34 @@ def enumerate_executions(policy: Policy,
     sync = g.action_index[aug.sync_name] if aug is not None else None
     project = aug.project if aug is not None else (lambda atoms: atoms)
 
+    # Per state, filled the first time a path reaches it: the projected
+    # atom set, and the step: the policy action's name, whether it is the
+    # sync action, and its outcomes, or () at a goal state.
+    views: dict[int, frozenset[Atom]] = {}
+    steps: dict[int, tuple] = {}
+
+    def reach(state: int) -> tuple:
+        views[state] = project(g.atoms_of(state))
+        if g.is_goal(state):
+            step: tuple = ()
+        else:
+            ai = policy.mapping.get(state)
+            if ai is None:
+                raise TgrError(
+                    f"policy is not closed: no action for {g.state_str(state)}")
+            step = (g.actions[ai].name, ai == sync, g.successors(state, ai))
+        steps[state] = step
+        return step
+
     # The current path: all its actions, those other than the sync action,
-    # and the initial state followed by the state after each of those. A
-    # frame keeps the lengths of the first two at its state to cut back to.
+    # and the views of the initial state and of the state after each of
+    # those. A frame holds its state, the state's step with the outcomes
+    # not yet tried, and the lengths of the first two lists at the state,
+    # to cut back to.
+    start = reach(g.s0)
     raw: list[str] = []
     actions: list[str] = []
-    trace: list[frozenset[int]] = [g.s0]
+    trace: list[frozenset[Atom]] = [views[g.s0]]
 
     kept: dict[tuple[str, ...], Execution] = {}
     raw_found = 0
@@ -69,44 +103,42 @@ def enumerate_executions(policy: Policy,
                 f"policy has more than {cap} goal-reaching paths")
         key = tuple(actions)
         if key not in kept:
-            kept[key] = Execution(
-                key, tuple(project(g.atoms_of(s)) for s in trace), tuple(raw))
+            kept[key] = Execution(key, tuple(trace), tuple(raw))
 
-    visit_counts: dict[frozenset[int], int] = {g.s0: 1}
-
-    if g.is_goal(g.s0):
+    if not start:
         record()
         return list(kept.values())
 
-    def frame_for(state: frozenset[int]):
-        ai = policy.mapping.get(state)
-        if ai is None:
-            raise TgrError(
-                f"policy is not closed: no action for {g.state_str(state)}")
-        return [state, ai, g.successors(state, ai), 0, len(raw), len(actions)]
-
-    stack = [frame_for(g.s0)]
+    visit_counts: dict[int, int] = {g.s0: 1}
+    stack = [(g.s0, start[0], start[1], iter(start[2]), 0, 0)]
+    n_steps = 0
     while stack:
-        frame = stack[-1]
-        state, ai, outcomes, idx, n_raw, n_kept = frame
-        if idx >= len(outcomes):
+        if (deadline is not None and not n_steps % 512
+                and time.monotonic() > deadline):
+            raise DeadlineExceeded("execution enumeration deadline exceeded")
+        n_steps += 1
+        state, name, is_sync, pending, n_raw, n_kept = stack[-1]
+        succ = next(pending, None)
+        if succ is None:
             stack.pop()
             visit_counts[state] -= 1
             continue
-        frame[3] += 1
-        succ = outcomes[idx]
-        if visit_counts.get(succ, 0) >= max_visits:
+        if visit_counts.get(succ, 0) >= MAX_VISITS:
             continue
+        step = steps.get(succ)
+        if step is None:
+            step = reach(succ)
         del raw[n_raw:], actions[n_kept:], trace[n_kept + 1:]
-        raw.append(g.actions[ai].name)
-        if ai != sync:
-            actions.append(raw[-1])
-            trace.append(succ)
-        if g.is_goal(succ):
+        raw.append(name)
+        if not is_sync:
+            actions.append(name)
+            trace.append(views[succ])
+        if not step:
             record()
             continue
         visit_counts[succ] = visit_counts.get(succ, 0) + 1
-        stack.append(frame_for(succ))
+        stack.append((succ, step[0], step[1], iter(step[2]),
+                      len(raw), len(actions)))
 
     return list(kept.values())
 
@@ -126,7 +158,4 @@ def average_distances(executions: list[Execution]) -> dict[str, float]:
 
 def order_relations(execution: Execution) -> frozenset[tuple[str, str]]:
     """All ordered pairs (earlier, later) of actions in the execution."""
-    acts = execution.actions
-    return frozenset((acts[i], acts[j])
-                     for i in range(len(acts))
-                     for j in range(i + 1, len(acts)))
+    return frozenset(itertools.combinations(execution.actions, 2))

@@ -8,17 +8,21 @@ conditions of `when` effects and problem goals may use and/or/not.
 
 Grounding enumerates the full typed fluent universe in declaration
 order, prunes action bindings whose static precondition literals fail in
-the initial state, and yields an indexed model: states are frozensets of
-fluent indices, `successors` returns one state per nondeterministic
-branch with duplicates merged.
+the initial state, and yields an indexed model. A state is a Python
+`int` used as a bitmask: bit i is set iff `fluents[i]` holds. Ints hash
+and compare in one step and are not tracked by the cyclic garbage
+collector. `successors` returns one state per nondeterministic branch
+with duplicates merged.
 
 The model is built for repeated expansion. Each action is watched under
 its rarest positive precondition fluent, so `applicable_actions` tests
-only the actions watched by a fluent of the state (plus those without a
-positive precondition). Each branch keeps its unconditional adds and
-deletes as sets, and groups its conditional literals by condition, so a
-condition is evaluated once per `successors` call however many literals
-it guards.
+only the actions watched by a set bit of the state (plus those without
+a positive precondition). Preconditions, effects and compiled conditions
+are masks, so testing a conjunction of literals is two `&`s and applying
+an effect is `(state & ~deletes) | adds`. Each branch keeps its
+unconditional adds and deletes, and groups its conditional literals by
+condition, so a condition is evaluated once per `successors` call
+however many literals it guards.
 """
 
 from __future__ import annotations
@@ -462,9 +466,10 @@ def effect_branches(effect: Effect) -> list[tuple[tuple[Formula, Literal], ...]]
 # ---------------------------------------------------------------------------
 # Grounding
 
-# Compiled conditions are nested tuples evaluated against a state set. A
-# conjunction of literals is flattened to ("lits", positive fluents,
-# negative fluents); the tree remains only above disjunctions.
+# Compiled conditions are nested tuples evaluated against a state mask.
+# An atom is ("atom", bit mask); a conjunction of literals is flattened
+# to ("lits", positive mask, negative mask); the tree remains only above
+# disjunctions.
 def _compile_condition(f: Formula, index: dict[Atom, int], what: str):
     k = f.kind
     if k == "atom":
@@ -472,7 +477,7 @@ def _compile_condition(f: Formula, index: dict[Atom, int], what: str):
         i = index.get(f.atom)
         if i is None:
             raise PddlParseError(f"unknown atom {f.atom} in {what}")
-        return ("atom", i)
+        return ("atom", 1 << i)
     if k == "true":
         return ("true",)
     if k == "false":
@@ -492,27 +497,27 @@ def _compile_condition(f: Formula, index: dict[Atom, int], what: str):
     raise UnsupportedFeatureError(f"temporal operator inside {what}")
 
 
-def _literals(cond) -> tuple[frozenset[int], frozenset[int]] | None:
-    """The positive and negative fluents of a compiled conjunction of
+def _literals(cond) -> tuple[int, int] | None:
+    """The positive and negative masks of a compiled conjunction of
     literals, or None for any other condition."""
     tag = cond[0]
     if tag == "lits":
         return cond[1], cond[2]
     if tag == "atom":
-        return frozenset((cond[1],)), frozenset()
+        return cond[1], 0
     if tag == "not" and cond[1][0] == "atom":
-        return frozenset(), frozenset((cond[1][1],))
+        return 0, cond[1][1]
     if tag == "true":
-        return frozenset(), frozenset()
+        return 0, 0
     return None
 
 
-def _eval_compiled(cond, state: frozenset[int]) -> bool:
+def _eval_compiled(cond, state: int) -> bool:
     tag = cond[0]
     if tag == "lits":
-        return cond[1] <= state and cond[2].isdisjoint(state)
+        return state & cond[1] == cond[1] and not state & cond[2]
     if tag == "atom":
-        return cond[1] in state
+        return state & cond[1] != 0
     if tag == "true":
         return True
     if tag == "false":
@@ -524,24 +529,38 @@ def _eval_compiled(cond, state: frozenset[int]) -> bool:
     return _eval_compiled(cond[1], state) or _eval_compiled(cond[2], state)
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class GroundAction:
     name: str
     index: int
-    pre_pos: frozenset[int]
-    pre_neg: frozenset[int]
+    # Fluent masks that must hold and must not hold.
+    pre_pos: int
+    pre_neg: int
     # The distinct compiled effect conditions of the action.
     conditions: tuple[object, ...] = field(repr=False)
     # branches[b] = (adds, deletes, guarded): the unconditional fluent
-    # sets, and (condition index, adds, deletes) per distinct condition.
-    branches: tuple[tuple[frozenset[int], frozenset[int],
-                          tuple[tuple[int, frozenset[int], frozenset[int]], ...]],
+    # masks, and (condition index, adds, deletes) per distinct condition.
+    branches: tuple[tuple[int, int, tuple[tuple[int, int, int], ...]],
                     ...] = field(repr=False)
 
 
 @dataclass
 class GroundedFond:
-    """Indexed FOND model: fluents, ground actions, initial state, goal."""
+    """Indexed FOND model: fluents, ground actions, initial state, goal.
+
+    A state is an `int` whose bit i is set iff `fluents[i]` holds;
+    `atoms_of` and `state_of` convert between states and atom sets.
+    """
 
     domain: Domain
     problem: ProblemInstance
@@ -549,82 +568,90 @@ class GroundedFond:
     fluent_index: dict[Atom, int] = field(repr=False)
     actions: tuple[GroundAction, ...] = field(repr=False)
     action_index: dict[str, int] = field(repr=False)
-    s0: frozenset[int] = frozenset()
+    s0: int = 0
     goal: Formula | None = None
     _goal_compiled: object | None = field(default=None, repr=False)
     # Precondition index: _watch[f] holds (index, pre_pos, pre_neg) of the
-    # actions watched under fluent f; _always those with no positive
-    # precondition.
-    _watch: list[tuple[tuple[int, frozenset[int], frozenset[int]], ...]] = field(
+    # actions watched under fluent f, and _watched is the mask of the
+    # fluents that watch some action (static fluents, set in every state,
+    # watch none); _always holds the actions with no positive precondition.
+    _watch: list[tuple[tuple[int, int, int], ...]] = field(
         init=False, repr=False)
-    _always: tuple[tuple[int, frozenset[int], frozenset[int]], ...] = field(
-        init=False, repr=False)
+    _watched: int = field(init=False, repr=False)
+    _always: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        uses = Counter(f for a in self.actions for f in a.pre_pos)
+        uses = Counter(f for a in self.actions for f in _bits(a.pre_pos))
         watch: list[list] = [[] for _ in self.fluents]
         always = []
         for a in self.actions:
             entry = (a.index, a.pre_pos, a.pre_neg)
             if a.pre_pos:
-                rarest = min(a.pre_pos, key=lambda f: (uses[f], f))
+                rarest = min(_bits(a.pre_pos), key=lambda f: (uses[f], f))
                 watch[rarest].append(entry)
             else:
                 always.append(entry)
         self._watch = [tuple(entries) for entries in watch]
+        self._watched = sum(1 << f for f, entries in enumerate(watch)
+                            if entries)
         self._always = tuple(always)
 
-    def applicable(self, state: frozenset[int], action: int) -> bool:
+    def applicable(self, state: int, action: int) -> bool:
         a = self.actions[action]
-        return a.pre_pos <= state and a.pre_neg.isdisjoint(state)
+        return state & a.pre_pos == a.pre_pos and not state & a.pre_neg
 
-    def applicable_actions(self, state: frozenset[int]) -> list[int]:
+    def applicable_actions(self, state: int) -> list[int]:
         """Indices of the actions applicable in `state`, ascending."""
-        found = [i for i, _, neg in self._always if neg.isdisjoint(state)]
+        found = [i for i, _, neg in self._always if not state & neg]
         watch = self._watch
-        for f in state:
-            for i, pos, neg in watch[f]:
-                if pos <= state and neg.isdisjoint(state):
+        rest = state & self._watched
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for i, pos, neg in watch[low.bit_length() - 1]:
+                if state & pos == pos and not state & neg:
                     found.append(i)
         found.sort()
         return found
 
-    def successors(self, state: frozenset[int], action: int) -> tuple[frozenset[int], ...]:
+    def successors(self, state: int, action: int) -> tuple[int, ...]:
         a = self.actions[action]
         if not self.applicable(state, action):
             raise InapplicableActionError(
                 f"{a.name} is not applicable in {self.state_str(state)}")
         if a.conditions:
             holds = [_eval_compiled(cond, state) for cond in a.conditions]
-        out: list[frozenset[int]] = []
+        out: list[int] = []
         for adds, dels, guarded in a.branches:
-            if guarded:
-                adds, dels = set(adds), set(dels)
-                for ci, cond_adds, cond_dels in guarded:
-                    if holds[ci]:
-                        adds |= cond_adds
-                        dels |= cond_dels
-            succ = (state - dels) | adds
+            for ci, cond_adds, cond_dels in guarded:
+                if holds[ci]:
+                    adds |= cond_adds
+                    dels |= cond_dels
+            succ = (state & ~dels) | adds
             if succ not in out:
                 out.append(succ)
         return tuple(out)
 
-    def is_goal(self, state: frozenset[int]) -> bool:
+    def is_goal(self, state: int) -> bool:
         if self._goal_compiled is None:
             raise PddlParseError("problem has no goal")
         return _eval_compiled(self._goal_compiled, state)
 
-    def atoms_of(self, state: frozenset[int]) -> frozenset[Atom]:
-        return frozenset(self.fluents[i] for i in state)
+    def atoms_of(self, state: int) -> frozenset[Atom]:
+        return frozenset(self.fluents[i] for i in _bits(state))
 
-    def state_of(self, atoms: frozenset[Atom] | set[Atom]) -> frozenset[int]:
+    def state_of(self, atoms: frozenset[Atom] | set[Atom]) -> int:
         missing = [a for a in atoms if a not in self.fluent_index]
         if missing:
             raise PddlParseError(f"unknown fluent {sorted(map(str, missing))[0]}")
-        return frozenset(self.fluent_index[a] for a in atoms)
+        state = 0
+        for a in atoms:
+            state |= 1 << self.fluent_index[a]
+        return state
 
-    def state_str(self, state: frozenset[int]) -> str:
-        return " ".join(sorted(pddl_atom_str(self.fluents[i]) for i in state))
+    def state_str(self, state: int) -> str:
+        return " ".join(sorted(pddl_atom_str(self.fluents[i])
+                               for i in _bits(state)))
 
 
 def pddl_atom_str(a: Atom) -> str:
@@ -703,8 +730,7 @@ def ground(domain: Domain, problem: ProblemInstance, *,
             def subst(a: Atom) -> Atom:
                 return Atom(a.predicate, tuple(theta.get(x, x) for x in a.args))
 
-            pre_pos: set[int] = set()
-            pre_neg: set[int] = set()
+            pre = [0, 0]  # [positive, negative] masks
             ok = True
             for lit in schema.precondition:
                 ga = subst(lit.atom)
@@ -718,16 +744,16 @@ def ground(domain: Domain, problem: ProblemInstance, *,
                         ok = False
                         break
                     continue
-                (pre_pos if lit.positive else pre_neg).add(fluent_index[ga])
+                pre[0 if lit.positive else 1] |= 1 << fluent_index[ga]
             if not ok:
                 continue
 
             conditions: dict[object, int] = {}
             ground_branches = []
             for branch in schema_branches:
-                adds: set[int] = set()
-                dels: set[int] = set()
-                guarded: dict[int, tuple[set[int], set[int]]] = {}
+                # [adds, deletes] masks: unconditional, and per condition.
+                unconditional = [0, 0]
+                guarded: dict[int, list[int]] = {}
                 for cond, lit in branch:
                     ga = subst(lit.atom)
                     if ga not in fluent_index:
@@ -735,26 +761,22 @@ def ground(domain: Domain, problem: ProblemInstance, *,
                             f"effect atom {pddl_atom_str(ga)} of "
                             f"{schema.name} is not a declared fluent")
                     if cond.kind == "true":
-                        target = adds if lit.positive else dels
+                        masks = unconditional
                     else:
                         compiled = _compile_condition(
                             _substitute_formula(cond, theta), fluent_index,
                             f"effect condition of {schema.name}")
                         ci = conditions.setdefault(compiled, len(conditions))
-                        cond_adds, cond_dels = guarded.setdefault(
-                            ci, (set(), set()))
-                        target = cond_adds if lit.positive else cond_dels
-                    target.add(fluent_index[ga])
-                ground_branches.append((
-                    frozenset(adds), frozenset(dels),
-                    tuple((ci, frozenset(a), frozenset(d))
-                          for ci, (a, d) in guarded.items())))
+                        masks = guarded.setdefault(ci, [0, 0])
+                    masks[0 if lit.positive else 1] |= 1 << fluent_index[ga]
+                ground_branches.append((*unconditional, tuple(
+                    (ci, a, d) for ci, (a, d) in guarded.items())))
 
             name = ground_action_name(schema.name, tuple(combo))
             action_index[name] = len(actions)
             actions.append(GroundAction(
                 name=name, index=len(actions),
-                pre_pos=frozenset(pre_pos), pre_neg=frozenset(pre_neg),
+                pre_pos=pre[0], pre_neg=pre[1],
                 conditions=tuple(conditions),
                 branches=tuple(ground_branches)))
             if len(actions) > action_cap:
@@ -770,7 +792,7 @@ def ground(domain: Domain, problem: ProblemInstance, *,
         domain=domain, problem=problem,
         fluents=tuple(fluents), fluent_index=fluent_index,
         actions=tuple(actions), action_index=action_index,
-        s0=frozenset(fluent_index[a] for a in problem.init),
+        s0=sum(1 << fluent_index[a] for a in problem.init),
         goal=goal, _goal_compiled=goal_compiled)
 
 

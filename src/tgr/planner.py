@@ -1,5 +1,8 @@
 """Strong-cyclic planning over grounded FOND models.
 
+States are the `int` bitmasks of `fond.GroundedFond` (bit i set iff
+fluent i holds); a policy maps such states to ground action indices.
+
 The solver expands the reachable state space breadth first, numbering
 states in discovery order and recording every state-action pair in one
 id-indexed table: the pair's state, its action, and the ids of its
@@ -45,9 +48,9 @@ class Policy:
     """A partial mapping from non-goal states to ground action indices."""
 
     grounded: GroundedFond
-    mapping: dict[frozenset[int], int] = field(repr=False)
+    mapping: dict[int, int] = field(repr=False)
 
-    def action_name(self, state: frozenset[int]) -> str:
+    def action_name(self, state: int) -> str:
         return self.grounded.actions[self.mapping[state]].name
 
     def __len__(self) -> int:
@@ -60,7 +63,7 @@ class PolicyReport:
 
     closed: bool
     strong_cyclic: bool
-    counterexample: frozenset[int] | None = None
+    counterexample: int | None = None
     reason: str = ""
 
     @property
@@ -83,8 +86,8 @@ def solve_strong_cyclic(grounded: GroundedFond, *,
     s0 = grounded.s0
     if grounded.is_goal(s0):
         return Policy(grounded, {})
-    order: dict[frozenset[int], int] = {s0: 0}
-    states: list[frozenset[int]] = [s0]
+    order: dict[int, int] = {s0: 0}
+    states: list[int] = [s0]
     goal_ids: list[int] = []
     # The pairs of state s are first_pair[s] .. first_pair[s + 1] - 1;
     # pair p is pair_action[p] applied in pair_state[p], leading to the
@@ -175,7 +178,7 @@ def solve_strong_cyclic(grounded: GroundedFond, *,
         raise UnsolvableError(
             "no strong-cyclic policy: the initial state was pruned")
 
-    mapping: dict[frozenset[int], int] = {}
+    mapping: dict[int, int] = {}
     closure = [0]
     seen = {0}
     ci = 0
@@ -212,12 +215,12 @@ def verify_policy(policy: Policy) -> PolicyReport:
     reachable state, some goal state is reachable along policy edges.
     """
     g = policy.grounded
-    reached: list[frozenset[int]] = [g.s0]
+    reached: list[int] = [g.s0]
     seen = {g.s0}
-    preds: dict[frozenset[int], list[frozenset[int]]] = {}
-    goals: list[frozenset[int]] = []
+    preds: dict[int, list[int]] = {}
+    goals: list[int] = []
     closed = True
-    counterexample: frozenset[int] | None = None
+    counterexample: int | None = None
     reason = ""
 
     i = 0
@@ -301,15 +304,17 @@ def _parse_atom_list(text: str) -> list[Atom]:
 
 def policy_from_text(text: str, grounded: GroundedFond) -> Policy:
     """Parse the policy text format against a grounded model."""
-    mapping: dict[frozenset[int], int] = {}
+    mapping: dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "\t" not in line:
+        # Split the unstripped line: the empty state's line starts with
+        # the tab.
+        if "\t" not in raw:
             raise PolicyParseError(
                 f"line {lineno}: expected 'state<TAB>action', got {raw!r}")
-        state_part, action_part = line.split("\t", 1)
+        state_part, action_part = raw.split("\t", 1)
         atoms = _parse_atom_list(state_part)
         try:
             state = grounded.state_of(frozenset(atoms))

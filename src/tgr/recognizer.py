@@ -251,7 +251,7 @@ def analyze(problem: RecognitionProblem, *,
             planner_calls += 1
             policy = solve(grounded)
             execs = executions_mod.enumerate_executions(
-                policy, aug, cap=execution_cap)
+                policy, aug, cap=execution_cap, deadline=deadline)
             model.solvable = True
             model.n_executions = len(execs)
             model.distances = executions_mod.average_distances(execs)

@@ -108,13 +108,13 @@ def test_criterion_3_automata_match_trace_semantics(capsys):
     for f in future:
         dfa = automata.ltlf_to_dfa(f)
         for t in traces:
-            if automata.accepts(dfa, t) != logic.evaluate(f, t):
+            if dfa.accepts(t) != logic.evaluate(f, t):
                 mismatches += 1
     for f in past:
         dfa = automata.pltlf_to_dfa(f)
         for t in traces:
             want = logic.evaluate(f, t, as_dialect="PLTLf")
-            if automata.accepts(dfa, t) != want:
+            if dfa.accepts(t) != want:
                 mismatches += 1
     elapsed = time.perf_counter() - start
     total = len(future) + len(past)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +26,16 @@ def tireworld_files(tmp_path):
 def test_version_exits_cleanly(capsys):
     assert cli.main(["--version"]) == 0
     assert tgr.__version__ in capsys.readouterr().out
+
+
+def test_python_m_tgr_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(tgr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "tgr", "--version"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == f"tgr {tgr.__version__}"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

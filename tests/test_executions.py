@@ -1,9 +1,11 @@
 """Execution enumeration and the distance/order statistics built on it."""
 
+import time
+
 import pytest
 
 from tgr import bench, compilation, executions, fond, logic, planner
-from tgr.errors import ExecutionCapError, TgrError
+from tgr.errors import DeadlineExceeded, ExecutionCapError, TgrError
 
 TIREWORLD = bench.bundled_dataset("triangle-tireworld")
 
@@ -95,6 +97,16 @@ def test_cap():
     aug, policy = solved_f22()
     with pytest.raises(ExecutionCapError):
         executions.enumerate_executions(policy, aug, cap=1)
+
+
+def test_deadline():
+    aug, policy = solved_f22()
+    with pytest.raises(DeadlineExceeded, match="enumeration"):
+        executions.enumerate_executions(policy, aug,
+                                        deadline=time.monotonic() - 1)
+    assert executions.enumerate_executions(
+        policy, aug, deadline=time.monotonic() + 60) == \
+        executions.enumerate_executions(policy, aug)
 
 
 def test_cyclic_policy_terminates_with_no_executions():

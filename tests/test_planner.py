@@ -98,6 +98,21 @@ def test_policy_text_round_trip():
         planner.policy_from_text("no tab here\n", g)
 
 
+def test_policy_text_round_trip_with_the_empty_state():
+    # The empty state's line is "\t(action)": the leading tab must
+    # survive parsing.
+    g = fond.ground(
+        fond.parse_domain("(define (domain d) (:predicates (p)) "
+                          "(:action a :parameters () :precondition (and) "
+                          ":effect (p)))"),
+        fond.parse_problem("(define (problem q) (:domain d) (:init) "
+                           "(:goal (p)))"))
+    policy = planner.solve_strong_cyclic(g)
+    text = planner.policy_to_text(policy)
+    assert text == "\t(a)\n"
+    assert planner.policy_from_text(text, g).mapping == policy.mapping
+
+
 def write_script(tmp_path, name, body):
     path = tmp_path / name
     path.write_text(textwrap.dedent(body))

@@ -4,14 +4,19 @@ The tasks are propositional: up to eight nullary fluents and six
 actions, with negative preconditions, `oneof` branches, `when` effects
 and a random goal. The solver is checked against the reference solver
 in `reference_planner`, the model against a direct reading of the
-effects, and `verify_policy` against policies mutated to be wrong.
+effects and against its own state conversions, `verify_policy` against
+policies mutated to be wrong, and the execution enumerator against the
+reference enumerator in `reference_executions`, on the tasks' own goals
+and on temporal goals compiled into them.
 """
 
 from hypothesis import given, settings, strategies as st
 
+import reference_executions
 import reference_planner
-from tgr import fond, logic, planner
-from tgr.errors import PlannerCapError, UnsolvableError
+from tgr import compilation, executions, fond, logic, planner
+from tgr.errors import (CompileError, PlannerCapError, TgrError,
+                        UnsolvableError)
 
 
 def _lit(lit):
@@ -116,7 +121,8 @@ def reference_successors(g, state, ai):
 @given(fond_tasks(), st.data())
 def test_model_matches_the_effects(task, data):
     g = ground(task)
-    state = frozenset(data.draw(st.sets(st.integers(0, len(g.fluents) - 1))))
+    drawn = data.draw(st.sets(st.integers(0, len(g.fluents) - 1)))
+    state = g.state_of({g.fluents[i] for i in drawn})
     applicable = [i for i in range(len(g.actions)) if g.applicable(state, i)]
     assert g.applicable_actions(state) == applicable
     for ai in applicable:
@@ -134,7 +140,7 @@ def test_verify_policy_rejects_mutated_policies(task, data):
     assert planner.verify_policy(policy).ok
     if not policy.mapping:
         return
-    state = data.draw(st.sampled_from(sorted(policy.mapping, key=sorted)))
+    state = data.draw(st.sampled_from(sorted(policy.mapping)))
 
     # Dropping a reachable mapped state leaves the policy open.
     dropped = dict(policy.mapping)
@@ -160,3 +166,89 @@ def test_verify_policy_rejects_mutated_policies(task, data):
         report = planner.verify_policy(planner.Policy(g, stuck))
         assert report.closed
         assert not report.strong_cyclic and not report.ok
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.data())
+def test_state_model_round_trips(task, data):
+    g = ground(task)
+    drawn = data.draw(st.sets(st.integers(0, len(g.fluents) - 1)))
+    atoms = frozenset(g.fluents[i] for i in drawn)
+    state = g.state_of(atoms)
+    assert g.atoms_of(state) == atoms
+    assert g.state_of(g.atoms_of(state)) == state
+    parts = g.state_str(state).split()
+    assert parts == sorted(parts)
+    assert g.state_str(state) == " ".join(
+        sorted(fond.pddl_atom_str(a) for a in atoms))
+    try:
+        policy = planner.solve_strong_cyclic(g)
+    except UnsolvableError:
+        return
+    back = planner.policy_from_text(planner.policy_to_text(policy), g)
+    assert back.mapping == policy.mapping
+
+
+def enumeration(enumerate_executions, policy, aug, cap):
+    """The executions an enumerator returns, or the type and message of
+    the error it raises."""
+    try:
+        return enumerate_executions(policy, aug, cap=cap)
+    except TgrError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_enumeration(policy, aug, small_cap):
+    for cap in (executions.DEFAULT_EXECUTION_CAP, small_cap):
+        expected = enumeration(reference_executions.enumerate_executions,
+                               policy, aug, cap)
+        got = enumeration(executions.enumerate_executions, policy, aug, cap)
+        # Execution equality compares actions, trace and raw_actions; list
+        # equality compares their order.
+        assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.integers(1, 12), st.data())
+def test_enumerator_agrees_with_reference(task, small_cap, data):
+    g = ground(task)
+    try:
+        policy = planner.solve_strong_cyclic(g)
+    except UnsolvableError:
+        return
+    assert_same_enumeration(policy, None, small_cap)
+    if policy.mapping:
+        # An open policy fails at the same state of the walk.
+        dropped = dict(policy.mapping)
+        del dropped[data.draw(st.sampled_from(sorted(dropped)))]
+        assert_same_enumeration(planner.Policy(g, dropped), None, small_cap)
+
+
+# Temporal goals over two fluents a and b, future (LTLf) and past (PLTLf).
+TEMPORAL_GOALS = (
+    lambda a, b: logic.eventually(a),
+    lambda a, b: logic.eventually(logic.land(a, logic.next_(
+        logic.eventually(b)))),
+    lambda a, b: logic.land(logic.eventually(a), logic.eventually(b)),
+    lambda a, b: logic.until(logic.lnot(a), b),
+    lambda a, b: logic.land(logic.always(logic.lnot(a)), logic.eventually(b)),
+    lambda a, b: logic.land(b, logic.once(a)),
+    lambda a, b: logic.land(b, logic.since(logic.lnot(a), a)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.integers(1, 12), st.data())
+def test_enumerator_agrees_with_reference_on_compiled_goals(
+        task, small_cap, data):
+    domain, problem = (fond.parse_domain(task[0]),
+                       fond.parse_problem(task[1]))
+    names = [p.name for p in domain.predicates]
+    a, b = (logic.atom(data.draw(st.sampled_from(names))) for _ in range(2))
+    goal = data.draw(st.sampled_from(TEMPORAL_GOALS))(a, b)
+    try:
+        aug = compilation.compile_goal(domain, problem, goal)
+        policy = planner.solve_strong_cyclic(aug.grounded)
+    except (CompileError, UnsolvableError):
+        return
+    assert_same_enumeration(policy, aug, small_cap)

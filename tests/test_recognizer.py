@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tgr import (bench, compilation, executions, fond, logic, planner,
                  recognizer)
-from tgr.errors import BundleError, TgrError
+from tgr.errors import BundleError, DeadlineExceeded, TgrError
 
 EX1 = "src/tgr/data/example1"
 TIREWORLD = bench.bundled_dataset("triangle-tireworld")
@@ -138,6 +139,15 @@ def test_observations_must_be_ground_actions(monkeypatch):
         recognizer.recognize(
             tireworld_problem(["F((vAt 22))"], ["(move 11 99)"]),
             planner_spec=never)
+
+
+def test_analyze_passes_its_deadline_to_enumeration():
+    # This planner ignores the deadline, so enumeration is the first stage
+    # to see that it has passed.
+    rp = recognizer.load_bundle(EX1)
+    with pytest.raises(DeadlineExceeded, match="enumeration"):
+        recognizer.analyze(rp, planner_spec=planner.solve_strong_cyclic,
+                           deadline=time.monotonic() - 1)
 
 
 def test_unknown_planner_spec():
