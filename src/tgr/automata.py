@@ -4,7 +4,9 @@ The alphabet of a formula's DFA is the powerset of its atoms. Letters are
 handled as "minterms": integer bitmasks over the sorted atom tuple, so the
 exponential alphabet is never materialized as formula objects. Transition
 guards presented to callers are propositional formulas obtained from the
-minterm groups by Quine-McCluskey simplification.
+minterm groups by Quine-McCluskey simplification, built the first time
+they are read: the planning pipeline steps automata through the table
+and never reads them.
 
 LTLf formulas go through negation normal form and a syntax-driven NFA
 (states are sets of pending obligations), then subset construction.
@@ -16,7 +18,8 @@ formulas always yield structurally identical automata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import logic
@@ -33,14 +36,18 @@ class Dfa:
 
     `table[s][m]` is the successor of state s on minterm m, where bit i of
     m is the truth of atoms[i]. `transitions[s]` presents the same rows as
-    (guard formula, target) pairs with mutually exclusive, total guards.
-    State 0 is initial.
+    (guard formula, target) pairs with mutually exclusive, total guards;
+    it is computed from `atoms` and `table` on first use. State 0 is
+    initial.
     """
 
     atoms: tuple[Atom, ...]
     accepting: frozenset[int]
     table: tuple[tuple[int, ...], ...]
-    transitions: tuple[tuple[tuple[Formula, int], ...], ...] = field(repr=False)
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[tuple[Formula, int], ...], ...]:
+        return _guard_rows(self.atoms, self.table)
 
     @property
     def n_states(self) -> int:
@@ -74,14 +81,19 @@ class Pdfa:
 
     `object_map` records, in order, which object each parameter replaced.
     Atom order matches the source DFA so `instantiate` is the structural
-    inverse of `lift`.
+    inverse of `lift`. Guards are built from the lifted atoms on first
+    use, as for `Dfa`; lifting renames atoms and keeps their positions,
+    so they equal the source DFA's guards with the objects renamed.
     """
 
     atoms: tuple[Atom, ...]
     accepting: frozenset[int]
     table: tuple[tuple[int, ...], ...]
-    transitions: tuple[tuple[tuple[Formula, int], ...], ...] = field(repr=False)
     object_map: tuple[tuple[str, str], ...] = ()  # (object, variable) pairs
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[tuple[Formula, int], ...], ...]:
+        return _guard_rows(self.atoms, self.table)
 
     @property
     def n_states(self) -> int:
@@ -105,19 +117,7 @@ class Pdfa:
             atoms=tuple(sub[a] for a in self.atoms),
             accepting=self.accepting,
             table=self.table,
-            transitions=tuple(
-                tuple((_substitute(guard, sub), tgt) for guard, tgt in row)
-                for row in self.transitions),
         )
-
-
-def _substitute(f: Formula, sub: dict[Atom, Atom]) -> Formula:
-    if f.kind == "atom":
-        assert f.atom is not None
-        return Formula("atom", atom=sub.get(f.atom, f.atom))
-    if not f.children:
-        return f
-    return Formula(f.kind, tuple(_substitute(c, sub) for c in f.children))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +336,7 @@ def formula_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
-# Minimization and guard synthesis
+# Minimization
 
 def _finish(atoms: tuple[Atom, ...], rows: list[list[int]],
             accepting: set[int]) -> Dfa:
@@ -371,26 +371,26 @@ def _finish(atoms: tuple[Atom, ...], rows: list[list[int]],
         if rep in accepting:
             new_accepting.add(new_id)
 
-    transitions = []
-    for s in range(n_new):
-        groups: dict[int, list[int]] = {}
-        first_seen: list[int] = []
-        for m in range(n_minterms):
-            t = table[s][m]
-            if t not in groups:
-                groups[t] = []
-                first_seen.append(t)
-            groups[t].append(m)
-        row = tuple((_minterms_to_formula(groups[t], atoms), t)
-                    for t in first_seen)
-        transitions.append(row)
-
     return Dfa(
         atoms=atoms,
         accepting=frozenset(new_accepting),
         table=tuple(tuple(r) for r in table),
-        transitions=tuple(transitions),
     )
+
+
+def _guard_rows(atoms: tuple[Atom, ...], table: tuple[tuple[int, ...], ...]
+                ) -> tuple[tuple[tuple[Formula, int], ...], ...]:
+    """Per state, one (guard, target) pair per distinct target, in order
+    of the first minterm leading there; each guard covers exactly the
+    minterms of its target."""
+    rows = []
+    for targets in table:
+        groups: dict[int, list[int]] = {}
+        for m, t in enumerate(targets):
+            groups.setdefault(t, []).append(m)
+        rows.append(tuple((_minterms_to_formula(ms, atoms), t)
+                          for t, ms in groups.items()))
+    return tuple(rows)
 
 
 def _hopcroft(n: int, m: int, table: list[list[int]],
@@ -458,7 +458,7 @@ def _hopcroft(n: int, m: int, table: list[list[int]],
 
 
 # ---------------------------------------------------------------------------
-# Quine-McCluskey guard simplification
+# Guard synthesis: Quine-McCluskey simplification of minterm groups
 
 def _prime_implicants(masks: list[int], nbits: int) -> list[tuple[int, int]]:
     current = {(v, 0) for v in masks}
@@ -539,9 +539,6 @@ def lift(dfa: Dfa, objects: Sequence[str]) -> Pdfa:
         atoms=tuple(sub[a] for a in dfa.atoms),
         accepting=dfa.accepting,
         table=dfa.table,
-        transitions=tuple(
-            tuple((_substitute(guard, sub), tgt) for guard, tgt in row)
-            for row in dfa.transitions),
         object_map=tuple((obj, mapping[obj]) for obj in objects),
     )
 

@@ -24,7 +24,7 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable
 
@@ -238,28 +238,28 @@ def _template(name: str, rng: random.Random, pool: list[Atom]) -> Formula:
     raise ValueError(f"unknown goal template {name!r}")
 
 
-def _solvable(domain: Domain, problem: ProblemInstance, formula: Formula,
-              cfg: BenchConfig, *,
-              want_executions: bool) -> tuple[executions.Execution, ...] | None:
-    """Solve the candidate goal; None means resample.
+def _solvable(base: fond.GroundedFond, formula: Formula, cfg: BenchConfig,
+              *, want_executions: bool
+              ) -> tuple[executions.Execution, ...] | None:
+    """Solve the candidate goal on the product of the problem's goal-free
+    grounding `base`; None means resample.
 
     When executions are requested, only those with at least one domain
     action are kept: an empty execution leaves nothing to observe.
     """
     try:
-        aug = compilation.compile_goal(domain, problem, formula)
-        policy = planner.solve_strong_cyclic(aug.grounded,
-                                             state_cap=cfg.state_cap)
+        policy = planner.solve_strong_cyclic(
+            compilation.GoalProduct(base, formula), state_cap=cfg.state_cap)
         if not want_executions:
             return ()
         execs = tuple(e for e in executions.enumerate_executions(
-            policy, aug, cap=cfg.execution_cap) if e.actions)
+            policy, cap=cfg.execution_cap) if e.actions)
         return execs or None
     except TgrError:
         return None
 
 
-def _draw_goal(domain: Domain, problem: ProblemInstance, cfg: BenchConfig,
+def _draw_goal(base: fond.GroundedFond, cfg: BenchConfig,
                rng: random.Random, pool: list[Atom], seen: set[str],
                template: str, dataset_name: str, *, want_executions: bool,
                ) -> tuple[Formula, tuple[executions.Execution, ...]]:
@@ -273,7 +273,7 @@ def _draw_goal(domain: Domain, problem: ProblemInstance, cfg: BenchConfig,
         candidate = _template(template, rng, pool)
         if str(candidate) in seen:
             continue
-        execs = _solvable(domain, problem, candidate, cfg,
+        execs = _solvable(base, candidate, cfg,
                           want_executions=want_executions)
         if execs is not None:
             return candidate, execs
@@ -283,7 +283,7 @@ def _draw_goal(domain: Domain, problem: ProblemInstance, cfg: BenchConfig,
         candidate = logic.eventually(logic.from_atom(atom))
         if str(candidate) in seen:
             continue
-        execs = _solvable(domain, problem, candidate, cfg,
+        execs = _solvable(base, candidate, cfg,
                           want_executions=want_executions)
         if execs is not None:
             return candidate, execs
@@ -317,6 +317,7 @@ def generate_problem(domain: Domain, problem: ProblemInstance,
             f"dataset {dataset_name}: goal templates need at least 3 "
             f"candidate atoms, found {len(pool)}")
 
+    base = fond.ground(domain, replace(problem, goal=None))
     rng = random.Random(f"{cfg.seed}:{dataset_name}:{index}")
     true_index = rng.randrange(cfg.goals_per_problem)
     goals: list[Formula] = []
@@ -324,7 +325,7 @@ def generate_problem(domain: Domain, problem: ProblemInstance,
     true_execs: tuple[executions.Execution, ...] = ()
     for j in range(cfg.goals_per_problem):
         template = TEMPLATES[(index + j) % len(TEMPLATES)]
-        candidate, execs = _draw_goal(domain, problem, cfg, rng, pool, seen,
+        candidate, execs = _draw_goal(base, cfg, rng, pool, seen,
                                       template, dataset_name,
                                       want_executions=j == true_index)
         goals.append(candidate)

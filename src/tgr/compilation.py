@@ -1,7 +1,14 @@
-"""Compile a temporal goal into an augmented FOND problem.
+"""Temporal goals as FOND tasks: the goal product and its PDDL compilation.
 
-The automaton for the goal formula is embedded into the planning task:
-one zero-ary fluent per automaton state, plus a turn-alternation fluent.
+`GoalProduct` is the product of the grounded domain and the goal
+automaton (De Giacomo & Rubin, IJCAI 2018), expanded on the fly as the
+planner searches it: one grounding serves every goal, and the automaton
+steps through its transition table. The builtin planner uses it.
+
+`compile_goal` encodes the same product as a PDDL task, which is what
+`tgr compile`, `tgr plan` and external planners get. The automaton for
+the goal formula is embedded into the planning task: one zero-ary
+fluent per automaton state, plus a turn-alternation fluent.
 Every domain action requires the turn fluent and retracts it; a single
 sync action (`trans`) requires it to be false and asserts it, advancing
 the automaton with one conditional effect per transition. Plans therefore
@@ -10,7 +17,9 @@ initial state as the first letter, so the induced trace includes s0.
 
 The augmented goal demands the turn fluent plus an accepting-state
 fluent (a disjunction when the minimal DFA has several accepting
-states). The problem's original classical goal is discarded.
+states). The problem's original classical goal is discarded. The
+policy of the compiled task, restricted to the states where the turn
+fluent holds, is the product's policy.
 """
 
 from __future__ import annotations
@@ -55,6 +64,76 @@ def validate_goal_atoms(domain: Domain, problem: ProblemInstance,
                 raise CompileError(
                     f"goal atom {fond.pddl_atom_str(a)}: object {arg!r} has "
                     f"type {obj_types[arg]!r}, expected {param.type!r}")
+
+
+def goal_dfa(domain: Domain, problem: ProblemInstance, formula: Formula,
+             state_cap: int = automata.DEFAULT_STATE_CAP) -> Dfa:
+    """The minimal DFA of a goal whose atoms are checked against the
+    domain and problem; a goal no trace satisfies is a CompileError."""
+    validate_goal_atoms(domain, problem, formula)
+    dfa = automata.formula_to_dfa(formula, state_cap)
+    if not dfa.accepting:
+        raise CompileError(
+            f"goal {formula} is unsatisfiable: its automaton has no "
+            "accepting state")
+    return dfa
+
+
+class GoalProduct:
+    """The product of a goal-free grounding and the DFA of `goal`,
+    expanded on the fly; a `fond.StateModel`.
+
+    A state is `base_state | q << n`, with n the number of base fluents
+    and q the DFA state after reading the trace up to and including
+    base_state; goal states are those whose q accepts. Actions, their
+    applicability, branch order and duplicate merging are the base's.
+    `atoms_of` returns the base atoms only.
+    """
+
+    def __init__(self, base: fond.GroundedFond, goal: Formula) -> None:
+        self.base = base
+        self.goal = goal
+        self.dfa = goal_dfa(base.domain, base.problem, goal)
+        self.actions = base.actions
+        self.action_index = base.action_index
+        self._shift = len(base.fluents)
+        self._low = (1 << self._shift) - 1
+        # (fluent bit, minterm bit) per DFA atom: reads a base state's letter.
+        self._letter = tuple((1 << base.fluent_index[a], 1 << i)
+                             for i, a in enumerate(self.dfa.atoms))
+        self.s0 = base.s0 | self.dfa.table[0][self._minterm(base.s0)] \
+            << self._shift
+
+    def _minterm(self, state: int) -> int:
+        """The DFA letter of a base state."""
+        m = 0
+        for bit, letter in self._letter:
+            if state & bit:
+                m |= letter
+        return m
+
+    def applicable(self, state: int, action: int) -> bool:
+        return self.base.applicable(state & self._low, action)
+
+    def applicable_actions(self, state: int) -> list[int]:
+        return self.base.applicable_actions(state & self._low)
+
+    def successors(self, state: int, action: int) -> tuple[int, ...]:
+        row = self.dfa.table[state >> self._shift]
+        shift, minterm = self._shift, self._minterm
+        return tuple([succ | row[minterm(succ)] << shift for succ in
+                      self.base.successors(state & self._low, action)])
+
+    def is_goal(self, state: int) -> bool:
+        return state >> self._shift in self.dfa.accepting
+
+    def atoms_of(self, state: int) -> frozenset[Atom]:
+        return self.base.atoms_of(state & self._low)
+
+    def state_str(self, state: int) -> str:
+        atoms = self.base.state_str(state & self._low)
+        q = f"q{state >> self._shift}"
+        return f"{atoms} {q}" if atoms else q
 
 
 def _pick_prefix(domain: Domain, n_states: int) -> str:
@@ -109,8 +188,7 @@ def compile_goal(domain: Domain, problem: ProblemInstance, formula: Formula,
                  *, goal_id: str = "g0",
                  state_cap: int = automata.DEFAULT_STATE_CAP) -> AugmentedProblem:
     """Build the augmented domain/problem pair for `formula` and ground it."""
-    validate_goal_atoms(domain, problem, formula)
-    dfa = automata.formula_to_dfa(formula, state_cap)
+    dfa = goal_dfa(domain, problem, formula, state_cap)
     prefix = _pick_prefix(domain, dfa.n_states)
 
     q_atoms = tuple(Atom(f"{prefix}q{i}") for i in range(dfa.n_states))
@@ -144,10 +222,6 @@ def compile_goal(domain: Domain, problem: ProblemInstance, formula: Formula,
     )
 
     accepting = [q_atoms[i] for i in sorted(dfa.accepting)]
-    if not accepting:
-        raise CompileError(
-            f"goal {formula} is unsatisfiable: its automaton has no "
-            "accepting state")
     goal = logic.land(
         logic.disj([logic.from_atom(a) for a in accepting]),
         logic.from_atom(turn_atom))

@@ -4,8 +4,9 @@ An execution is a path from the initial state to a goal state that
 follows the policy and visits no state more than `MAX_VISITS` times,
 which lets each fairness loop fire at most once. For compiled tasks the
 sync actions are stripped and the bookkeeping fluents projected away;
-two paths with the same stripped action sequence count as one execution
-(the first found in DFS order is kept as the representative).
+the goal product (`compilation.GoalProduct`) has neither. Two paths
+with the same stripped action sequence count as one execution (the
+first found in DFS order is kept as the representative).
 
 Many paths run through the same few policy states, so the work that
 depends only on a state is done once per enumeration, the first time a

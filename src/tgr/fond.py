@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Protocol
 
 from . import logic
 from .errors import (GroundingCapError, InapplicableActionError,
@@ -552,6 +553,32 @@ class GroundAction:
     # masks, and (condition index, adds, deletes) per distinct condition.
     branches: tuple[tuple[int, int, tuple[tuple[int, int, int], ...]],
                     ...] = field(repr=False)
+
+
+class StateModel(Protocol):
+    """The state model the planner and the execution enumerator search:
+    `GroundedFond`, or the goal product of `compilation.GoalProduct`.
+
+    States are ints; actions are indices into `actions`, whose `name` is
+    the ground action name. `goal` is None for a task without a goal.
+    """
+
+    s0: int
+    goal: Formula | None
+    actions: tuple[GroundAction, ...]
+    action_index: dict[str, int]
+
+    def applicable(self, state: int, action: int) -> bool: ...
+
+    def applicable_actions(self, state: int) -> list[int]: ...
+
+    def successors(self, state: int, action: int) -> tuple[int, ...]: ...
+
+    def is_goal(self, state: int) -> bool: ...
+
+    def atoms_of(self, state: int) -> frozenset[Atom]: ...
+
+    def state_str(self, state: int) -> str: ...
 
 
 @dataclass

@@ -1,7 +1,9 @@
-"""Strong-cyclic planning over grounded FOND models.
+"""Strong-cyclic planning over FOND state models.
 
-States are the `int` bitmasks of `fond.GroundedFond` (bit i set iff
-fluent i holds); a policy maps such states to ground action indices.
+The solver and the verifier read a model through `fond.StateModel`: a
+`fond.GroundedFond`, whose states are `int` bitmasks (bit i set iff
+fluent i holds), or the goal product of `compilation.GoalProduct`. A
+policy maps such states to ground action indices.
 
 The solver expands the reachable state space breadth first, numbering
 states in discovery order and recording every state-action pair in one
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 from .errors import (DeadlineExceeded, ExternalPlannerError, PlannerCapError,
                      PolicyParseError, UnsolvableError)
-from .fond import GroundedFond, pddl_atom_str
+from .fond import GroundedFond, StateModel
 from .logic import Atom
 
 DEFAULT_STATE_CAP = 500_000
@@ -47,7 +49,7 @@ DEFAULT_STATE_CAP = 500_000
 class Policy:
     """A partial mapping from non-goal states to ground action indices."""
 
-    grounded: GroundedFond
+    grounded: StateModel
     mapping: dict[int, int] = field(repr=False)
 
     def action_name(self, state: int) -> str:
@@ -76,7 +78,7 @@ def _check_deadline(deadline: float | None) -> None:
         raise DeadlineExceeded("planner deadline exceeded")
 
 
-def solve_strong_cyclic(grounded: GroundedFond, *,
+def solve_strong_cyclic(grounded: StateModel, *,
                         state_cap: int = DEFAULT_STATE_CAP,
                         deadline: float | None = None) -> Policy:
     """Return a strong-cyclic policy or raise UnsolvableError."""

@@ -1,7 +1,9 @@
 """Goal recognition over candidate temporal goals, in two stages.
 
-`analyze` compiles (temporal) or plans directly (propositional) each
-candidate goal, solves it for a strong-cyclic policy, and reduces its
+`analyze` builds each candidate goal's planning task (the on-the-fly
+goal product for a temporal goal under the builtin planner, the
+compiled PDDL task for an external planner, the goal itself for a
+propositional goal), solves it for a strong-cyclic policy, and reduces its
 executions to a goal model: how many actions typically remain after
 each action, and which action pairs some execution orders. `score` ranks
 the goals against observations from those models alone: actions that
@@ -56,12 +58,17 @@ class RecognitionProblem:
         if len(self.priors) != n:
             raise BundleError(
                 f"{len(self.priors)} priors for {n} goals")
+        if not all(math.isfinite(p) for p in self.priors):
+            raise BundleError("priors must be finite numbers")
         if any(p < 0 for p in self.priors):
             raise BundleError("priors must be non-negative")
-        total = sum(self.priors)
-        if total <= 0:
+        top = max(self.priors)
+        if top <= 0:
             raise BundleError("priors must not all be zero")
-        return tuple(p / total for p in self.priors)
+        # Scaled by the largest first, the sum cannot overflow.
+        scaled = [p / top for p in self.priors]
+        total = sum(scaled)
+        return tuple(p / total for p in scaled)
 
 
 @dataclass
@@ -179,7 +186,7 @@ PlannerFn = Callable[[fond.GroundedFond], Policy]
 
 def _builtin_planner(state_cap: int,
                      deadline: float | None) -> PlannerFn:
-    def solve(grounded: fond.GroundedFond) -> Policy:
+    def solve(grounded: fond.StateModel) -> Policy:
         return planner.solve_strong_cyclic(
             grounded, state_cap=state_cap, deadline=deadline)
     return solve
@@ -224,6 +231,10 @@ def analyze(problem: RecognitionProblem, *,
     pipeline fails (uncompilable or unsolvable) stay, unsolvable, with
     their error recorded. The priors and observations are checked before
     any goal is planned, but the observations do not enter the analysis.
+
+    The builtin planner searches each temporal goal's product with the
+    one goal-free grounding of the problem; external planners and
+    planner callables get the compiled task, a `fond.GroundedFond`.
     """
     start = time.monotonic()
     if not problem.goals:
@@ -231,8 +242,8 @@ def analyze(problem: RecognitionProblem, *,
     priors = problem.normalized_priors()
     solve = _resolve_planner(planner_spec, state_cap, deadline)
 
-    actions = frozenset(fond.ground(
-        problem.domain, replace(problem.problem, goal=None)).action_index)
+    base = fond.ground(problem.domain, replace(problem.problem, goal=None))
+    actions = frozenset(base.action_index)
     _check_observations(problem.obs, actions)
 
     models: list[GoalAnalysis] = []
@@ -240,10 +251,12 @@ def analyze(problem: RecognitionProblem, *,
     for goal, prior in zip(problem.goals, priors):
         model = GoalAnalysis(formula=goal, solvable=False, prior=prior)
         try:
+            aug = None
             if logic.is_propositional(goal):
-                aug = None
                 grounded = fond.ground(problem.domain,
                                        replace(problem.problem, goal=goal))
+            elif planner_spec == "builtin":
+                grounded = compilation.GoalProduct(base, goal)
             else:
                 aug = compilation.compile_goal(problem.domain, problem.problem,
                                                goal)
@@ -380,8 +393,11 @@ def load_bundle(path: str) -> RecognitionProblem:
         raise BundleError("bundle has an empty goal list")
     obs = tuple(canonical_action(s)
                 for s in listed("obs", (str,), "action strings"))
-    priors = tuple(float(p)
-                   for p in listed("priors", (int, float), "numbers"))
+    try:
+        priors = tuple(float(p)
+                       for p in listed("priors", (int, float), "numbers"))
+    except OverflowError:
+        raise BundleError("priors must be finite numbers") from None
     real = data.get("real_goal_index")
     if real is not None:
         if isinstance(real, bool) or not isinstance(real, int):

@@ -218,6 +218,8 @@ def test_plan_exec_without_command_is_input_error(tireworld_files, capsys):
     ("obs", [["(move 11 21)"]]),
     ("domain", "missing.pddl"),
     ("problem", "missing.pddl"),
+    ("priors", [float("nan"), 1, 1]),
+    ("priors", [float("inf"), 1, 1]),
 ])
 def test_malformed_bundle_field_exits_1(tmp_path, capsys, field, value):
     bundle = json.loads(open(os.path.join(EXAMPLE1, "bundle.json")).read())

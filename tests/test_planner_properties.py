@@ -7,16 +7,21 @@ in `reference_planner`, the model against a direct reading of the
 effects and against its own state conversions, `verify_policy` against
 policies mutated to be wrong, and the execution enumerator against the
 reference enumerator in `reference_executions`, on the tasks' own goals
-and on temporal goals compiled into them.
+and on temporal goals compiled into them, and the on-the-fly goal
+product against the compiled task it replaces.
 """
 
+import dataclasses
+import re
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_executions
 import reference_planner
 from tgr import compilation, executions, fond, logic, planner
-from tgr.errors import (CompileError, PlannerCapError, TgrError,
-                        UnsolvableError)
+from tgr.errors import (CompileError, ExecutionCapError, PlannerCapError,
+                        TgrError, UnsolvableError)
 
 
 def _lit(lit):
@@ -237,18 +242,65 @@ TEMPORAL_GOALS = (
 )
 
 
+def draw_temporal_goal(domain, data):
+    names = [p.name for p in domain.predicates]
+    a, b = (logic.atom(data.draw(st.sampled_from(names))) for _ in range(2))
+    return data.draw(st.sampled_from(TEMPORAL_GOALS))(a, b)
+
+
 @settings(max_examples=200, deadline=None)
 @given(fond_tasks(), st.integers(1, 12), st.data())
 def test_enumerator_agrees_with_reference_on_compiled_goals(
         task, small_cap, data):
     domain, problem = (fond.parse_domain(task[0]),
                        fond.parse_problem(task[1]))
-    names = [p.name for p in domain.predicates]
-    a, b = (logic.atom(data.draw(st.sampled_from(names))) for _ in range(2))
-    goal = data.draw(st.sampled_from(TEMPORAL_GOALS))(a, b)
+    goal = draw_temporal_goal(domain, data)
     try:
         aug = compilation.compile_goal(domain, problem, goal)
         policy = planner.solve_strong_cyclic(aug.grounded)
     except (CompileError, UnsolvableError):
         return
     assert_same_enumeration(policy, aug, small_cap)
+
+
+def execution_views(policy, aug, cap):
+    """(actions, trace) of each execution, or the cap error's message."""
+    try:
+        return [(e.actions, e.trace) for e in
+                executions.enumerate_executions(policy, aug, cap=cap)]
+    except ExecutionCapError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.integers(1, 12), st.data())
+def test_goal_product_matches_the_compiled_task(task, small_cap, data):
+    domain, problem = (fond.parse_domain(task[0]),
+                       fond.parse_problem(task[1]))
+    goal = draw_temporal_goal(domain, data)
+    base = fond.ground(domain, dataclasses.replace(problem, goal=None))
+    try:
+        aug = compilation.compile_goal(domain, problem, goal)
+        compiled = planner.solve_strong_cyclic(aug.grounded)
+    except (CompileError, UnsolvableError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            planner.solve_strong_cyclic(compilation.GoalProduct(base, goal))
+        return
+    product = planner.solve_strong_cyclic(compilation.GoalProduct(base, goal))
+    # The compiled policy on the states where the turn fluent holds, each
+    # mapped to (base state, automaton state).
+    g = aug.grounded
+    turn = 1 << g.fluent_index[aug.turn_atom]
+    expected = {}
+    for state, ai in compiled.mapping.items():
+        if state & turn:
+            atoms = g.atoms_of(state)
+            (q,) = [i for i, a in enumerate(aug.q_atoms) if a in atoms]
+            key = base.state_of(aug.project(atoms)) | q << len(base.fluents)
+            expected[key] = g.actions[ai].name
+    assert {state: base.actions[ai].name
+            for state, ai in product.mapping.items()} == expected
+    assert planner.verify_policy(product).ok
+    for cap in (executions.DEFAULT_EXECUTION_CAP, small_cap):
+        assert (execution_views(product, None, cap)
+                == execution_views(compiled, aug, cap))

@@ -93,6 +93,19 @@ def test_bad_priors(monkeypatch):
         tireworld_problem(["F(p)"], [], priors=(0.0,)).normalized_priors()
 
 
+def test_priors_whose_sum_overflows_are_normalized():
+    rp = tireworld_problem(["F((vAt 22))", "F((vAt 51))", "F((vAt 33))"],
+                           ["(move 11 21)"], priors=(1e308, 1e308, 1.0))
+    assert rp.normalized_priors() == pytest.approx((0.5, 0.5, 0.5e-308))
+    res = recognizer.recognize(rp)
+    assert all(math.isfinite(a.posterior) for a in res.analyses)
+    assert sum(a.posterior for a in res.analyses) == pytest.approx(1.0)
+    assert res.analyses[2].posterior < 1e-300
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BundleError, match="priors must be finite"):
+            dataclasses.replace(rp, priors=(bad, 1.0, 1.0)).normalized_priors()
+
+
 def test_unsolvable_goal_gets_zero_posterior():
     goals = ["F((vAt 22))", "F((vAt 13))"]  # 13 sits past spare-less roads
     res = recognizer.recognize(tireworld_problem(goals, ["(move 11 21)"]))
@@ -130,6 +143,23 @@ def test_propositional_goal_routes_classically():
     # both goals describe the same behavior, so they tie
     assert res.gstar == (0, 1)
     assert res.analyses[0].n_executions == res.analyses[1].n_executions
+
+
+def test_builtin_planner_grounds_once_and_compiles_nothing(monkeypatch):
+    grounds = []
+    real_ground = fond.ground
+
+    def counting(*args, **kwargs):
+        grounds.append(args)
+        return real_ground(*args, **kwargs)
+
+    monkeypatch.setattr(fond, "ground", counting)
+    monkeypatch.setattr(compilation, "compile_goal", never)
+    rp = recognizer.load_bundle(EX1)
+    assert not any(map(logic.is_propositional, rp.goals))
+    analysis = recognizer.analyze(rp)
+    assert len(grounds) == 1
+    assert [m.n_executions for m in analysis.models] == [8, 8, 16]
 
 
 def test_observations_must_be_ground_actions(monkeypatch):
