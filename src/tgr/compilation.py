@@ -19,18 +19,20 @@ The augmented goal demands the turn fluent plus an accepting-state
 fluent (a disjunction when the minimal DFA has several accepting
 states). The problem's original classical goal is discarded. The
 policy of the compiled task, restricted to the states where the turn
-fluent holds, is the product's policy.
+fluent holds, is the product's policy;
+`AugmentedProblem.product_policy` translates it, so that its executions
+are enumerated on the product.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-from . import automata, fond, logic
+from . import automata, fond, logic, planner
 from .automata import Dfa, Pdfa
-from .errors import CompileError, MalformedAlternationError
+from .errors import CompileError, MalformedAlternationError, TgrError
 from .fond import (ActionSchema, Domain, Effect, Literal, Parameter,
                    PredicateSchema, ProblemInstance, eff_and, eff_lit,
                    eff_when)
@@ -163,12 +165,29 @@ class AugmentedProblem:
     q_atoms: tuple[Atom, ...]
     turn_atom: Atom
     sync_schema: str
-    sync_name: str
-    bookkeeping: frozenset[Atom] = field(repr=False)
 
-    def project(self, atoms: frozenset[Atom]) -> frozenset[Atom]:
-        """Drop automaton bookkeeping fluents from a state."""
-        return atoms - self.bookkeeping
+    def product_policy(self, policy: planner.Policy) -> planner.Policy:
+        """A closed policy of this compiled task as a policy of the goal
+        product. The compiled grounding's fluents and actions extend the
+        goal-free grounding's, in order, so a compiled state where the turn
+        fluent holds, with automaton fluent q, is the product state
+        `(state & low) | q << n` and keeps its action."""
+        g = self.grounded
+        if policy.grounded is not g:
+            raise TgrError("policy was not produced from the given compiled task")
+        report = planner.verify_policy(policy)
+        if not report.closed:
+            raise TgrError(f"policy is not closed: {report.reason}")
+        base = fond.ground(self.base_domain,
+                           replace(self.base_problem, goal=None))
+        n = len(base.fluents)
+        low = (1 << n) - 1
+        turn = 1 << g.fluent_index[self.turn_atom]
+        q_of = {1 << g.fluent_index[a] | turn: q
+                for q, a in enumerate(self.q_atoms)}
+        return planner.Policy(GoalProduct(base, self.formula), {
+            (state & low) | q_of[state & ~low] << n: ai
+            for state, ai in policy.mapping.items() if (state & ~low) in q_of})
 
     @cached_property
     def objects_of_interest(self) -> tuple[str, ...]:
@@ -234,15 +253,11 @@ def compile_goal(domain: Domain, problem: ProblemInstance, formula: Formula,
         goal=goal,
     )
 
-    grounded = fond.ground(aug_domain, aug_problem)
-    bookkeeping = frozenset(q_atoms) | {turn_atom}
     return AugmentedProblem(
         base_domain=domain, base_problem=problem, formula=formula,
         goal_id=goal_id, dfa=dfa, domain=aug_domain, problem=aug_problem,
-        grounded=grounded, prefix=prefix, q_atoms=q_atoms,
-        turn_atom=turn_atom, sync_schema=sync_schema,
-        sync_name=fond.ground_action_name(sync_schema, ()),
-        bookkeeping=bookkeeping)
+        grounded=fond.ground(aug_domain, aug_problem), prefix=prefix,
+        q_atoms=q_atoms, turn_atom=turn_atom, sync_schema=sync_schema)
 
 
 def _sync_action(dfa: Dfa | Pdfa, q_atoms: tuple[Atom, ...], turn_atom: Atom,

@@ -2,17 +2,15 @@
 
 An execution is a path from the initial state to a goal state that
 follows the policy and visits no state more than `MAX_VISITS` times,
-which lets each fairness loop fire at most once. For compiled tasks the
-sync actions are stripped and the bookkeeping fluents projected away;
-the goal product (`compilation.GoalProduct`) has neither. Two paths
-with the same stripped action sequence count as one execution (the
-first found in DFS order is kept as the representative).
+which lets each fairness loop fire at most once. Two paths with the
+same action sequence count as one execution (the first found in DFS
+order is kept as the representative).
 
 Many paths run through the same few policy states, so the work that
 depends only on a state is done once per enumeration, the first time a
 path reaches it: the goal test, the policy's action and that action's
-outcomes, and the projected atom set. The traces of the kept executions
-share these atom-set objects.
+outcomes, and the atom set. The traces of the kept executions share
+these atom-set objects.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import math
 import time
 from dataclasses import dataclass
 
-from . import compilation
 from .errors import DeadlineExceeded, ExecutionCapError, TgrError
 from .logic import Atom
 from .planner import Policy
@@ -36,42 +33,36 @@ MAX_VISITS = 2
 
 @dataclass(frozen=True)
 class Execution:
-    """One policy execution after stripping and projection.
-
-    `actions` are the observable action names, `trace` the projected
-    state sequence including the initial state (so len(trace) ==
-    len(actions) + 1), and `raw_actions` the unstripped sequence.
-    """
+    """One policy execution: `actions` are the domain action names,
+    `trace` the state sequence including the initial state (so
+    len(trace) == len(actions) + 1)."""
 
     actions: tuple[str, ...]
     trace: tuple[frozenset[Atom], ...]
-    raw_actions: tuple[str, ...]
 
 
-def enumerate_executions(policy: Policy,
-                         aug: "compilation.AugmentedProblem | None" = None,
-                         *, cap: int = DEFAULT_EXECUTION_CAP,
+def enumerate_executions(policy: Policy, aug=None, *,
+                         cap: int = DEFAULT_EXECUTION_CAP,
                          deadline: float | None = None) -> list[Execution]:
-    """All executions of `policy`, deduplicated by stripped action sequence.
+    """All executions of `policy`, deduplicated by action sequence; a
+    policy of the compiled task `aug` is walked on the goal product.
 
     Raises ExecutionCapError when more than `cap` goal-reaching paths are
     found before deduplication, and DeadlineExceeded when the monotonic
     clock passes `deadline` (checked at the start and every 512 steps).
     """
+    if aug is not None:
+        policy = aug.product_policy(policy)
     g = policy.grounded
-    if aug is not None and aug.grounded is not g:
-        raise TgrError("policy was not produced from the given compiled task")
-    sync = g.action_index[aug.sync_name] if aug is not None else None
-    project = aug.project if aug is not None else (lambda atoms: atoms)
 
-    # Per state, filled the first time a path reaches it: the projected
-    # atom set, and the step: the policy action's name, whether it is the
-    # sync action, and its outcomes, or () at a goal state.
+    # Per state, filled the first time a path reaches it: the atom set,
+    # and the step: the policy action's name and its outcomes, or () at a
+    # goal state.
     views: dict[int, frozenset[Atom]] = {}
     steps: dict[int, tuple] = {}
 
     def reach(state: int) -> tuple:
-        views[state] = project(g.atoms_of(state))
+        views[state] = g.atoms_of(state)
         if g.is_goal(state):
             step: tuple = ()
         else:
@@ -79,17 +70,14 @@ def enumerate_executions(policy: Policy,
             if ai is None:
                 raise TgrError(
                     f"policy is not closed: no action for {g.state_str(state)}")
-            step = (g.actions[ai].name, ai == sync, g.successors(state, ai))
+            step = (g.actions[ai].name, g.successors(state, ai))
         steps[state] = step
         return step
 
-    # The current path: all its actions, those other than the sync action,
-    # and the views of the initial state and of the state after each of
-    # those. A frame holds its state, the state's step with the outcomes
-    # not yet tried, and the lengths of the first two lists at the state,
-    # to cut back to.
+    # The current path: its actions, and the views of the initial state
+    # and of the state after each action. The frame at stack depth d holds
+    # the state after d actions, its action's name and untried outcomes.
     start = reach(g.s0)
-    raw: list[str] = []
     actions: list[str] = []
     trace: list[frozenset[Atom]] = [views[g.s0]]
 
@@ -104,21 +92,21 @@ def enumerate_executions(policy: Policy,
                 f"policy has more than {cap} goal-reaching paths")
         key = tuple(actions)
         if key not in kept:
-            kept[key] = Execution(key, tuple(trace), tuple(raw))
+            kept[key] = Execution(key, tuple(trace))
 
     if not start:
         record()
         return list(kept.values())
 
     visit_counts: dict[int, int] = {g.s0: 1}
-    stack = [(g.s0, start[0], start[1], iter(start[2]), 0, 0)]
+    stack = [(g.s0, start[0], iter(start[1]))]
     n_steps = 0
     while stack:
         if (deadline is not None and not n_steps % 512
                 and time.monotonic() > deadline):
             raise DeadlineExceeded("execution enumeration deadline exceeded")
         n_steps += 1
-        state, name, is_sync, pending, n_raw, n_kept = stack[-1]
+        state, name, pending = stack[-1]
         succ = next(pending, None)
         if succ is None:
             stack.pop()
@@ -129,17 +117,15 @@ def enumerate_executions(policy: Policy,
         step = steps.get(succ)
         if step is None:
             step = reach(succ)
-        del raw[n_raw:], actions[n_kept:], trace[n_kept + 1:]
-        raw.append(name)
-        if not is_sync:
-            actions.append(name)
-            trace.append(views[succ])
+        depth = len(stack) - 1
+        del actions[depth:], trace[depth + 1:]
+        actions.append(name)
+        trace.append(views[succ])
         if not step:
             record()
             continue
         visit_counts[succ] = visit_counts.get(succ, 0) + 1
-        stack.append((succ, step[0], step[1], iter(step[2]),
-                      len(raw), len(actions)))
+        stack.append((succ, step[0], iter(step[1])))
 
     return list(kept.values())
 

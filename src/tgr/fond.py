@@ -130,9 +130,6 @@ class Literal:
     atom: Atom
     positive: bool = True
 
-    def negate(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
-
 
 @dataclass(frozen=True)
 class Effect:

@@ -33,9 +33,6 @@ class Atom:
 # Node kinds, grouped by dialect.
 FUTURE_KINDS = ("next", "weak_next", "until", "eventually", "always")
 PAST_KINDS = ("yesterday", "since", "once", "historically")
-UNARY_KINDS = ("not", "next", "weak_next", "eventually", "always",
-               "yesterday", "once", "historically")
-BINARY_KINDS = ("and", "or", "until", "since")
 
 # Concrete syntax for each temporal/boolean operator.
 KIND_SYMBOL = {

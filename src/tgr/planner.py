@@ -52,9 +52,6 @@ class Policy:
     grounded: StateModel
     mapping: dict[int, int] = field(repr=False)
 
-    def action_name(self, state: int) -> str:
-        return self.grounded.actions[self.mapping[state]].name
-
     def __len__(self) -> int:
         return len(self.mapping)
 

@@ -1,15 +1,13 @@
 """Goal recognition over candidate temporal goals, in two stages.
 
-`analyze` builds each candidate goal's planning task (the on-the-fly
-goal product for a temporal goal under the builtin planner, the
-compiled PDDL task for an external planner, the goal itself for a
-propositional goal), solves it for a strong-cyclic policy, and reduces its
-executions to a goal model: how many actions typically remain after
-each action, and which action pairs some execution orders. `score` ranks
-the goals against observations from those models alone: actions that
-never occur get a large constant distance, and an observed pair that no
-execution orders incurs a penalty factor. Lower average scores explain
-better; the posterior combines them with the goal priors.
+`analyze` builds each candidate goal's planning task, solves it for a
+strong-cyclic policy, and reduces its executions to a goal model: how
+many actions typically remain after each action, and which action pairs
+some execution orders. `score` ranks the goals against observations
+from those models alone: actions that never occur get a large constant
+distance, and an observed pair that no execution orders incurs a
+penalty factor. Lower average scores explain better; the posterior
+combines them with the goal priors.
 """
 
 from __future__ import annotations
@@ -232,9 +230,11 @@ def analyze(problem: RecognitionProblem, *,
     their error recorded. The priors and observations are checked before
     any goal is planned, but the observations do not enter the analysis.
 
-    The builtin planner searches each temporal goal's product with the
-    one goal-free grounding of the problem; external planners and
-    planner callables get the compiled task, a `fond.GroundedFond`.
+    The builtin planner searches the product of the one goal-free
+    grounding with each goal's automaton, a propositional goal φ as F(φ).
+    External planners and planner callables get a `fond.GroundedFond`:
+    the classical task of a propositional goal, or a temporal goal's
+    compiled task, whose policy is translated onto the product.
     """
     start = time.monotonic()
     if not problem.goals:
@@ -252,11 +252,15 @@ def analyze(problem: RecognitionProblem, *,
         model = GoalAnalysis(formula=goal, solvable=False, prior=prior)
         try:
             aug = None
-            if logic.is_propositional(goal):
+            if planner_spec == "builtin":
+                grounded = compilation.GoalProduct(
+                    base, logic.eventually(goal)
+                    if logic.is_propositional(goal) else goal)
+            elif logic.is_propositional(goal):
+                compilation.validate_goal_atoms(problem.domain,
+                                                problem.problem, goal)
                 grounded = fond.ground(problem.domain,
                                        replace(problem.problem, goal=goal))
-            elif planner_spec == "builtin":
-                grounded = compilation.GoalProduct(base, goal)
             else:
                 aug = compilation.compile_goal(problem.domain, problem.problem,
                                                goal)

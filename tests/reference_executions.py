@@ -6,6 +6,10 @@ outcomes and projected atoms on each path that reaches it. That is
 slow, but it follows the definition step by step, so
 `tgr.executions.enumerate_executions` is checked against it: both must
 return equal execution lists and raise at the same caps.
+
+A compiled task is walked as it is, not translated onto the goal
+product: the sync action is skipped and the automaton fluents are
+projected away. So the comparison also checks the translation.
 """
 
 from tgr.errors import ExecutionCapError, TgrError
@@ -22,13 +26,14 @@ def enumerate_executions(policy, aug=None, *, cap=DEFAULT_EXECUTION_CAP,
     g = policy.grounded
     if aug is not None and aug.grounded is not g:
         raise TgrError("policy was not produced from the given compiled task")
-    sync = g.action_index[aug.sync_name] if aug is not None else None
-    project = aug.project if aug is not None else (lambda atoms: atoms)
+    sync = (g.action_index[f"({aug.sync_schema})"] if aug is not None
+            else None)
+    bookkeeping = (frozenset(aug.q_atoms) | {aug.turn_atom} if aug is not None
+                   else frozenset())
 
-    # The current path: all its actions, those other than the sync action,
-    # and the initial state followed by the state after each of those. A
-    # frame keeps the lengths of the first two at its state to cut back to.
-    raw = []
+    # The current path: its actions other than the sync action, and the
+    # initial state followed by the state after each of those. A frame
+    # keeps the length of the first at its state to cut back to.
     actions = []
     trace = [g.s0]
 
@@ -44,7 +49,7 @@ def enumerate_executions(policy, aug=None, *, cap=DEFAULT_EXECUTION_CAP,
         key = tuple(actions)
         if key not in kept:
             kept[key] = Execution(
-                key, tuple(project(g.atoms_of(s)) for s in trace), tuple(raw))
+                key, tuple(g.atoms_of(s) - bookkeeping for s in trace))
 
     visit_counts = {g.s0: 1}
 
@@ -57,12 +62,12 @@ def enumerate_executions(policy, aug=None, *, cap=DEFAULT_EXECUTION_CAP,
         if ai is None:
             raise TgrError(
                 f"policy is not closed: no action for {g.state_str(state)}")
-        return [state, ai, g.successors(state, ai), 0, len(raw), len(actions)]
+        return [state, ai, g.successors(state, ai), 0, len(actions)]
 
     stack = [frame_for(g.s0)]
     while stack:
         frame = stack[-1]
-        state, ai, outcomes, idx, n_raw, n_kept = frame
+        state, ai, outcomes, idx, n_kept = frame
         if idx >= len(outcomes):
             stack.pop()
             visit_counts[state] -= 1
@@ -71,10 +76,9 @@ def enumerate_executions(policy, aug=None, *, cap=DEFAULT_EXECUTION_CAP,
         succ = outcomes[idx]
         if visit_counts.get(succ, 0) >= max_visits:
             continue
-        del raw[n_raw:], actions[n_kept:], trace[n_kept + 1:]
-        raw.append(g.actions[ai].name)
+        del actions[n_kept:], trace[n_kept + 1:]
         if ai != sync:
-            actions.append(raw[-1])
+            actions.append(g.actions[ai].name)
             trace.append(succ)
         if g.is_goal(succ):
             record()

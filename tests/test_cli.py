@@ -211,6 +211,17 @@ def test_plan_exec_without_command_is_input_error(tireworld_files, capsys):
     assert "--planner exec: needs a command" in capsys.readouterr().err
 
 
+def example1_with(tmp_path, **fields):
+    """Path of a copy of the example1 bundle with `fields` replaced."""
+    bundle = json.loads(open(os.path.join(EXAMPLE1, "bundle.json")).read())
+    for key in ("domain", "problem"):
+        bundle[key] = os.path.normpath(os.path.join(EXAMPLE1, bundle[key]))
+    bundle.update(fields)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    return str(path)
+
+
 @pytest.mark.parametrize("field, value", [
     ("priors", ["x", 1]),
     ("real_goal_index", "a"),
@@ -222,14 +233,20 @@ def test_plan_exec_without_command_is_input_error(tireworld_files, capsys):
     ("priors", [float("inf"), 1, 1]),
 ])
 def test_malformed_bundle_field_exits_1(tmp_path, capsys, field, value):
-    bundle = json.loads(open(os.path.join(EXAMPLE1, "bundle.json")).read())
-    for key in ("domain", "problem"):
-        bundle[key] = os.path.normpath(os.path.join(EXAMPLE1, bundle[key]))
-    bundle[field] = value
-    path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(bundle))
-    rc = cli.main(["recognize", "--bundle", str(path)])
+    rc = cli.main(["recognize", "--bundle",
+                   example1_with(tmp_path, **{field: value})])
     assert rc == 1
     err = capsys.readouterr().err.replace(str(tmp_path), "")
     assert err.startswith("error:")
     assert field in err
+
+
+def test_bad_propositional_goal_is_dropped_per_goal(tmp_path, capsys):
+    goals = ["F(vAt_51)", "F(vAt_33)", "F(vAt_15)", "(vAt 99)"]
+    rc = cli.main(["recognize", "--bundle",
+                   example1_with(tmp_path, goals=goals)])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [g["error"] for g in payload["per_goal"]] == [
+        None, None, None, "goal atom (vAt 99): '99' is not a declared object"]
+    assert payload["gstar"] == [1]

@@ -137,7 +137,8 @@ def test_strip_sync():
 def test_project_removes_bookkeeping():
     aug = compile_f22()
     atoms = aug.grounded.atoms_of(aug.grounded.s0)
-    projected = aug.project(atoms)
+    policy = planner.solve_strong_cyclic(aug.grounded)
+    projected = executions.enumerate_executions(policy, aug)[0].trace[0]
     assert logic.Atom("q0") in atoms
     assert all(not a.predicate.startswith("q") for a in projected
                if a.predicate != "road")

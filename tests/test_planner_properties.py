@@ -8,7 +8,8 @@ effects and against its own state conversions, `verify_policy` against
 policies mutated to be wrong, and the execution enumerator against the
 reference enumerator in `reference_executions`, on the tasks' own goals
 and on temporal goals compiled into them, and the on-the-fly goal
-product against the compiled task it replaces.
+product against the compiled task, whose grounding must extend the
+goal-free one for its policies to translate onto the product.
 """
 
 import dataclasses
@@ -208,8 +209,8 @@ def assert_same_enumeration(policy, aug, small_cap):
         expected = enumeration(reference_executions.enumerate_executions,
                                policy, aug, cap)
         got = enumeration(executions.enumerate_executions, policy, aug, cap)
-        # Execution equality compares actions, trace and raw_actions; list
-        # equality compares their order.
+        # Execution equality compares actions and trace; list equality
+        # compares their order.
         assert got == expected
 
 
@@ -263,6 +264,32 @@ def test_enumerator_agrees_with_reference_on_compiled_goals(
     assert_same_enumeration(policy, aug, small_cap)
 
 
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.booleans(), st.data())
+def test_compiled_grounding_extends_the_goal_free_grounding(task, clash, data):
+    # The translation of compiled policies onto the goal product relies on
+    # this layout.
+    domain, problem = (fond.parse_domain(task[0]),
+                       fond.parse_problem(task[1]))
+    if clash:
+        # a domain predicate named q0 moves the automaton names to sync-
+        domain = dataclasses.replace(domain, predicates=domain.predicates
+                                     + (fond.PredicateSchema("q0", ()),))
+    goal = draw_temporal_goal(domain, data)
+    base = fond.ground(domain, dataclasses.replace(problem, goal=None))
+    try:
+        aug = compilation.compile_goal(domain, problem, goal)
+    except CompileError:
+        return
+    assert (aug.prefix == "sync-") == clash
+    g = aug.grounded
+    n, m = len(base.fluents), len(base.actions)
+    assert g.fluents[:n] == base.fluents
+    assert g.fluents[n:] == aug.q_atoms + (aug.turn_atom,)
+    assert [a.name for a in g.actions] == \
+        [a.name for a in base.actions] + [f"({aug.sync_schema})"]
+
+
 def execution_views(policy, aug, cap):
     """(actions, trace) of each execution, or the cap error's message."""
     try:
@@ -296,7 +323,8 @@ def test_goal_product_matches_the_compiled_task(task, small_cap, data):
         if state & turn:
             atoms = g.atoms_of(state)
             (q,) = [i for i, a in enumerate(aug.q_atoms) if a in atoms]
-            key = base.state_of(aug.project(atoms)) | q << len(base.fluents)
+            domain_atoms = atoms - set(aug.q_atoms) - {aug.turn_atom}
+            key = base.state_of(domain_atoms) | q << len(base.fluents)
             expected[key] = g.actions[ai].name
     assert {state: base.actions[ai].name
             for state, ai in product.mapping.items()} == expected

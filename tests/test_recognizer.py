@@ -3,11 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tgr
 from tgr import (bench, compilation, executions, fond, logic, planner,
                  recognizer)
 from tgr.errors import BundleError, DeadlineExceeded, TgrError
@@ -160,6 +163,33 @@ def test_builtin_planner_grounds_once_and_compiles_nothing(monkeypatch):
     analysis = recognizer.analyze(rp)
     assert len(grounds) == 1
     assert [m.n_executions for m in analysis.models] == [8, 8, 16]
+    # propositional goals share the one grounding too
+    grounds.clear()
+    mixed = tireworld_problem(
+        ["(vAt 22)", "F((vAt 21) & X(F((vAt 22))))", "(vAt 21) | (vAt 31)"],
+        [])
+    assert all(m.solvable for m in recognizer.analyze(mixed).models)
+    assert len(grounds) == 1
+
+
+@pytest.mark.parametrize("spec", ["builtin", planner.solve_strong_cyclic])
+def test_bad_propositional_goal_is_dropped_per_goal(spec):
+    res = recognizer.recognize(
+        tireworld_problem(["(vAt 99)", "F((vAt 99))", "(vAt 22)"],
+                          ["(move 11 21)"]),
+        planner_spec=spec)
+    message = "goal atom (vAt 99): '99' is not a declared object"
+    assert [a.error for a in res.analyses] == [message, message, None]
+    assert res.gstar == (2,)
+
+
+def test_unsatisfiable_propositional_goal_is_dropped():
+    res = recognizer.recognize(
+        tireworld_problem(["(vAt 22) & !(vAt 22)", "(vAt 22)"], []))
+    assert res.analyses[0].error == (
+        "goal F(((vAt 22) & !((vAt 22)))) is unsatisfiable: its automaton "
+        "has no accepting state")
+    assert res.gstar == (1,)
 
 
 def test_observations_must_be_ground_actions(monkeypatch):
@@ -201,9 +231,8 @@ def test_result_json_shape():
 
 
 def test_scoring_functions_directly():
-    e1 = executions.Execution(("a", "b"), (frozenset(),) * 3, ("a", "b"))
-    e2 = executions.Execution(("a", "c", "b"), (frozenset(),) * 4,
-                              ("a", "c", "b"))
+    e1 = executions.Execution(("a", "b"), (frozenset(),) * 3)
+    e2 = executions.Execution(("a", "c", "b"), (frozenset(),) * 4)
     execs = [e1, e2]
     pairs = executions.order_relations(e1) | executions.order_relations(e2)
     assert recognizer.penalty(None, "a", pairs) == 0
@@ -240,8 +269,8 @@ ACTIONS = st.sampled_from("abcd")
 @given(st.lists(st.lists(ACTIONS, max_size=6), max_size=5), ACTIONS, ACTIONS)
 def test_pair_set_penalty_matches_some_execution_ordering_the_pair(
         seqs, o_prev, o_i):
-    execs = [executions.Execution(tuple(s), (frozenset(),) * (len(s) + 1),
-                                  tuple(s)) for s in seqs]
+    execs = [executions.Execution(tuple(s), (frozenset(),) * (len(s) + 1))
+             for s in seqs]
 
     def reference(prev, cur):
         # The definition scoring used before the pair sets: 1 unless some
@@ -258,17 +287,19 @@ def test_pair_set_penalty_matches_some_execution_ordering_the_pair(
     assert recognizer.penalty(o_prev, o_i, pairs) == reference(o_prev, o_i)
 
 
+def analysis_case(case):
+    if case == "example1":
+        return recognizer.load_bundle(EX1)
+    # a goal no policy reaches (13) and a propositional goal ride along
+    return tireworld_problem(
+        ["F((vAt 51))", "F((vAt 33))", "F((vAt 13))", "(vAt 22)"],
+        ["(move 11 21)", "(changetire 21)", "(move 21 22)", "(move 22 23)"],
+        priors=(1.0, 2.0, 1.0, 1.0))
+
+
 @pytest.mark.parametrize("case", ["example1", "tireworld"])
 def test_one_analysis_scores_every_prefix_like_recognize(case):
-    if case == "example1":
-        rp = recognizer.load_bundle(EX1)
-    else:
-        # a goal no policy reaches (13) and a propositional goal ride along
-        rp = tireworld_problem(
-            ["F((vAt 51))", "F((vAt 33))", "F((vAt 13))", "(vAt 22)"],
-            ["(move 11 21)", "(changetire 21)", "(move 21 22)",
-             "(move 22 23)"],
-            priors=(1.0, 2.0, 1.0, 1.0))
+    rp = analysis_case(case)
     analysis = recognizer.analyze(rp)
     prefixes = [rp.obs[:k] for k in range(len(rp.obs) + 1)]
     # score the longest prefix first: reuse must not depend on order
@@ -285,6 +316,38 @@ def test_one_analysis_scores_every_prefix_like_recognize(case):
         assert model.scores == () and model.posterior == 0.0
     with pytest.raises(BundleError, match="not a ground action"):
         recognizer.score(analysis, ["(move 11 99)"])
+
+
+@pytest.mark.parametrize("case", ["example1", "tireworld"])
+def test_compiled_route_gives_the_builtin_goal_models(case, tmp_path):
+    # Planner callables and exec: planners solve the compiled task (or the
+    # classical grounding of a propositional goal); their policies are
+    # translated onto the goal product the builtin planner searches.
+    rp = analysis_case(case)
+    script = tmp_path / "solve.py"
+    src = os.path.dirname(os.path.dirname(tgr.__file__))
+    script.write_text(f"""import sys
+sys.path.insert(0, {src!r})
+from tgr import fond, planner
+from tgr.errors import UnsolvableError
+dom = fond.parse_domain(open(sys.argv[1]).read())
+prob = fond.parse_problem(open(sys.argv[2]).read())
+try:
+    policy = planner.solve_strong_cyclic(fond.ground(dom, prob))
+except UnsolvableError:
+    raise SystemExit(2)
+sys.stdout.write(planner.policy_to_text(policy))
+""")
+    want = recognizer.analyze(rp).models
+    got = recognizer.analyze(rp, planner_spec=planner.solve_strong_cyclic)
+    assert got.models == want  # every field, exactly
+    external = recognizer.analyze(
+        rp, planner_spec=f"exec:{sys.executable} {script}")
+    # an external planner reports unsolvability in its own words
+    assert [m.error is None for m in external.models] == \
+        [m.error is None for m in want]
+    assert [dataclasses.replace(m, error=w.error)
+            for m, w in zip(external.models, want)] == list(want)
 
 
 def test_gstar_ties_use_isclose():
