@@ -19,9 +19,7 @@ The augmented goal demands the turn fluent plus an accepting-state
 fluent (a disjunction when the minimal DFA has several accepting
 states). The problem's original classical goal is discarded. The
 policy of the compiled task, restricted to the states where the turn
-fluent holds, is the product's policy;
-`AugmentedProblem.product_policy` translates it, so that its executions
-are enumerated on the product.
+fluent holds, is the product's policy (`AugmentedProblem.product_policy`).
 """
 
 from __future__ import annotations
@@ -89,13 +87,15 @@ class GoalProduct:
     and q the DFA state after reading the trace up to and including
     base_state; goal states are those whose q accepts. Actions, their
     applicability, branch order and duplicate merging are the base's.
-    `atoms_of` returns the base atoms only.
+    `atoms_of` returns the base atoms only. `dfa` is the goal's
+    automaton when it is already built, as by `compile_goal`.
     """
 
-    def __init__(self, base: fond.GroundedFond, goal: Formula) -> None:
+    def __init__(self, base: fond.GroundedFond, goal: Formula,
+                 dfa: Dfa | None = None) -> None:
         self.base = base
         self.goal = goal
-        self.dfa = goal_dfa(base.domain, base.problem, goal)
+        self.dfa = dfa or goal_dfa(base.domain, base.problem, goal)
         self.actions = base.actions
         self.action_index = base.action_index
         self._shift = len(base.fluents)
@@ -166,11 +166,12 @@ class AugmentedProblem:
     turn_atom: Atom
     sync_schema: str
 
-    def product_policy(self, policy: planner.Policy) -> planner.Policy:
-        """A closed policy of this compiled task as a policy of the goal
-        product. The compiled grounding's fluents and actions extend the
-        goal-free grounding's, in order, so a compiled state where the turn
-        fluent holds, with automaton fluent q, is the product state
+    def product_policy(self, policy: planner.Policy,
+                       base: fond.GroundedFond | None = None) -> planner.Policy:
+        """A closed policy of this task as a policy of the goal product
+        over `base`, the goal-free grounding (done here if not given),
+        whose fluents and actions the compiled ones extend in order: a
+        turn-fluent state with automaton state q maps to
         `(state & low) | q << n` and keeps its action."""
         g = self.grounded
         if policy.grounded is not g:
@@ -178,14 +179,17 @@ class AugmentedProblem:
         report = planner.verify_policy(policy)
         if not report.closed:
             raise TgrError(f"policy is not closed: {report.reason}")
-        base = fond.ground(self.base_domain,
-                           replace(self.base_problem, goal=None))
+        if base is None:
+            base = fond.ground(self.base_domain,
+                               replace(self.base_problem, goal=None))
         n = len(base.fluents)
+        if g.fluents[:n] != base.fluents:
+            raise TgrError("base grounding is not the compiled task's base")
         low = (1 << n) - 1
         turn = 1 << g.fluent_index[self.turn_atom]
         q_of = {1 << g.fluent_index[a] | turn: q
                 for q, a in enumerate(self.q_atoms)}
-        return planner.Policy(GoalProduct(base, self.formula), {
+        return planner.Policy(GoalProduct(base, self.formula, self.dfa), {
             (state & low) | q_of[state & ~low] << n: ai
             for state, ai in policy.mapping.items() if (state & ~low) in q_of})
 

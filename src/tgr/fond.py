@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 from . import logic
@@ -619,6 +619,13 @@ class GroundedFond:
         self._watched = sum(1 << f for f, entries in enumerate(watch)
                             if entries)
         self._always = tuple(always)
+
+    def with_goal(self, goal: Formula) -> GroundedFond:
+        """This model with the classical goal `goal`, whose atoms must be
+        fluents; the grounding is shared, not redone."""
+        return replace(self, problem=replace(self.problem, goal=goal),
+                       goal=goal, _goal_compiled=_compile_condition(
+                           goal, self.fluent_index, "goal"))
 
     def applicable(self, state: int, action: int) -> bool:
         a = self.actions[action]

@@ -12,6 +12,7 @@ combines them with the goal priors.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -182,20 +183,13 @@ def posteriors(likelihoods: Sequence[float],
 PlannerFn = Callable[[fond.GroundedFond], Policy]
 
 
-def _builtin_planner(state_cap: int,
-                     deadline: float | None) -> PlannerFn:
-    def solve(grounded: fond.StateModel) -> Policy:
-        return planner.solve_strong_cyclic(
-            grounded, state_cap=state_cap, deadline=deadline)
-    return solve
-
-
 def _resolve_planner(spec: "str | PlannerFn", state_cap: int,
                      deadline: float | None) -> PlannerFn:
     if callable(spec):
         return spec
     if spec == "builtin":
-        return _builtin_planner(state_cap, deadline)
+        return functools.partial(planner.solve_strong_cyclic,
+                                 state_cap=state_cap, deadline=deadline)
     if spec.startswith("exec:"):
         command = spec[len("exec:"):]
         if not command:
@@ -230,11 +224,10 @@ def analyze(problem: RecognitionProblem, *,
     their error recorded. The priors and observations are checked before
     any goal is planned, but the observations do not enter the analysis.
 
-    The builtin planner searches the product of the one goal-free
-    grounding with each goal's automaton, a propositional goal φ as F(φ).
-    External planners and planner callables get a `fond.GroundedFond`:
-    the classical task of a propositional goal, or a temporal goal's
-    compiled task, whose policy is translated onto the product.
+    A propositional goal is the classical goal test on the one goal-free
+    grounding; the builtin planner searches a temporal goal's product
+    with it. External planners and planner callables get a temporal
+    goal's compiled task, whose policy is translated onto the product.
     """
     start = time.monotonic()
     if not problem.goals:
@@ -252,23 +245,22 @@ def analyze(problem: RecognitionProblem, *,
         model = GoalAnalysis(formula=goal, solvable=False, prior=prior)
         try:
             aug = None
-            if planner_spec == "builtin":
-                grounded = compilation.GoalProduct(
-                    base, logic.eventually(goal)
-                    if logic.is_propositional(goal) else goal)
-            elif logic.is_propositional(goal):
+            if logic.is_propositional(goal):
                 compilation.validate_goal_atoms(problem.domain,
                                                 problem.problem, goal)
-                grounded = fond.ground(problem.domain,
-                                       replace(problem.problem, goal=goal))
+                grounded = base.with_goal(goal)
+            elif planner_spec == "builtin":
+                grounded = compilation.GoalProduct(base, goal)
             else:
                 aug = compilation.compile_goal(problem.domain, problem.problem,
                                                goal)
                 grounded = aug.grounded
             planner_calls += 1
             policy = solve(grounded)
+            if aug is not None:
+                policy = aug.product_policy(policy, base)
             execs = executions_mod.enumerate_executions(
-                policy, aug, cap=execution_cap, deadline=deadline)
+                policy, cap=execution_cap, deadline=deadline)
             model.solvable = True
             model.n_executions = len(execs)
             model.distances = executions_mod.average_distances(execs)

@@ -90,6 +90,21 @@ def test_mismatched_policy_and_task():
         executions.enumerate_executions(other_policy, aug)
 
 
+def test_product_policy_uses_the_given_grounding_and_the_automaton():
+    aug, policy = solved_f22()
+    base = fond.ground(aug.base_domain, aug.base_problem)
+    product = aug.product_policy(policy, base)
+    assert product.grounded.base is base
+    assert product.grounded.dfa is aug.dfa
+    assert executions.enumerate_executions(product) == \
+        executions.enumerate_executions(policy, aug)
+    blocks = bench.bundled_dataset("blocks-world")
+    other = fond.ground(fond.parse_domain(blocks.domain_text),
+                        fond.parse_problem(blocks.problem_text))
+    with pytest.raises(TgrError, match="base grounding"):
+        aug.product_policy(policy, other)
+
+
 def test_cap():
     aug, policy = solved_f22()
     with pytest.raises(ExecutionCapError):

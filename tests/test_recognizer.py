@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tgr
-from tgr import (bench, compilation, executions, fond, logic, planner,
-                 recognizer)
+from tgr import (automata, bench, compilation, executions, fond, logic,
+                 planner, recognizer)
 from tgr.errors import BundleError, DeadlineExceeded, TgrError
 
 EX1 = "src/tgr/data/example1"
@@ -183,13 +183,41 @@ def test_bad_propositional_goal_is_dropped_per_goal(spec):
     assert res.gstar == (2,)
 
 
-def test_unsatisfiable_propositional_goal_is_dropped():
+@pytest.mark.parametrize("spec", ["builtin", planner.solve_strong_cyclic])
+def test_unsatisfiable_propositional_goal_is_dropped(spec):
     res = recognizer.recognize(
-        tireworld_problem(["(vAt 22) & !(vAt 22)", "(vAt 22)"], []))
+        tireworld_problem(["(vAt 22) & !(vAt 22)", "(vAt 22)"], []),
+        planner_spec=spec)
     assert res.analyses[0].error == (
-        "goal F(((vAt 22) & !((vAt 22)))) is unsatisfiable: its automaton "
-        "has no accepting state")
+        "no strong-cyclic policy: the initial state was pruned")
     assert res.gstar == (1,)
+
+
+CHAIN_DOMAIN = """(define (domain chain) (:requirements :strips :typing)
+  (:types step)
+  (:predicates (done ?s - step) (next ?s ?t - step))
+  (:action advance :parameters (?s ?t - step)
+    :precondition (and (done ?s) (next ?s ?t)) :effect (done ?t)))"""
+
+
+def test_propositional_goal_over_many_atoms_is_solved():
+    # More atoms than a goal automaton may read: the classical goal test
+    # needs no automaton, on every planner route.
+    steps = [f"s{i}" for i in range(15)]
+    links = " ".join(f"(next {s} {t})" for s, t in zip(steps, steps[1:]))
+    goal = logic.parse_formula(" & ".join(f"(done {s})" for s in steps[1:]))
+    assert len(logic.atoms(goal)) > automata._MAX_ATOMS
+    rp = recognizer.RecognitionProblem(
+        domain=fond.parse_domain(CHAIN_DOMAIN),
+        problem=fond.parse_problem(
+            f"(define (problem p) (:domain chain) (:objects {' '.join(steps)}"
+            f" - step) (:init (done s0) {links}))"),
+        goals=(goal,), obs=())
+    (model,) = recognizer.analyze(rp).models
+    assert model.solvable and model.n_executions == 1
+    assert model.distances["(advance s0 s1)"] == 13
+    got = recognizer.analyze(rp, planner_spec=planner.solve_strong_cyclic)
+    assert got.models == (model,)
 
 
 def test_observations_must_be_ground_actions(monkeypatch):
