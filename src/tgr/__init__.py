@@ -4,7 +4,7 @@ from .automata import Dfa, Pdfa, lift, ltlf_to_dfa, pltlf_to_dfa, to_dot
 from .bench import BenchConfig, load_config, run_benchmark
 from .compilation import AugmentedProblem, compile_goal, emit_pddl, strip_sync
 from .executions import (Execution, average_distances, enumerate_executions,
-                         order_relations)
+                         goal_model, order_relations)
 from .fond import (Domain, GroundedFond, ProblemInstance, ground,
                    parse_domain, parse_problem)
 from .logic import Atom, Formula, atoms, dialect, evaluate, parse_formula, to_nnf
@@ -24,7 +24,7 @@ __all__ = [
     "AugmentedProblem", "compile_goal", "emit_pddl", "strip_sync",
     "Policy", "PolicyReport", "solve_strong_cyclic", "verify_policy",
     "policy_to_text", "policy_from_text",
-    "Execution", "enumerate_executions", "average_distances",
+    "Execution", "enumerate_executions", "goal_model", "average_distances",
     "order_relations",
     "RecognitionProblem", "RecognitionResult", "recognize", "analyze",
     "score", "load_bundle",

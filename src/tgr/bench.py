@@ -22,6 +22,7 @@ import json
 import math
 import os
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -117,6 +118,12 @@ def _dataset_entry(entry, base_dir: str | None) -> DatasetSpec:
         "{name, domain, problem} objects")
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; booleans are not integers here, as in
+    `recognizer.load_bundle`."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def config_from_dict(raw: dict, *, base_dir: str | None = None) -> BenchConfig:
     if not isinstance(raw, dict):
         raise BundleError("bench config must be a JSON object")
@@ -130,19 +137,21 @@ def config_from_dict(raw: dict, *, base_dir: str | None = None) -> BenchConfig:
         raise BundleError("levels must be a non-empty list of percentages")
     levels = []
     for lvl in levels_raw:
-        if not isinstance(lvl, int) or not 1 <= lvl <= 100:
+        if not _is_int(lvl) or not 1 <= lvl <= 100:
             raise BundleError(f"level {lvl!r} is not an integer in 1..100")
         levels.append(lvl)
 
     def positive_int(key: str, default: int) -> int:
         value = raw.get(key, default)
-        if not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             raise BundleError(f"{key} must be a positive integer")
         return value
 
     timeout_s = raw.get("timeout_s", 600.0)
-    if not isinstance(timeout_s, (int, float)) or timeout_s <= 0:
-        raise BundleError("timeout_s must be a positive number")
+    # The upper bound rejects infinity, and integers no float can hold.
+    if (isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float))
+            or not 0 < timeout_s <= sys.float_info.max):
+        raise BundleError("timeout_s must be a finite positive number")
 
     entries = raw.get("datasets", list(BUNDLED_DATASETS))
     if not isinstance(entries, list) or not entries:
@@ -153,7 +162,7 @@ def config_from_dict(raw: dict, *, base_dir: str | None = None) -> BenchConfig:
         raise BundleError("dataset names must be unique")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise BundleError("seed must be an integer")
 
     return BenchConfig(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 import traceback
@@ -35,6 +36,24 @@ def _write(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+# Options that must be positive integers, and options in seconds that
+# must be finite and positive, by their argparse destination.
+_POSITIVE_INTS = ("execution_cap", "state_cap", "jobs")
+_POSITIVE_SECONDS = ("deadline", "timeout")
+
+
+def _check_options(args: argparse.Namespace) -> None:
+    for dest in _POSITIVE_INTS:
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise TgrError(f"--{dest.replace('_', '-')} must be a positive "
+                           "integer")
+    for dest in _POSITIVE_SECONDS:
+        value = getattr(args, dest, None)
+        if value is not None and not 0 < value < math.inf:
+            raise TgrError(f"--{dest} must be positive and finite")
 
 
 def _deadline(seconds: float | None) -> float | None:
@@ -118,8 +137,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.timeout is not None:
-        if args.timeout <= 0:
-            raise TgrError("--timeout must be positive")
         cfg = dataclasses.replace(cfg, timeout_s=args.timeout)
 
     total = len(cfg.datasets) * cfg.problems_per_dataset
@@ -219,6 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_options(args)
         return args.func(args)
     except (UnsolvableError, DeadlineExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

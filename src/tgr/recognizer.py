@@ -259,13 +259,10 @@ def analyze(problem: RecognitionProblem, *,
             policy = solve(grounded)
             if aug is not None:
                 policy = aug.product_policy(policy, base)
-            execs = executions_mod.enumerate_executions(
+            (model.n_executions, model.distances,
+             model.pairs) = executions_mod.goal_model(
                 policy, cap=execution_cap, deadline=deadline)
             model.solvable = True
-            model.n_executions = len(execs)
-            model.distances = executions_mod.average_distances(execs)
-            model.pairs = frozenset().union(
-                *map(executions_mod.order_relations, execs))
         except (UnsolvableError, CompileError, AutomatonCapError,
                 GroundingCapError, ExecutionCapError) as exc:
             model.error = str(exc)

@@ -51,6 +51,29 @@ def test_config_rejects_bad_input():
         bench.config_from_dict([1, 2])
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"timeout_s": NaN}', "timeout_s must be a finite positive number"),
+    ('{"timeout_s": Infinity}', "timeout_s must be a finite positive number"),
+    ('{"timeout_s": 1e999}', "timeout_s must be a finite positive number"),
+    ('{"timeout_s": 1%s}' % ("0" * 400),
+     "timeout_s must be a finite positive number"),
+    ('{"timeout_s": true}', "timeout_s must be a finite positive number"),
+    ('{"seed": true}', "seed must be an integer"),
+    ('{"levels": [true]}', "level True is not an integer in 1..100"),
+    ('{"goals_per_problem": true}',
+     "goals_per_problem must be a positive integer"),
+    ('{"problems_per_dataset": true}',
+     "problems_per_dataset must be a positive integer"),
+    ('{"state_cap": true}', "state_cap must be a positive integer"),
+    ('{"execution_cap": true}', "execution_cap must be a positive integer"),
+])
+def test_config_rejects_booleans_and_non_finite_timeouts(text, message):
+    # The rule load_bundle applies: a boolean is not a number here.
+    with pytest.raises(BundleError) as err:
+        bench.config_from_dict(json.loads(text))
+    assert str(err.value) == message
+
+
 def test_config_levels_are_deduplicated_and_sorted():
     cfg = bench.config_from_dict({"levels": [100, 10, 10, 50]})
     assert cfg.levels == (10, 50, 100)

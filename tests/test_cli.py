@@ -189,6 +189,35 @@ def test_bench_rejects_bad_timeout(capsys):
     assert "--timeout must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["recognize", "--execution-cap", "0"], "--execution-cap"),
+    (["recognize", "--execution-cap", "-4"], "--execution-cap"),
+    (["recognize", "--state-cap", "0"], "--state-cap"),
+    (["recognize", "--state-cap", "-1"], "--state-cap"),
+    (["recognize", "--deadline", "0"], "--deadline"),
+    (["recognize", "--deadline", "-2.5"], "--deadline"),
+    (["recognize", "--deadline", "nan"], "--deadline"),
+    (["recognize", "--deadline", "inf"], "--deadline"),
+    (["plan", "--state-cap", "0"], "--state-cap"),
+    (["plan", "--deadline", "nan"], "--deadline"),
+    (["bench", "--jobs", "0"], "--jobs"),
+    (["bench", "--jobs", "-2"], "--jobs"),
+    (["bench", "--timeout", "0"], "--timeout"),
+    (["bench", "--timeout", "nan"], "--timeout"),
+    (["bench", "--timeout", "inf"], "--timeout"),
+])
+def test_out_of_range_option_exits_1(tireworld_files, capsys, argv, option):
+    domain, problem = tireworld_files
+    inputs = {"recognize": ["--bundle", EXAMPLE1],
+              "plan": ["--domain", domain, "--problem", problem],
+              "bench": []}[argv[0]]
+    rc = cli.main(argv[:1] + inputs + argv[1:])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} must be ")
+
+
 def test_unexpected_error_exits_3(tireworld_files, monkeypatch, capsys):
     domain, problem = tireworld_files
 

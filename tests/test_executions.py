@@ -1,6 +1,8 @@
 """Execution enumeration and the distance/order statistics built on it."""
 
+import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -159,3 +161,52 @@ def test_order_relations():
         {("a", "b"), ("a", "c"), ("b", "c")})
     empty = executions.Execution((), (frozenset(),))
     assert executions.order_relations(empty) == frozenset()
+
+
+class Model:
+    """A hand-made state model: every action of a state leads to
+    `outcomes(state)`; state 0 is initial and `goal` the goal state."""
+
+    def __init__(self, names, outcomes, goal):
+        self.actions = tuple(SimpleNamespace(name=n) for n in names)
+        self.outcomes, self.goal_state = outcomes, goal
+        self.s0, self.goal = 0, None
+
+    def successors(self, state, action):
+        return self.outcomes(state)
+
+    def is_goal(self, state):
+        return state == self.goal_state
+
+    def atoms_of(self, state):
+        return frozenset()
+
+    def state_str(self, state):
+        return str(state)
+
+
+def reduced(execs):
+    return (len(execs), executions.average_distances(execs),
+            frozenset().union(*map(executions.order_relations, execs)))
+
+
+def test_goal_model_of_an_execution_longer_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    chain = Model(["(step0)", "(step1)", "(step2)"], lambda s: (s + 1,), n)
+    policy = planner.Policy(chain, {i: i % 3 for i in range(n)})
+    (ex,) = executions.enumerate_executions(policy)
+    assert len(ex.actions) == n
+    assert executions.goal_model(policy) == reduced([ex])
+
+
+def test_goal_model_ignores_paths_cut_by_the_visit_bound():
+    # (a) reaches the goal 2 or state 1, whose (b) returns to 0. The path
+    # a b a b enters 0 a third time and is cut, so no execution orders
+    # (b) before (b).
+    loop = Model(["(a)", "(b)"], {0: (1, 2), 1: (0,)}.__getitem__, 2)
+    policy = planner.Policy(loop, {0: 0, 1: 1})
+    execs = executions.enumerate_executions(policy)
+    assert [e.actions for e in execs] == [("(a)", "(b)", "(a)"), ("(a)",)]
+    model = executions.goal_model(policy)
+    assert model == reduced(execs)
+    assert ("(b)", "(b)") not in model[2]

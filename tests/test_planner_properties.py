@@ -7,9 +7,11 @@ in `reference_planner`, the model against a direct reading of the
 effects and against its own state conversions, `verify_policy` against
 policies mutated to be wrong, and the execution enumerator against the
 reference enumerator in `reference_executions`, on the tasks' own goals
-and on temporal goals compiled into them, and the on-the-fly goal
-product against the compiled task, whose grounding must extend the
-goal-free one for its policies to translate onto the product.
+and on temporal goals compiled into them, the goal model read off the
+walk against the one reduced from the enumerated executions, and the
+on-the-fly goal product against the compiled task, whose grounding must
+extend the goal-free one for its policies to translate onto the
+product.
 """
 
 import dataclasses
@@ -332,3 +334,53 @@ def test_goal_product_matches_the_compiled_task(task, small_cap, data):
     for cap in (executions.DEFAULT_EXECUTION_CAP, small_cap):
         assert (execution_views(product, None, cap)
                 == execution_views(compiled, aug, cap))
+
+
+def goal_model(policy, cap):
+    """`goal_model`'s result, or the type and message of its error."""
+    try:
+        return executions.goal_model(policy, cap=cap)
+    except TgrError as exc:
+        return type(exc), str(exc)
+
+
+def reduced_executions(policy, cap):
+    """The goal model reduced from the enumerated executions, or the type
+    and message of the enumerator's error."""
+    try:
+        execs = executions.enumerate_executions(policy, cap=cap)
+    except TgrError as exc:
+        return type(exc), str(exc)
+    return (len(execs), executions.average_distances(execs),
+            frozenset().union(*map(executions.order_relations, execs)))
+
+
+def assert_same_goal_model(policy, small_cap):
+    for cap in (executions.DEFAULT_EXECUTION_CAP, small_cap):
+        # The distances are compared exactly: both divide integer totals.
+        assert goal_model(policy, cap) == reduced_executions(policy, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.integers(1, 12), st.data())
+def test_goal_model_is_the_reduced_enumeration(task, small_cap, data):
+    domain, problem = (fond.parse_domain(task[0]),
+                       fond.parse_problem(task[1]))
+    base = fond.ground(domain, dataclasses.replace(problem, goal=None))
+    models = [ground(task)]
+    try:
+        models.append(compilation.GoalProduct(
+            base, draw_temporal_goal(domain, data)))
+    except CompileError:
+        pass
+    for model in models:
+        try:
+            policy = planner.solve_strong_cyclic(model)
+        except UnsolvableError:
+            continue
+        assert_same_goal_model(policy, small_cap)
+        if policy.mapping:
+            # An open policy fails at the same state of the walk.
+            dropped = dict(policy.mapping)
+            del dropped[data.draw(st.sampled_from(sorted(dropped)))]
+            assert_same_goal_model(planner.Policy(model, dropped), small_cap)

@@ -346,12 +346,9 @@ def test_one_analysis_scores_every_prefix_like_recognize(case):
         recognizer.score(analysis, ["(move 11 99)"])
 
 
-@pytest.mark.parametrize("case", ["example1", "tireworld"])
-def test_compiled_route_gives_the_builtin_goal_models(case, tmp_path):
-    # Planner callables and exec: planners solve the compiled task (or the
-    # classical grounding of a propositional goal); their policies are
-    # translated onto the goal product the builtin planner searches.
-    rp = analysis_case(case)
+def exec_planner(tmp_path):
+    """An exec: planner spec that runs the builtin solver in a child
+    process."""
     script = tmp_path / "solve.py"
     src = os.path.dirname(os.path.dirname(tgr.__file__))
     script.write_text(f"""import sys
@@ -366,16 +363,43 @@ except UnsolvableError:
     raise SystemExit(2)
 sys.stdout.write(planner.policy_to_text(policy))
 """)
+    return f"exec:{sys.executable} {script}"
+
+
+@pytest.mark.parametrize("case", ["example1", "tireworld"])
+def test_compiled_route_gives_the_builtin_goal_models(case, tmp_path):
+    # Planner callables and exec: planners solve the compiled task (or the
+    # classical grounding of a propositional goal); their policies are
+    # translated onto the goal product the builtin planner searches.
+    rp = analysis_case(case)
     want = recognizer.analyze(rp).models
     got = recognizer.analyze(rp, planner_spec=planner.solve_strong_cyclic)
     assert got.models == want  # every field, exactly
-    external = recognizer.analyze(
-        rp, planner_spec=f"exec:{sys.executable} {script}")
+    external = recognizer.analyze(rp, planner_spec=exec_planner(tmp_path))
     # an external planner reports unsolvability in its own words
     assert [m.error is None for m in external.models] == \
         [m.error is None for m in want]
     assert [dataclasses.replace(m, error=w.error)
             for m, w in zip(external.models, want)] == list(want)
+
+
+def built(*args, **kwargs):
+    raise AssertionError("executions were built")
+
+
+@pytest.mark.parametrize("case", ["example1", "tireworld"])
+def test_analyze_builds_no_execution(case, tmp_path, monkeypatch):
+    # Every planner route reads its goal models off the execution walk.
+    rp = analysis_case(case)
+    want = [(m.n_executions, m.distances, m.pairs)
+            for m in recognizer.analyze(rp).models]
+    monkeypatch.setattr(executions, "enumerate_executions", built)
+    monkeypatch.setattr(executions, "Execution", built)
+    for spec in ("builtin", planner.solve_strong_cyclic,
+                 exec_planner(tmp_path)):
+        analysis = recognizer.analyze(rp, planner_spec=spec)
+        assert [(m.n_executions, m.distances, m.pairs)
+                for m in analysis.models] == want
 
 
 def test_gstar_ties_use_isclose():
