@@ -53,10 +53,6 @@ class Dfa:
     def n_states(self) -> int:
         return len(self.table)
 
-    @property
-    def initial(self) -> int:
-        return 0
-
     def minterm(self, valuation: Iterable[Atom]) -> int:
         val = valuation if isinstance(valuation, (set, frozenset)) else set(valuation)
         m = 0
@@ -98,10 +94,6 @@ class Pdfa:
     @property
     def n_states(self) -> int:
         return len(self.table)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(var for _, var in self.object_map)
 
     def instantiate(self, bindings: dict[str, str] | None = None) -> Dfa:
         """Substitute objects back for variables. With no argument, undo

@@ -8,11 +8,13 @@ Protocol, per generated problem: draw ``goals_per_problem`` solvable
 candidate goals from a fixed rotation of formula templates, mark one of
 them as the true goal, pick one execution of the true goal's policy,
 and reveal a percentage of that execution's actions (in order, chosen
-uniformly) as the observation sequence for each level. A problem
-counts as a hit at a level when the true goal is in the recognizer's
-top posterior set; runs that exceed the per-problem timeout count as
-misses. Everything is derived from the configured seed, so two runs
-with the same config produce identical records and summaries.
+uniformly) as the observation sequence for each level. Each goal is
+analysed once, as it is drawn; every level is scored against those
+models. A problem counts as a hit at a level when the true goal is in
+the recognizer's top posterior set; runs that exceed the per-problem
+timeout count as misses. Everything is derived from the configured
+seed, so two runs with the same config produce identical records and
+summaries.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Callable
 
-from . import compilation, executions, fond, logic, planner, recognizer
+from . import executions, fond, logic, planner, recognizer
 from .errors import BundleError, TgrError
 from .fond import Domain, ProblemInstance
 from .logic import Atom, Formula
@@ -104,15 +106,13 @@ def _dataset_entry(entry, base_dir: str | None) -> DatasetSpec:
         if missing:
             raise BundleError(
                 f"dataset entry is missing {', '.join(sorted(missing))}")
-
-        def read(path: str) -> str:
-            if base_dir is not None and not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            with open(path, encoding="utf-8") as fh:
-                return fh.read()
-
-        return DatasetSpec(str(entry["name"]), read(entry["domain"]),
-                           read(entry["problem"]))
+        name = entry["name"]
+        if not isinstance(name, str):
+            raise BundleError("dataset name must be a string")
+        return DatasetSpec(name, *(
+            recognizer.read_text(entry[key], f"dataset {name} {key}",
+                                 base_dir)
+            for key in ("domain", "problem")))
     raise BundleError(
         "dataset entries must be bundled names or "
         "{name, domain, problem} objects")
@@ -182,9 +182,8 @@ def load_config(path: str | None = None) -> BenchConfig:
     """Load a bench config file, or the bundled default when path is None."""
     if path is None:
         return config_from_dict(json.loads(bundled_text("bench-default.json")))
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return config_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
+    return config_from_dict(recognizer.read_json(path, "bench config"),
+                            base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def goal_pool(domain: Domain, problem: ProblemInstance) -> list[Atom]:
@@ -247,55 +246,47 @@ def _template(name: str, rng: random.Random, pool: list[Atom]) -> Formula:
     raise ValueError(f"unknown goal template {name!r}")
 
 
-def _solvable(base: fond.GroundedFond, formula: Formula, cfg: BenchConfig,
-              *, want_executions: bool
-              ) -> tuple[executions.Execution, ...] | None:
-    """Solve the candidate goal on the product of the problem's goal-free
-    grounding `base`; None means resample.
-
-    When executions are requested, only those with at least one domain
-    action are kept: an empty execution leaves nothing to observe.
-    """
-    try:
-        policy = planner.solve_strong_cyclic(
-            compilation.GoalProduct(base, formula), state_cap=cfg.state_cap)
-        if not want_executions:
-            return ()
-        execs = tuple(e for e in executions.enumerate_executions(
-            policy, cap=cfg.execution_cap) if e.actions)
-        return execs or None
-    except TgrError:
-        return None
-
-
 def _draw_goal(base: fond.GroundedFond, cfg: BenchConfig,
-               rng: random.Random, pool: list[Atom], seen: set[str],
+               rng: random.Random, pool: list[Atom], seen: list[str],
                template: str, dataset_name: str, *, want_executions: bool,
-               ) -> tuple[Formula, tuple[executions.Execution, ...]]:
-    """Sample a fresh solvable goal, preferring the given template.
+               ) -> tuple[recognizer.GoalAnalysis, float,
+                          tuple[executions.Execution, ...]]:
+    """Sample a fresh goal the planner solves over `base`, preferring the
+    given template. Returns its model, the seconds its analysis took,
+    and on request its executions with at least one domain action: an
+    empty execution leaves nothing to observe.
 
     Sparse maps can make a template unsolvable for most atom draws, so
     after the attempt budget the draw falls back to plain reachability
     goals over the shuffled pool, which keeps generation total.
     """
-    for _ in range(_GOAL_ATTEMPTS):
-        candidate = _template(template, rng, pool)
+    def fallback():
+        order = list(pool)
+        rng.shuffle(order)
+        for atom in order:
+            yield logic.eventually(logic.from_atom(atom))
+
+    for candidate in itertools.chain(
+            (_template(template, rng, pool) for _ in range(_GOAL_ATTEMPTS)),
+            fallback()):
         if str(candidate) in seen:
             continue
-        execs = _solvable(base, candidate, cfg,
-                          want_executions=want_executions)
-        if execs is not None:
-            return candidate, execs
-    order = list(pool)
-    rng.shuffle(order)
-    for atom in order:
-        candidate = logic.eventually(logic.from_atom(atom))
-        if str(candidate) in seen:
+        start = time.monotonic()
+        try:
+            model, policy, _ = recognizer.analyze_goal(
+                base, candidate, state_cap=cfg.state_cap,
+                execution_cap=cfg.execution_cap)
+            seconds = time.monotonic() - start
+            if policy is None:
+                continue
+            if not want_executions:
+                return model, seconds, ()
+            execs = tuple(e for e in executions.enumerate_executions(
+                policy, cap=cfg.execution_cap) if e.actions)
+        except TgrError:
             continue
-        execs = _solvable(base, candidate, cfg,
-                          want_executions=want_executions)
-        if execs is not None:
-            return candidate, execs
+        if execs:
+            return model, seconds, execs
     raise BundleError(
         f"dataset {dataset_name}: could not generate a solvable goal "
         f"(template {template!r} and every fallback atom failed)")
@@ -308,12 +299,15 @@ class GeneratedProblem:
     goals: tuple[str, ...]
     true_index: int
     obs_by_level: dict[int, tuple[str, ...]]
+    analysis: recognizer.Analysis = field(compare=False)  # unscored
 
 
 def generate_problem(domain: Domain, problem: ProblemInstance,
                      cfg: BenchConfig, dataset_name: str, index: int,
                      pool: list[Atom] | None = None) -> GeneratedProblem:
-    """Draw candidate goals and observations for one recognition problem.
+    """Draw candidate goals and observations for one recognition problem,
+    and analyse the goals: the analysis times grounding and the accepted
+    goals, not the resampled candidates.
 
     All randomness comes from a generator seeded with
     ``{seed}:{dataset}:{index}``, so a problem can be regenerated in
@@ -326,19 +320,23 @@ def generate_problem(domain: Domain, problem: ProblemInstance,
             f"dataset {dataset_name}: goal templates need at least 3 "
             f"candidate atoms, found {len(pool)}")
 
+    start = time.monotonic()
     base = fond.ground(domain, replace(problem, goal=None))
+    elapsed = time.monotonic() - start
     rng = random.Random(f"{cfg.seed}:{dataset_name}:{index}")
     true_index = rng.randrange(cfg.goals_per_problem)
-    goals: list[Formula] = []
-    seen: set[str] = set()
+    models: list[recognizer.GoalAnalysis] = []
+    goals: list[str] = []
     true_execs: tuple[executions.Execution, ...] = ()
     for j in range(cfg.goals_per_problem):
         template = TEMPLATES[(index + j) % len(TEMPLATES)]
-        candidate, execs = _draw_goal(base, cfg, rng, pool, seen,
-                                      template, dataset_name,
-                                      want_executions=j == true_index)
-        goals.append(candidate)
-        seen.add(str(candidate))
+        model, seconds, execs = _draw_goal(
+            base, cfg, rng, pool, goals, template, dataset_name,
+            want_executions=j == true_index)
+        model.prior = 1.0 / cfg.goals_per_problem  # uniform, as `analyze`
+        models.append(model)
+        goals.append(str(model.formula))
+        elapsed += seconds
         if j == true_index:
             true_execs = execs
 
@@ -349,50 +347,33 @@ def generate_problem(domain: Domain, problem: ProblemInstance,
         count = min(len(acts), max(1, math.ceil(len(acts) * level / 100)))
         picked = sorted(rng.sample(range(len(acts)), count))
         obs_by_level[level] = tuple(acts[i] for i in picked)
-    return GeneratedProblem(dataset_name, index, tuple(str(g) for g in goals),
-                            true_index, obs_by_level)
+    analysis = recognizer.Analysis(
+        models=tuple(models), actions=frozenset(base.action_index),
+        planner_calls=len(models), elapsed_s=elapsed)
+    return GeneratedProblem(dataset_name, index, tuple(goals), true_index,
+                            obs_by_level, analysis)
 
 
 def evaluate_problem(domain: Domain, problem: ProblemInstance,
                      gen: GeneratedProblem, cfg: BenchConfig, *,
                      canonical: bool = False) -> list[dict]:
-    """Analyse the goals of one generated problem once and score every
-    level against that analysis. A record's time_s is the analysis time
-    plus that level's scoring time."""
-    goals = tuple(logic.parse_formula(g) for g in gen.goals)
-    n = len(goals)
-    start = time.perf_counter()
-    try:
-        analysis = recognizer.analyze(
-            recognizer.RecognitionProblem(
-                domain=domain, problem=problem, goals=goals, obs=()),
-            state_cap=cfg.state_cap, execution_cap=cfg.execution_cap,
-            deadline=time.monotonic() + cfg.timeout_s)
-        analysis_error = None
-    except TgrError as exc:
-        analysis, analysis_error = None, f"{type(exc).__name__}: {exc}"
-    analysis_s = time.perf_counter() - start
-
+    """Score every level of one generated problem against the analysis
+    its generation built. A record's time_s is that analysis time plus
+    the level's scoring time."""
+    n = len(gen.goals)
     records: list[dict] = []
     for level in cfg.levels:
         obs = gen.obs_by_level[level]
         start = time.perf_counter()
-        error, result = analysis_error, None
-        if error is None:
-            try:
-                result = recognizer.score(analysis, obs)
-            except TgrError as exc:
-                error = f"{type(exc).__name__}: {exc}"
-        elapsed = analysis_s + time.perf_counter() - start
-        if error is None and elapsed > cfg.timeout_s:
-            # Over budget counts as a miss even when an answer came back.
-            error = "timeout"
-        if error is None:
-            gstar = list(result.gstar)
+        result = recognizer.score(gen.analysis, obs)
+        elapsed = gen.analysis.elapsed_s + time.perf_counter() - start
+        # Over budget counts as a miss even when an answer came back.
+        if elapsed > cfg.timeout_s:
+            error, gstar, posteriors, calls = "timeout", [], [0.0] * n, 0
+        else:
+            error, gstar = None, list(result.gstar)
             posteriors = [a.posterior for a in result.analyses]
             calls = result.planner_calls
-        else:
-            gstar, posteriors, calls = [], [0.0] * n, 0
         hit = gen.true_index in gstar
         false_pos = sum(1 for g in gstar if g != gen.true_index)
         records.append({

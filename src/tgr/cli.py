@@ -25,9 +25,10 @@ from . import (__version__, automata, bench, compilation, executions, fond,
 from .errors import DeadlineExceeded, TgrError, UnsolvableError
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+def _read_task(args: argparse.Namespace
+               ) -> tuple[fond.Domain, fond.ProblemInstance]:
+    return (fond.parse_domain(recognizer.read_text(args.domain, "domain")),
+            fond.parse_problem(recognizer.read_text(args.problem, "problem")))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -72,8 +73,7 @@ def _add_planner_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    domain = fond.parse_domain(_read(args.domain))
-    problem = fond.parse_problem(_read(args.problem))
+    domain, problem = _read_task(args)
     formula = logic.parse_formula(args.goal)
     aug = compilation.compile_goal(domain, problem, formula,
                                    goal_id=args.goal_id)
@@ -93,8 +93,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    domain = fond.parse_domain(_read(args.domain))
-    problem = fond.parse_problem(_read(args.problem))
+    domain, problem = _read_task(args)
     if args.goal is not None:
         formula = logic.parse_formula(args.goal)
         if logic.is_propositional(formula):

@@ -83,7 +83,8 @@ class ExecutionCapError(TgrError):
 
 
 class BundleError(TgrError):
-    """Recognition bundle is missing fields or references bad data."""
+    """An input file cannot be read, or a recognition bundle or bench
+    config is missing fields or references bad data."""
 
 
 class DeadlineExceeded(TgrError):

@@ -842,7 +842,7 @@ def _substitute_formula(f: Formula, theta: dict[str, str]) -> Formula:
 # ---------------------------------------------------------------------------
 # Writing PDDL back out
 
-def _format_typed(pairs, indent: str) -> str:
+def _format_typed(pairs) -> str:
     return " ".join(f"{n} - {t}" for n, t in pairs)
 
 
@@ -900,7 +900,7 @@ def domain_to_pddl(domain: Domain) -> str:
     if domain.requirements:
         lines.append("  (:requirements " + " ".join(domain.requirements) + ")")
     if domain.types:
-        lines.append("  (:types " + _format_typed(domain.types, "") + ")")
+        lines.append("  (:types " + _format_typed(domain.types) + ")")
     preds = []
     for p in domain.predicates:
         if p.params:
@@ -926,7 +926,7 @@ def problem_to_pddl(problem: ProblemInstance) -> str:
     lines = [f"(define (problem {problem.name})",
              f"  (:domain {problem.domain_name})"]
     if problem.objects:
-        lines.append("  (:objects " + _format_typed(problem.objects, "") + ")")
+        lines.append("  (:objects " + _format_typed(problem.objects) + ")")
     init = " ".join(sorted(pddl_atom_str(a) for a in problem.init))
     lines.append(f"  (:init {init})")
     if problem.goal is not None:

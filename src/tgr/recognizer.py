@@ -212,28 +212,64 @@ def _check_observations(obs: Sequence[str], actions: frozenset[str]) -> None:
                 f"observed action {name} is not a ground action of the domain")
 
 
+def analyze_goal(base: fond.GroundedFond, goal: Formula, *,
+                 planner_spec: "str | PlannerFn" = "builtin",
+                 state_cap: int = planner.DEFAULT_STATE_CAP,
+                 execution_cap: int = executions_mod.DEFAULT_EXECUTION_CAP,
+                 deadline: float | None = None
+                 ) -> tuple[GoalAnalysis, Policy | None, bool]:
+    """Build the model of one candidate goal over `base`, the goal-free
+    grounding of its problem. Returns the model, prior unset; the policy
+    it was read off, or None; and whether the goal reached the planner.
+    A goal whose pipeline fails (uncompilable, unsolvable, or too many
+    executions) comes back unsolvable with its error recorded.
+
+    A propositional goal is the classical goal test on `base`; the
+    builtin planner searches a temporal goal's product with it. External
+    planners and planner callables get a temporal goal's compiled task,
+    whose policy is translated onto the product.
+    """
+    model = GoalAnalysis(formula=goal, solvable=False)
+    policy, planned = None, False
+    try:
+        aug = None
+        if logic.is_propositional(goal):
+            compilation.validate_goal_atoms(base.domain, base.problem, goal)
+            grounded = base.with_goal(goal)
+        elif planner_spec == "builtin":
+            grounded = compilation.GoalProduct(base, goal)
+        else:
+            aug = compilation.compile_goal(base.domain, base.problem, goal)
+            grounded = aug.grounded
+        planned = True
+        policy = _resolve_planner(planner_spec, state_cap, deadline)(grounded)
+        if aug is not None:
+            policy = aug.product_policy(policy, base)
+        (model.n_executions, model.distances,
+         model.pairs) = executions_mod.goal_model(
+            policy, cap=execution_cap, deadline=deadline)
+        model.solvable = True
+    except (UnsolvableError, CompileError, AutomatonCapError,
+            GroundingCapError, ExecutionCapError) as exc:
+        model.error = str(exc)
+        log.info("goal %s dropped to likelihood 0: %s", goal, exc)
+    return model, policy, planned
+
+
 def analyze(problem: RecognitionProblem, *,
             planner_spec: "str | PlannerFn" = "builtin",
             state_cap: int = planner.DEFAULT_STATE_CAP,
             execution_cap: int = executions_mod.DEFAULT_EXECUTION_CAP,
             deadline: float | None = None) -> Analysis:
-    """Build the model of every candidate goal of `problem`.
-
-    The planner is invoked exactly once per candidate goal; goals whose
-    pipeline fails (uncompilable or unsolvable) stay, unsolvable, with
-    their error recorded. The priors and observations are checked before
+    """`analyze_goal` for every candidate goal of `problem`, over one
+    goal-free grounding. The priors and observations are checked before
     any goal is planned, but the observations do not enter the analysis.
-
-    A propositional goal is the classical goal test on the one goal-free
-    grounding; the builtin planner searches a temporal goal's product
-    with it. External planners and planner callables get a temporal
-    goal's compiled task, whose policy is translated onto the product.
     """
     start = time.monotonic()
     if not problem.goals:
         raise BundleError("recognition needs at least one candidate goal")
     priors = problem.normalized_priors()
-    solve = _resolve_planner(planner_spec, state_cap, deadline)
+    _resolve_planner(planner_spec, state_cap, deadline)  # reject a bad spec
 
     base = fond.ground(problem.domain, replace(problem.problem, goal=None))
     actions = frozenset(base.action_index)
@@ -242,32 +278,12 @@ def analyze(problem: RecognitionProblem, *,
     models: list[GoalAnalysis] = []
     planner_calls = 0
     for goal, prior in zip(problem.goals, priors):
-        model = GoalAnalysis(formula=goal, solvable=False, prior=prior)
-        try:
-            aug = None
-            if logic.is_propositional(goal):
-                compilation.validate_goal_atoms(problem.domain,
-                                                problem.problem, goal)
-                grounded = base.with_goal(goal)
-            elif planner_spec == "builtin":
-                grounded = compilation.GoalProduct(base, goal)
-            else:
-                aug = compilation.compile_goal(problem.domain, problem.problem,
-                                               goal)
-                grounded = aug.grounded
-            planner_calls += 1
-            policy = solve(grounded)
-            if aug is not None:
-                policy = aug.product_policy(policy, base)
-            (model.n_executions, model.distances,
-             model.pairs) = executions_mod.goal_model(
-                policy, cap=execution_cap, deadline=deadline)
-            model.solvable = True
-        except (UnsolvableError, CompileError, AutomatonCapError,
-                GroundingCapError, ExecutionCapError) as exc:
-            model.error = str(exc)
-            log.info("goal %s dropped to likelihood 0: %s", goal, exc)
+        model, _, planned = analyze_goal(
+            base, goal, planner_spec=planner_spec, state_cap=state_cap,
+            execution_cap=execution_cap, deadline=deadline)
+        model.prior = prior
         models.append(model)
+        planner_calls += planned
 
     return Analysis(models=tuple(models), actions=actions,
                     planner_calls=planner_calls,
@@ -336,20 +352,34 @@ def canonical_action(name: str) -> str:
     return "(" + " ".join(parts) + ")"
 
 
+def read_text(path: object, role: str, base_dir: str | None = None) -> str:
+    """The UTF-8 text of the `role` file at `path`, which is taken
+    relative to `base_dir` unless absolute. Raises a BundleError naming
+    the role when `path` is not a string or the file cannot be read."""
+    if not isinstance(path, str):
+        raise BundleError(f"{role} must be a path string")
+    try:
+        with open(os.path.join(base_dir or "", path), encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise BundleError(f"cannot read the {role} file: {exc}") from exc
+
+
+def read_json(path: str, role: str):
+    """The JSON value of the `role` file at `path`, read by `read_text`."""
+    try:
+        return json.loads(read_text(path, role))
+    except (ValueError, RecursionError) as exc:  # RecursionError: too deep
+        raise BundleError(f"{role} is not valid JSON: {exc}") from exc
+
+
 def load_bundle(path: str) -> RecognitionProblem:
     """Load a recognition bundle: a JSON file (or a directory containing
     bundle.json) with domain/problem paths, goal formulas, observations,
     and optional priors and real goal index."""
     if os.path.isdir(path):
         path = os.path.join(path, "bundle.json")
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise BundleError(f"cannot read bundle: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"bundle is not valid JSON: {exc}") from exc
-
+    data = read_json(path, "bundle")
     if not isinstance(data, dict):
         raise BundleError("bundle must be a JSON object")
     for key in ("domain", "problem", "goals", "obs"):
@@ -358,18 +388,6 @@ def load_bundle(path: str) -> RecognitionProblem:
 
     base = os.path.dirname(os.path.abspath(path))
 
-    def read(key: str) -> str:
-        p = data[key]
-        if not isinstance(p, str):
-            raise BundleError(f"{key} must be a path string")
-        if not os.path.isabs(p):
-            p = os.path.normpath(os.path.join(base, p))
-        try:
-            with open(p) as fh:
-                return fh.read()
-        except OSError as exc:
-            raise BundleError(f"cannot read the {key} file: {exc}") from exc
-
     def listed(key: str, kinds: tuple[type, ...], what: str) -> list:
         items = data.get(key, [])
         if not isinstance(items, list) or any(
@@ -377,8 +395,8 @@ def load_bundle(path: str) -> RecognitionProblem:
             raise BundleError(f"{key} must be a list of {what}")
         return items
 
-    domain = fond.parse_domain(read("domain"))
-    problem = fond.parse_problem(read("problem"))
+    domain = fond.parse_domain(read_text(data["domain"], "domain", base))
+    problem = fond.parse_problem(read_text(data["problem"], "problem", base))
 
     goals = tuple(logic.parse_formula(s)
                   for s in listed("goals", (str,), "formula strings"))

@@ -1,13 +1,17 @@
 """Tests for benchmark configuration, generation, and aggregation."""
 
 import json
+import os
 
 import pytest
 
-from tgr import bench, fond, logic, recognizer
+import tgr
+from tgr import automata, bench, compilation, fond, logic, planner, recognizer
 from tgr.errors import BundleError
 
 TIREWORLD = bench.bundled_dataset("triangle-tireworld")
+TIREWORLD_DOMAIN = os.path.join(os.path.dirname(tgr.__file__), "data",
+                                "triangle-tireworld", "domain.pddl")
 
 
 def tiny_config(**overrides):
@@ -49,6 +53,17 @@ def test_config_rejects_bad_input():
         bench.config_from_dict({"seed": "zero"})
     with pytest.raises(BundleError, match="must be a JSON object"):
         bench.config_from_dict([1, 2])
+    with pytest.raises(BundleError, match="^dataset name must be a string$"):
+        bench.config_from_dict({"datasets": [
+            {"name": ["x"], "domain": "d.pddl", "problem": "p.pddl"}]})
+    with pytest.raises(BundleError,
+                       match="^dataset x domain must be a path string$"):
+        bench.config_from_dict({"datasets": [
+            {"name": "x", "domain": 5, "problem": "p.pddl"}]})
+    with pytest.raises(BundleError,
+                       match="^dataset x problem must be a path string$"):
+        bench.config_from_dict({"datasets": [
+            {"name": "x", "domain": TIREWORLD_DOMAIN, "problem": None}]})
 
 
 @pytest.mark.parametrize("text, message", [
@@ -212,6 +227,39 @@ def test_evaluate_problem_matches_per_level_recognize():
             assert rec["hit"] == (gen.true_index in res.gstar)
             assert rec["planner_calls"] == res.planner_calls == len(goals)
             assert rec["time_s"] == 0.0
+
+
+def fail(*args, **kwargs):
+    raise AssertionError("evaluation grounded, built a DFA or planned")
+
+
+def test_evaluate_problem_only_scores(monkeypatch):
+    cfg = tiny_config()
+    domain = fond.parse_domain(TIREWORLD.domain_text)
+    problem = fond.parse_problem(TIREWORLD.problem_text)
+    gen = bench.generate_problem(domain, problem, cfg, "triangle-tireworld", 0)
+    want = bench.evaluate_problem(domain, problem, gen, cfg, canonical=True)
+    for module, name in ((planner, "solve_strong_cyclic"), (fond, "ground"),
+                         (compilation, "GoalProduct"),
+                         (automata, "formula_to_dfa")):
+        monkeypatch.setattr(module, name, fail)
+    got = bench.evaluate_problem(domain, problem, gen, cfg, canonical=True)
+    assert got == want
+    assert [r["planner_calls"] for r in got] == [2, 2]
+
+
+def test_each_problem_is_grounded_once(monkeypatch):
+    grounds = []
+    real_ground = fond.ground
+
+    def counting(*args, **kwargs):
+        grounds.append(args)
+        return real_ground(*args, **kwargs)
+
+    monkeypatch.setattr(fond, "ground", counting)
+    cfg = tiny_config()
+    bench.run_benchmark(cfg)
+    assert len(grounds) == cfg.problems_per_dataset
 
 
 def test_same_seed_runs_are_byte_identical():

@@ -270,6 +270,60 @@ def test_malformed_bundle_field_exits_1(tmp_path, capsys, field, value):
     assert field in err
 
 
+NOT_UTF8 = b"\xff\xfe(define"
+
+
+def bad_input_argv(case, tmp_path):
+    """Arguments of a run whose input file cannot be read: bad JSON, or a
+    file that is not UTF-8."""
+    domain, problem = tmp_path / "domain.pddl", tmp_path / "p01.pddl"
+    domain.write_text(TIREWORLD.domain_text)
+    problem.write_text(TIREWORLD.problem_text)
+    bad = tmp_path / "bad"
+    bad.write_bytes(NOT_UTF8)
+    config = tmp_path / "bench.json"
+    if case == "bench-config-json":
+        config.write_text('{"seed": }')
+    elif case == "bench-config-deep":
+        config.write_text("[" * 100_000)
+    elif case == "bench-config-utf8":
+        config.write_bytes(NOT_UTF8)
+    else:
+        config.write_text(json.dumps({"datasets": [
+            {"name": "x", "domain": "bad", "problem": "p01.pddl"}]}))
+    return {
+        "bench-config-json": ["bench", "--config", str(config)],
+        "bench-config-deep": ["bench", "--config", str(config)],
+        "bench-config-utf8": ["bench", "--config", str(config)],
+        "bench-dataset-utf8": ["bench", "--config", str(config)],
+        "bundle-utf8": ["recognize", "--bundle", str(bad)],
+        "bundle-domain-utf8": ["recognize", "--bundle",
+                               example1_with(tmp_path, domain=str(bad))],
+        "compile-utf8": ["compile", "--domain", str(bad), "--problem",
+                         str(problem), "--goal", "F((vAt 22))"],
+        "plan-utf8": ["plan", "--domain", str(domain), "--problem",
+                      str(bad)],
+    }[case]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("bench-config-json", "bench config is not valid JSON"),
+    ("bench-config-deep", "bench config is not valid JSON"),
+    ("bench-config-utf8", "cannot read the bench config file"),
+    ("bench-dataset-utf8", "cannot read the dataset x domain file"),
+    ("bundle-utf8", "cannot read the bundle file"),
+    ("bundle-domain-utf8", "cannot read the domain file"),
+    ("compile-utf8", "cannot read the domain file"),
+    ("plan-utf8", "cannot read the problem file"),
+])
+def test_unreadable_input_file_exits_1(case, message, tmp_path, capsys):
+    rc = cli.main(bad_input_argv(case, tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
 def test_bad_propositional_goal_is_dropped_per_goal(tmp_path, capsys):
     goals = ["F(vAt_51)", "F(vAt_33)", "F(vAt_15)", "(vAt 99)"]
     rc = cli.main(["recognize", "--bundle",

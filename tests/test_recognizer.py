@@ -181,6 +181,8 @@ def test_bad_propositional_goal_is_dropped_per_goal(spec):
     message = "goal atom (vAt 99): '99' is not a declared object"
     assert [a.error for a in res.analyses] == [message, message, None]
     assert res.gstar == (2,)
+    # only the valid goal reached the planner
+    assert res.planner_calls == 1
 
 
 @pytest.mark.parametrize("spec", ["builtin", planner.solve_strong_cyclic])
