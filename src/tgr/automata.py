@@ -19,7 +19,7 @@ formulas always yield structurally identical automata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from . import logic
@@ -28,6 +28,7 @@ from .logic import Atom, Formula
 
 DEFAULT_STATE_CAP = 100_000
 _MAX_ATOMS = 12  # alphabet has 2^n minterms; beyond this the table is hopeless
+_DFA_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -322,7 +323,20 @@ def pltlf_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
 
 def formula_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """Dispatch on dialect; propositional formulas use the LTLf reading."""
+    """Dispatch on dialect; propositional formulas use the LTLf reading.
+
+    The construction is pure and its result immutable, so the last
+    `_DFA_MEMO_SIZE` results are memoized: a recognizer asked about the
+    same goals again builds each automaton once. A cap error is raised
+    again on every call, never stored.
+    """
+    # Both arguments go to the memo positionally, so a call that relies
+    # on the default cap and one that passes it share an entry.
+    return _memo_dfa(f, state_cap)
+
+
+@lru_cache(maxsize=_DFA_MEMO_SIZE)
+def _memo_dfa(f: Formula, state_cap: int) -> Dfa:
     return (pltlf_to_dfa(f, state_cap) if logic.dialect(f) == "PLTLf"
             else ltlf_to_dfa(f, state_cap))
 

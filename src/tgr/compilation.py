@@ -30,7 +30,8 @@ from functools import cached_property
 
 from . import automata, fond, logic, planner
 from .automata import Dfa, Pdfa
-from .errors import CompileError, MalformedAlternationError, TgrError
+from .errors import (CompileError, InapplicableActionError,
+                     MalformedAlternationError, TgrError)
 from .fond import (ActionSchema, Domain, Effect, Literal, Parameter,
                    PredicateSchema, ProblemInstance, eff_and, eff_lit,
                    eff_when)
@@ -89,6 +90,11 @@ class GoalProduct:
     applicability, branch order and duplicate merging are the base's.
     `atoms_of` returns the base atoms only. `dfa` is the goal's
     automaton when it is already built, as by `compile_goal`.
+
+    Transitions are read from the base's `fond.TransitionTable`, which
+    every product over the same base shares, so a base state is
+    expanded once however many automaton states and goals pair with it.
+    The product keeps the DFA letter of each base state in the table.
     """
 
     def __init__(self, base: fond.GroundedFond, goal: Formula,
@@ -98,6 +104,8 @@ class GoalProduct:
         self.dfa = dfa or goal_dfa(base.domain, base.problem, goal)
         self.actions = base.actions
         self.action_index = base.action_index
+        self._table = base.transition_table
+        self._letter_of: list[int] = []  # by table id
         self._shift = len(base.fluents)
         self._low = (1 << self._shift) - 1
         # (fluent bit, minterm bit) per DFA atom: reads a base state's letter.
@@ -117,14 +125,36 @@ class GoalProduct:
     def applicable(self, state: int, action: int) -> bool:
         return self.base.applicable(state & self._low, action)
 
-    def applicable_actions(self, state: int) -> list[int]:
-        return self.base.applicable_actions(state & self._low)
+    def transitions(self, state: int) -> list[tuple[int, tuple[int, ...]]]:
+        return self._lift(state, self._table.pairs(state & self._low))
 
     def successors(self, state: int, action: int) -> tuple[int, ...]:
+        table = self._table
+        for p in table.pairs(state & self._low):
+            if table.action[p] == action:
+                return self._lift(state, (p,))[0][1]
+        raise InapplicableActionError(
+            f"{self.actions[action].name} is not applicable in "
+            f"{self.state_str(state)}")
+
+    def _lift(self, state: int, pairs) -> list[tuple[int, tuple[int, ...]]]:
+        """`(action, successors)` of the table's `pairs`, which belong to
+        the base state of `state`, with each successor paired with the
+        automaton state it leads to."""
+        table = self._table
+        states, letters = table.states, self._letter_of
+        if len(letters) < len(states):
+            letters.extend(map(self._minterm, states[len(letters):]))
         row = self.dfa.table[state >> self._shift]
-        shift, minterm = self._shift, self._minterm
-        return tuple([succ | row[minterm(succ)] << shift for succ in
-                      self.base.successors(state & self._low, action)])
+        shift, action, out, target = (self._shift, table.action, table.out,
+                                      table.target)
+        found = []
+        for p in pairs:
+            succs = []
+            for t in target[out[p]:out[p + 1]]:
+                succs.append(states[t] | row[letters[t]] << shift)
+            found.append((action[p], tuple(succs)))
+        return found
 
     def is_goal(self, state: int) -> bool:
         return state >> self._shift in self.dfa.accepting

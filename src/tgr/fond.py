@@ -23,13 +23,20 @@ an effect is `(state & ~deletes) | adds`. Each branch keeps its
 unconditional adds and deletes, and groups its conditional literals by
 condition, so a condition is evaluated once per `successors` call
 however many literals it guards.
+
+`GroundedFond.transitions` derives a state's transitions afresh on every
+call. A goal-free grounding that several goal products search also owns
+a `TransitionTable`, which derives each state's transitions once and
+keeps them in flat integer arrays for every later reader.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Protocol
 
 from . import logic
@@ -558,6 +565,11 @@ class StateModel(Protocol):
 
     States are ints; actions are indices into `actions`, whose `name` is
     the ground action name. `goal` is None for a task without a goal.
+    `transitions(state)` lists the applicable actions of `state` in
+    ascending order, each with `successors(state, action)`: one state
+    per nondeterministic branch, in branch order, duplicates merged.
+    The solver expands states through it; `applicable` and `successors`
+    serve the verifier and the walks over a policy.
     """
 
     s0: int
@@ -567,7 +579,8 @@ class StateModel(Protocol):
 
     def applicable(self, state: int, action: int) -> bool: ...
 
-    def applicable_actions(self, state: int) -> list[int]: ...
+    def transitions(self, state: int
+                    ) -> list[tuple[int, tuple[int, ...]]]: ...
 
     def successors(self, state: int, action: int) -> tuple[int, ...]: ...
 
@@ -645,11 +658,31 @@ class GroundedFond:
         found.sort()
         return found
 
+    def transitions(self, state: int) -> list[tuple[int, tuple[int, ...]]]:
+        """`(action, successors)` per applicable action, derived afresh:
+        single-use models hold no table."""
+        actions, outcomes = self.actions, self._outcomes
+        found = []
+        for ai in self.applicable_actions(state):
+            found.append((ai, outcomes(state, actions[ai])))
+        return found
+
+    @cached_property
+    def transition_table(self) -> TransitionTable:
+        """This model's shared `TransitionTable`, made on first use. A
+        `with_goal` copy starts without one."""
+        return TransitionTable(self)
+
     def successors(self, state: int, action: int) -> tuple[int, ...]:
         a = self.actions[action]
         if not self.applicable(state, action):
             raise InapplicableActionError(
                 f"{a.name} is not applicable in {self.state_str(state)}")
+        return self._outcomes(state, a)
+
+    @staticmethod
+    def _outcomes(state: int, a: GroundAction) -> tuple[int, ...]:
+        """The successors of applying `a`, known applicable, in `state`."""
         if a.conditions:
             holds = [_eval_compiled(cond, state) for cond in a.conditions]
         out: list[int] = []
@@ -683,6 +716,62 @@ class GroundedFond:
     def state_str(self, state: int) -> str:
         return " ".join(sorted(pddl_atom_str(self.fluents[i])
                                for i in _bits(state)))
+
+
+class TransitionTable:
+    """The transitions of a model's states, each derived at most once.
+
+    A state gets a dense id when it is first met, as a looked-up state
+    or as an outcome: `states[i]` is the state with id i. The first
+    `pairs(state)` expands it through `model.transitions` and appends its
+    state-action pairs to flat arrays: pair p applies `action[p]` and
+    leads to the states whose ids are `target[out[p]:out[p + 1]]`. A
+    state's pairs are stored only after all of them are derived, so a
+    search that stops partway (at its state cap or deadline) leaves no
+    partial entry for the next reader.
+    """
+
+    def __init__(self, model: GroundedFond) -> None:
+        self._model = model
+        self._ids: dict[int, int] = {}
+        self.states: list[int] = []
+        # The pairs of state i are first[i] .. stop[i] - 1; first[i] is
+        # -1 until state i is expanded.
+        self._first = array("i")
+        self._stop = array("i")
+        self.action = array("i")
+        self.out = array("i", [0])
+        self.target = array("i")
+
+    def _id(self, state: int) -> int:
+        i = self._ids.get(state)
+        if i is None:
+            i = self._ids[state] = len(self.states)
+            self.states.append(state)
+            self._first.append(-1)
+            self._stop.append(-1)
+        return i
+
+    def pairs(self, state: int) -> range:
+        """The pair indices of `state`, expanding it on first use."""
+        i = self._ids.get(state)
+        if i is None or self._first[i] < 0:
+            return self._expand(state)
+        return range(self._first[i], self._stop[i])
+
+    def _expand(self, state: int) -> range:
+        found = self._model.transitions(state)
+        i = self._id(state)
+        action, out, target = self.action, self.out, self.target
+        first = len(action)
+        for ai, succs in found:
+            action.append(ai)
+            for t in succs:
+                target.append(self._id(t))
+            out.append(len(target))
+        self._first[i] = first
+        self._stop[i] = len(action)
+        return range(first, len(action))
 
 
 def pddl_atom_str(a: Atom) -> str:

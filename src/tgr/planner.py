@@ -5,11 +5,16 @@ The solver and the verifier read a model through `fond.StateModel`: a
 fluent i holds), or the goal product of `compilation.GoalProduct`. A
 policy maps such states to ground action indices.
 
-The solver expands the reachable state space breadth first, numbering
-states in discovery order and recording every state-action pair in one
-id-indexed table: the pair's state, its action, and the ids of its
-outcomes. The pairs of a state are contiguous and in ascending action
-order.
+The solver expands the reachable state space breadth first, reading
+each state's applicable actions and their outcomes in one
+`transitions(state)` call. A goal product answers it from the
+transition table its goal-free grounding shares with every other goal
+over it; a grounding searched on its own derives it afresh. The solver
+numbers states in discovery order and records every state-action pair
+in one id-indexed table: the pair's state, its action, and the ids of
+its outcomes. The pairs of a state are contiguous and in ascending
+action order. The verifier reads only the policy's own actions, through
+`applicable` and `successors`.
 
 Pruning then runs to a fixpoint over reverse edges (target state to the
 pairs that lead into it) and per-state counters of live pairs. A dead
@@ -106,9 +111,9 @@ def solve_strong_cyclic(grounded: StateModel, *,
         if grounded.is_goal(state):
             goal_ids.append(i - 1)
             continue
-        for ai in grounded.applicable_actions(state):
+        for ai, succs in grounded.transitions(state):
             outcomes = []
-            for succ in grounded.successors(state, ai):
+            for succ in succs:
                 t = order.get(succ)
                 if t is None:
                     if len(states) >= state_cap:

@@ -92,6 +92,24 @@ def test_state_cap():
         automata.ltlf_to_dfa(f, state_cap=2)
 
 
+def test_formula_to_dfa_memoizes_results_but_not_cap_errors(monkeypatch):
+    built = []
+
+    def counting(f, state_cap, build=automata.ltlf_to_dfa):
+        built.append(state_cap)
+        return build(f, state_cap)
+
+    monkeypatch.setattr(automata, "ltlf_to_dfa", counting)
+    automata._memo_dfa.cache_clear()
+    f = logic.parse_formula("F((p & X((q & X(p)))))")
+    for _ in range(2):
+        with pytest.raises(AutomatonCapError):
+            automata.formula_to_dfa(f, 2)
+    assert automata.formula_to_dfa(f) is automata.formula_to_dfa(
+        f, automata.DEFAULT_STATE_CAP)
+    assert built == [2, 2, automata.DEFAULT_STATE_CAP]
+
+
 def test_atom_cap():
     wide = logic.disj([logic.atom(f"a{i}") for i in range(13)])
     with pytest.raises(AutomatonCapError):

@@ -1,14 +1,16 @@
 """Strong-cyclic policy synthesis, verification, and the external protocol."""
 
+import dataclasses
 import sys
 import textwrap
 import time
 
 import pytest
 
-from tgr import bench, fond, logic, planner
+from tgr import bench, compilation, fond, logic, planner
 from tgr.errors import (DeadlineExceeded, ExternalPlannerError,
-                        PlannerCapError, PolicyParseError, UnsolvableError)
+                        InapplicableActionError, PlannerCapError,
+                        PolicyParseError, UnsolvableError)
 
 TIREWORLD = bench.bundled_dataset("triangle-tireworld")
 BLOCKS = bench.bundled_dataset("blocks-world")
@@ -47,6 +49,44 @@ def test_deadline_checked_during_search():
     g = grounded_tireworld()
     with pytest.raises(DeadlineExceeded):
         planner.solve_strong_cyclic(g, deadline=time.monotonic() - 1.0)
+
+
+def goal_free_tireworld():
+    g = grounded_tireworld()
+    return fond.ground(g.domain, dataclasses.replace(g.problem, goal=None))
+
+
+def test_single_use_models_hold_no_transition_table():
+    # The `tgr plan` route, a compiled temporal goal, and a classical goal
+    # on a goal-free grounding: each model is searched once, so none of
+    # them keeps its transitions.
+    g = grounded_tireworld()
+    aug = compilation.compile_goal(g.domain, g.problem,
+                                   logic.parse_formula("F((vAt 22))"))
+    base = goal_free_tireworld()
+    classical = base.with_goal(logic.parse_formula("(vAt 22)"))
+    for model in (g, aug.grounded, classical):
+        planner.solve_strong_cyclic(model)
+        assert "transition_table" not in vars(model)
+    assert "transition_table" not in vars(base)
+
+
+def test_goal_products_fill_only_their_base_table():
+    base, other = goal_free_tireworld(), goal_free_tireworld()
+    goal = logic.parse_formula("F((vAt 22))")
+    product = compilation.GoalProduct(base, goal)
+    planner.solve_strong_cyclic(product)
+    with pytest.raises(InapplicableActionError, match="not applicable"):
+        product.successors(product.s0, base.action_index["(move 22 23)"])
+    table = base.transition_table
+    filled = len(table.states)
+    assert filled and "transition_table" not in vars(other)
+    # A second goal reads the same table; a classical copy starts with none.
+    planner.solve_strong_cyclic(compilation.GoalProduct(
+        base, logic.parse_formula("F((vAt 21))")))
+    assert base.transition_table is table and len(table.states) >= filled
+    assert "transition_table" not in vars(
+        base.with_goal(logic.parse_formula("(vAt 22)")))
 
 
 def blocks_cycle_policy():

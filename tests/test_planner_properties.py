@@ -11,7 +11,8 @@ and on temporal goals compiled into them, the goal model read off the
 walk against the one reduced from the enumerated executions, and the
 on-the-fly goal product against the compiled task, whose grounding must
 extend the goal-free one for its policies to translate onto the
-product.
+product; and goals solved one after another on one shared goal-free
+grounding against each goal solved alone.
 """
 
 import dataclasses
@@ -135,6 +136,8 @@ def test_model_matches_the_effects(task, data):
     assert g.applicable_actions(state) == applicable
     for ai in applicable:
         assert g.successors(state, ai) == reference_successors(g, state, ai)
+    assert g.transitions(state) == [(ai, g.successors(state, ai))
+                                    for ai in applicable]
 
 
 @settings(max_examples=200, deadline=None)
@@ -384,3 +387,35 @@ def test_goal_model_is_the_reduced_enumeration(task, small_cap, data):
             dropped = dict(policy.mapping)
             del dropped[data.draw(st.sampled_from(sorted(dropped)))]
             assert_same_goal_model(planner.Policy(model, dropped), small_cap)
+
+
+def solve_over(base, goal, cap):
+    """The policy mapping and goal model of `goal` over `base`, or the
+    type and message of the error that stopped it."""
+    try:
+        policy = planner.solve_strong_cyclic(
+            compilation.GoalProduct(base, goal), state_cap=cap)
+    except (CompileError, UnsolvableError, PlannerCapError) as exc:
+        return type(exc), str(exc)
+    return policy.mapping, goal_model(policy, executions.DEFAULT_EXECUTION_CAP)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.integers(1, 12), st.data())
+def test_goals_on_a_shared_grounding_solve_as_if_alone(task, small_cap, data):
+    # Goals read the transitions the goals before them stored in the
+    # grounding, including those of a search its state cap aborted.
+    domain, problem = (fond.parse_domain(task[0]),
+                       fond.parse_problem(task[1]))
+    goal_free = dataclasses.replace(problem, goal=None)
+    runs = [(draw_temporal_goal(domain, data),
+             data.draw(st.sampled_from((planner.DEFAULT_STATE_CAP,
+                                        small_cap))))
+            for _ in range(data.draw(st.integers(2, 3)))]
+    alone = [solve_over(fond.ground(domain, goal_free), goal, cap)
+             for goal, cap in runs]
+    for order in (runs, runs[::-1]):
+        shared = fond.ground(domain, goal_free)
+        expected = alone if order is runs else alone[::-1]
+        assert [solve_over(shared, goal, cap)
+                for goal, cap in order] == expected

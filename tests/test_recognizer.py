@@ -1,5 +1,6 @@
 """Posterior goal recognition over observation sequences."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -170,6 +171,39 @@ def test_builtin_planner_grounds_once_and_compiles_nothing(monkeypatch):
         [])
     assert all(m.solvable for m in recognizer.analyze(mixed).models)
     assert len(grounds) == 1
+
+
+TEMPORAL_TIREWORLD_GOALS = ["F((vAt 22))", "F((vAt 21) & X(F((vAt 22))))",
+                            "(vAt 22) & O((vAt 21))"]
+
+
+def test_goals_expand_each_base_state_once(monkeypatch):
+    expanded = collections.Counter()
+    real = fond.GroundedFond.applicable_actions
+
+    def counting(self, state):
+        expanded[state] += 1
+        return real(self, state)
+
+    monkeypatch.setattr(fond.GroundedFond, "applicable_actions", counting)
+    analysis = recognizer.analyze(
+        tireworld_problem(TEMPORAL_TIREWORLD_GOALS, []))
+    assert all(m.solvable for m in analysis.models)
+    assert expanded and max(expanded.values()) == 1
+
+
+def test_analyses_build_each_automaton_once(monkeypatch):
+    built = collections.Counter()
+    for name in ("ltlf_to_dfa", "pltlf_to_dfa"):
+        def counting(f, state_cap, build=getattr(automata, name)):
+            built[str(f)] += 1
+            return build(f, state_cap)
+        monkeypatch.setattr(automata, name, counting)
+    automata._memo_dfa.cache_clear()
+    rp = tireworld_problem(TEMPORAL_TIREWORLD_GOALS, [])
+    first, second = recognizer.analyze(rp), recognizer.analyze(rp)
+    assert built == {str(g): 1 for g in rp.goals}
+    assert first.models == second.models
 
 
 @pytest.mark.parametrize("spec", ["builtin", planner.solve_strong_cyclic])
