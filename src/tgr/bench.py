@@ -27,7 +27,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable
 
@@ -306,8 +306,9 @@ def generate_problem(domain: Domain, problem: ProblemInstance,
                      cfg: BenchConfig, dataset_name: str, index: int,
                      pool: list[Atom] | None = None) -> GeneratedProblem:
     """Draw candidate goals and observations for one recognition problem,
-    and analyse the goals: the analysis times grounding and the accepted
-    goals, not the resampled candidates.
+    and analyse the goals: the analysis times grounding (paid once per
+    process by `fond.goal_free_grounding`) and the accepted goals, not
+    the resampled candidates.
 
     All randomness comes from a generator seeded with
     ``{seed}:{dataset}:{index}``, so a problem can be regenerated in
@@ -321,7 +322,7 @@ def generate_problem(domain: Domain, problem: ProblemInstance,
             f"candidate atoms, found {len(pool)}")
 
     start = time.monotonic()
-    base = fond.ground(domain, replace(problem, goal=None))
+    base = fond.goal_free_grounding(domain, problem)
     elapsed = time.monotonic() - start
     rng = random.Random(f"{cfg.seed}:{dataset_name}:{index}")
     true_index = rng.randrange(cfg.goals_per_problem)

@@ -25,7 +25,7 @@ fluent holds, is the product's policy (`AugmentedProblem.product_policy`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import automata, fond, logic, planner
@@ -210,8 +210,8 @@ class AugmentedProblem:
         if not report.closed:
             raise TgrError(f"policy is not closed: {report.reason}")
         if base is None:
-            base = fond.ground(self.base_domain,
-                               replace(self.base_problem, goal=None))
+            base = fond.goal_free_grounding(self.base_domain,
+                                            self.base_problem)
         n = len(base.fluents)
         if g.fluents[:n] != base.fluents:
             raise TgrError("base grounding is not the compiled task's base")

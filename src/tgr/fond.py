@@ -28,6 +28,9 @@ however many literals it guards.
 call. A goal-free grounding that several goal products search also owns
 a `TransitionTable`, which derives each state's transitions once and
 keeps them in flat integer arrays for every later reader.
+`goal_free_grounding` keeps the last few goal-free groundings of the
+process, so every recognition of the same problem shares one grounding
+and its table; `ground` itself always builds a fresh model.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import itertools
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Protocol
 
 from . import logic
@@ -728,7 +731,9 @@ class TransitionTable:
     leads to the states whose ids are `target[out[p]:out[p + 1]]`. A
     state's pairs are stored only after all of them are derived, so a
     search that stops partway (at its state cap or deadline) leaves no
-    partial entry for the next reader.
+    partial entry for the next reader. An exception raised inside an
+    expansion, such as a KeyboardInterrupt, undoes that expansion, since
+    the table outlives the search (see `goal_free_grounding`).
     """
 
     def __init__(self, model: GroundedFond) -> None:
@@ -746,31 +751,45 @@ class TransitionTable:
     def _id(self, state: int) -> int:
         i = self._ids.get(state)
         if i is None:
-            i = self._ids[state] = len(self.states)
+            # The id is published last: `_expand` undoes the rest.
+            i = len(self.states)
             self.states.append(state)
             self._first.append(-1)
             self._stop.append(-1)
+            self._ids[state] = i
         return i
 
     def pairs(self, state: int) -> range:
         """The pair indices of `state`, expanding it on first use."""
         i = self._ids.get(state)
         if i is None or self._first[i] < 0:
-            return self._expand(state)
+            return self._expand(state, i)
         return range(self._first[i], self._stop[i])
 
-    def _expand(self, state: int) -> range:
+    def _expand(self, state: int, i: int | None) -> range:
         found = self._model.transitions(state)
-        i = self._id(state)
-        action, out, target = self.action, self.out, self.target
-        first = len(action)
-        for ai, succs in found:
-            action.append(ai)
-            for t in succs:
-                target.append(self._id(t))
-            out.append(len(target))
-        self._first[i] = first
-        self._stop[i] = len(action)
+        states, action, out, target = (self.states, self.action, self.out,
+                                       self.target)
+        n_states, first, n_targets = len(states), len(action), len(target)
+        try:
+            if i is None:
+                i = self._id(state)
+            for ai, succs in found:
+                action.append(ai)
+                for t in succs:
+                    target.append(self._id(t))
+                out.append(len(target))
+            self._first[i] = first
+            self._stop[i] = len(action)
+        except BaseException:
+            if i is not None and i < n_states:
+                self._first[i] = -1
+            for s in states[n_states:]:
+                self._ids.pop(s, None)
+            del states[n_states:], self._first[n_states:], \
+                self._stop[n_states:]
+            del action[first:], out[first + 1:], target[n_targets:]
+            raise
         return range(first, len(action))
 
 
@@ -914,6 +933,29 @@ def ground(domain: Domain, problem: ProblemInstance, *,
         actions=tuple(actions), action_index=action_index,
         s0=sum(1 << fluent_index[a] for a in problem.init),
         goal=goal, _goal_compiled=goal_compiled)
+
+
+# Distinct problems a process keeps grounded: a few datasets or bundles.
+_GROUNDING_MEMO_SIZE = 8
+
+
+def goal_free_grounding(domain: Domain,
+                        problem: ProblemInstance) -> GroundedFond:
+    """The grounding of `problem` without its goal, shared by every caller
+    that asks for an equal domain and problem.
+
+    The last `_GROUNDING_MEMO_SIZE` groundings are kept, each with its
+    `transition_table`, so a process that recognizes the same problem
+    again grounds it once and expands each base state once. Callers must
+    not change the shared model; `with_goal` makes a copy. A grounding
+    error is raised again on every call, never stored.
+    """
+    return _memo_ground(domain, replace(problem, goal=None))
+
+
+@lru_cache(maxsize=_GROUNDING_MEMO_SIZE)
+def _memo_ground(domain: Domain, problem: ProblemInstance) -> GroundedFond:
+    return ground(domain, problem)
 
 
 def _substitute_formula(f: Formula, theta: dict[str, str]) -> Formula:

@@ -261,9 +261,11 @@ def analyze(problem: RecognitionProblem, *,
             state_cap: int = planner.DEFAULT_STATE_CAP,
             execution_cap: int = executions_mod.DEFAULT_EXECUTION_CAP,
             deadline: float | None = None) -> Analysis:
-    """`analyze_goal` for every candidate goal of `problem`, over one
-    goal-free grounding. The priors and observations are checked before
-    any goal is planned, but the observations do not enter the analysis.
+    """`analyze_goal` for every candidate goal of `problem`, over its
+    goal-free grounding, which `fond.goal_free_grounding` shares with
+    every other analysis of the problem in this process. The priors and
+    observations are checked before any goal is planned, but the
+    observations do not enter the analysis.
     """
     start = time.monotonic()
     if not problem.goals:
@@ -271,7 +273,7 @@ def analyze(problem: RecognitionProblem, *,
     priors = problem.normalized_priors()
     _resolve_planner(planner_spec, state_cap, deadline)  # reject a bad spec
 
-    base = fond.ground(problem.domain, replace(problem.problem, goal=None))
+    base = fond.goal_free_grounding(problem.domain, problem.problem)
     actions = frozenset(base.action_index)
     _check_observations(problem.obs, actions)
 

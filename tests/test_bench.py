@@ -257,9 +257,11 @@ def test_each_problem_is_grounded_once(monkeypatch):
         return real_ground(*args, **kwargs)
 
     monkeypatch.setattr(fond, "ground", counting)
-    cfg = tiny_config()
+    cfg = tiny_config(datasets=["triangle-tireworld", "logistics"])
     bench.run_benchmark(cfg)
-    assert len(grounds) == cfg.problems_per_dataset
+    # a dataset's problems pose one PDDL problem, grounded without a goal
+    assert [(domain.name, problem.goal) for domain, problem in grounds] == \
+        [("triangle-tireworld", None), ("logistics", None)]
 
 
 def test_same_seed_runs_are_byte_identical():

@@ -1,5 +1,7 @@
 """PDDL parsing, grounding, and the nondeterministic transition model."""
 
+import dataclasses
+
 import pytest
 
 from tgr import bench, fond, logic
@@ -165,3 +167,34 @@ def test_problem_domain_name_mismatch():
         "(define (problem x) (:domain elsewhere) (:init) (:goal (flat)))")
     with pytest.raises(PddlParseError):
         fond.ground(dom, other)
+
+
+def test_goal_free_groundings_are_shared_but_errors_are_not(monkeypatch):
+    grounded = []
+
+    def counting(dom, prob, ground=fond.ground):
+        grounded.append(prob)
+        return ground(dom, prob)
+
+    monkeypatch.setattr(fond, "ground", counting)
+    dom, prob = tireworld()
+    other = fond.parse_problem(
+        "(define (problem x) (:domain elsewhere) (:init) (:goal (flat)))")
+    for _ in range(2):
+        with pytest.raises(PddlParseError, match="targets domain 'elsewhere'"):
+            fond.goal_free_grounding(dom, other)
+    shared = fond.goal_free_grounding(dom, prob)
+    assert shared.goal is None
+    # equal values share it, whatever goal the problem carries
+    assert fond.goal_free_grounding(*tireworld()) is shared
+    assert fond.goal_free_grounding(
+        dom, dataclasses.replace(prob, goal=None)) is shared
+    # another problem of the domain gets its own
+    trap = fond.parse_problem(bench.bundled_text("triangle-tireworld",
+                                                 "trap.pddl"))
+    assert fond.goal_free_grounding(dom, trap).problem == \
+        dataclasses.replace(trap, goal=None)
+    assert [p.name for p in grounded] == ["x", "x", prob.name, trap.name]
+    assert all(p.goal is None for p in grounded[2:])
+    # `ground` itself builds a fresh model every time
+    assert fond.ground(dom, prob) is not fond.ground(dom, prob)

@@ -11,8 +11,9 @@ and on temporal goals compiled into them, the goal model read off the
 walk against the one reduced from the enumerated executions, and the
 on-the-fly goal product against the compiled task, whose grounding must
 extend the goal-free one for its policies to translate onto the
-product; and goals solved one after another on one shared goal-free
-grounding against each goal solved alone.
+product; goals solved one after another on one shared goal-free
+grounding against each goal solved alone; and a recognition on the
+process's memoized grounding against the same recognition on a fresh one.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_executions
 import reference_planner
-from tgr import compilation, executions, fond, logic, planner
+from tgr import compilation, executions, fond, logic, planner, recognizer
 from tgr.errors import (CompileError, ExecutionCapError, PlannerCapError,
                         TgrError, UnsolvableError)
 
@@ -419,3 +420,33 @@ def test_goals_on_a_shared_grounding_solve_as_if_alone(task, small_cap, data):
         expected = alone if order is runs else alone[::-1]
         assert [solve_over(shared, goal, cap)
                 for goal, cap in order] == expected
+
+
+def recognition(domain, problem, goal, cap):
+    """The goal model `analyze` builds for `goal` alone, or the message of
+    the cap error that stopped it."""
+    rp = recognizer.RecognitionProblem(domain=domain, problem=problem,
+                                       goals=(goal,), obs=())
+    try:
+        return recognizer.analyze(rp, state_cap=cap).models
+    except PlannerCapError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.integers(1, 12), st.data())
+def test_recognitions_after_others_match_a_cold_memo(task, small_cap, data):
+    # The earlier recognitions of other goals, some stopped by a small
+    # state cap, fill the memoized grounding's transition table.
+    domain, problem = (fond.parse_domain(task[0]),
+                       fond.parse_problem(task[1]))
+    *earlier, (goal, cap) = [
+        (draw_temporal_goal(domain, data),
+         data.draw(st.sampled_from((planner.DEFAULT_STATE_CAP, small_cap))))
+        for _ in range(data.draw(st.integers(2, 4)))]
+    fond._memo_ground.cache_clear()
+    cold = recognition(domain, problem, goal, cap)
+    fond._memo_ground.cache_clear()
+    for other, other_cap in earlier:
+        recognition(domain, problem, other, other_cap)
+    assert recognition(domain, problem, goal, cap) == cold

@@ -164,7 +164,9 @@ def test_builtin_planner_grounds_once_and_compiles_nothing(monkeypatch):
     analysis = recognizer.analyze(rp)
     assert len(grounds) == 1
     assert [m.n_executions for m in analysis.models] == [8, 8, 16]
-    # propositional goals share the one grounding too
+    # propositional goals share the one grounding too; example1 poses
+    # this problem, so forget its memoized grounding first
+    fond._memo_ground.cache_clear()
     grounds.clear()
     mixed = tireworld_problem(
         ["(vAt 22)", "F((vAt 21) & X(F((vAt 22))))", "(vAt 21) | (vAt 31)"],
@@ -190,6 +192,65 @@ def test_goals_expand_each_base_state_once(monkeypatch):
         tireworld_problem(TEMPORAL_TIREWORLD_GOALS, []))
     assert all(m.solvable for m in analysis.models)
     assert expanded and max(expanded.values()) == 1
+
+
+def test_recognizing_a_problem_again_grounds_and_expands_nothing(
+        monkeypatch):
+    first = recognizer.analyze(tireworld_problem(TEMPORAL_TIREWORLD_GOALS, []))
+    grounds, expanded = [], collections.Counter()
+    real_ground = fond.ground
+    real_applicable = fond.GroundedFond.applicable_actions
+
+    def counting_ground(*args, **kwargs):
+        grounds.append(args)
+        return real_ground(*args, **kwargs)
+
+    def counting_applicable(self, state):
+        expanded[state] += 1
+        return real_applicable(self, state)
+
+    monkeypatch.setattr(fond, "ground", counting_ground)
+    monkeypatch.setattr(fond.GroundedFond, "applicable_actions",
+                        counting_applicable)
+    # parsed again: the grounding is found by value
+    again = recognizer.analyze(
+        tireworld_problem(TEMPORAL_TIREWORLD_GOALS, ["(move 11 21)"]))
+    assert not grounds and not expanded
+    assert again.models == first.models
+
+
+class Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt, which pytest itself acts on."""
+
+
+@pytest.mark.parametrize("after", [False, True])
+def test_an_interrupted_recognition_leaves_the_memo_intact(monkeypatch,
+                                                           after):
+    # Interrupted as a base state gets its id (before or after it is
+    # stored), the expansion is undone, so the shared table stays sound.
+    rp = tireworld_problem(TEMPORAL_TIREWORLD_GOALS, [])
+    real = fond.TransitionTable._id
+    calls = []
+
+    def interrupting(self, state):
+        calls.append(state)
+        if len(calls) == cut and not after:
+            raise Interrupt
+        i = real(self, state)
+        if len(calls) == cut:
+            raise Interrupt
+        return i
+
+    monkeypatch.setattr(fond.TransitionTable, "_id", interrupting)
+    cut = 0
+    cold = recognizer.analyze(rp).models
+    total = len(calls)
+    for cut in (1, 2, total // 3, 2 * total // 3, total):
+        fond._memo_ground.cache_clear()
+        calls.clear()
+        with pytest.raises(Interrupt):
+            recognizer.analyze(rp)
+        assert recognizer.analyze(rp).models == cold
 
 
 def test_analyses_build_each_automaton_once(monkeypatch):
