@@ -54,6 +54,23 @@ class Dfa:
     def n_states(self) -> int:
         return len(self.table)
 
+    @cached_property
+    def dead(self) -> frozenset[int]:
+        """The states from which no word reaches an accepting state: in a
+        minimal DFA, the rejecting sink if it has one."""
+        preds: list[set[int]] = [set() for _ in self.table]
+        for s, row in enumerate(self.table):
+            for t in row:
+                preds[t].add(s)
+        alive = set(self.accepting)
+        queue = list(alive)
+        while queue:
+            for s in preds[queue.pop()]:
+                if s not in alive:
+                    alive.add(s)
+                    queue.append(s)
+        return frozenset(range(self.n_states)) - alive
+
     def minterm(self, valuation: Iterable[Atom]) -> int:
         val = valuation if isinstance(valuation, (set, frozenset)) else set(valuation)
         m = 0

@@ -94,7 +94,11 @@ class GoalProduct:
     Transitions are read from the base's `fond.TransitionTable`, which
     every product over the same base shares, so a base state is
     expanded once however many automaton states and goals pair with it.
-    The product keeps the DFA letter of each base state in the table.
+    The product keeps the DFA letter of each base state by table id.
+    `explore` keys a product node as `table id * n_dfa_states + q` and
+    builds a node's state only when the policy maps it. A node whose q
+    is a dead DFA state (`Dfa.dead`) is numbered but not expanded: no
+    goal lies beyond it, so the solver would prune all it leads to.
     """
 
     def __init__(self, base: fond.GroundedFond, goal: Formula,
@@ -122,39 +126,83 @@ class GoalProduct:
                 m |= letter
         return m
 
+    def _letters(self) -> list[int]:
+        """The DFA letter of each base state, by table id."""
+        states, letters = self._table.states, self._letter_of
+        if len(letters) < len(states):
+            letters.extend(map(self._minterm, states[len(letters):]))
+        return letters
+
     def applicable(self, state: int, action: int) -> bool:
         return self.base.applicable(state & self._low, action)
 
-    def transitions(self, state: int) -> list[tuple[int, tuple[int, ...]]]:
-        return self._lift(state, self._table.pairs(state & self._low))
+    def explore(self, state_cap: int,
+                deadline: float | None) -> fond.StateGraph:
+        """The product nodes reachable from `s0`, keyed and expanded as
+        the class docstring says."""
+        table, dfa, shift = self._table, self.dfa, self._shift
+        rows, accepting, dead, nq = (dfa.table, dfa.accepting, dfa.dead,
+                                     dfa.n_states)
+        states, action, out, target = (table.states, table.action,
+                                       table.out, table.target)
+        letters = self._letters()
+        # The base's initial state has table id 0.
+        keys = [self.s0 >> shift]
+        order = {keys[0]: 0}
+
+        def state(node: int) -> int:
+            t, q = divmod(keys[node], nq)
+            return states[t] | q << shift
+
+        graph = fond.StateGraph(state)
+        goal_ids, first_pair, pair_state, pair_action, pair_outcomes = (
+            graph.goal_ids, graph.first_pair, graph.pair_state,
+            graph.pair_action, graph.pair_outcomes)
+        i = 0
+        while i < len(keys):
+            base_id, q = divmod(keys[i], nq)
+            first_pair.append(len(pair_action))
+            i += 1
+            if i % 512 == 0:
+                fond._check_deadline(deadline)
+            if q in accepting:
+                goal_ids.append(i - 1)
+                continue
+            if q in dead:
+                continue
+            pairs = table.pairs_at(base_id)
+            if len(letters) < len(states):
+                letters = self._letters()
+            row = rows[q]
+            for p in pairs:
+                outcomes = []
+                for t in target[out[p]:out[p + 1]]:
+                    succ = t * nq + row[letters[t]]
+                    node = order.get(succ)
+                    if node is None:
+                        if len(keys) >= state_cap:
+                            raise fond._state_cap_error(state_cap)
+                        node = order[succ] = len(keys)
+                        keys.append(succ)
+                    outcomes.append(node)
+                pair_state.append(i - 1)
+                pair_action.append(action[p])
+                pair_outcomes.append(tuple(outcomes))
+        first_pair.append(len(pair_action))
+        return graph
 
     def successors(self, state: int, action: int) -> tuple[int, ...]:
         table = self._table
         for p in table.pairs(state & self._low):
             if table.action[p] == action:
-                return self._lift(state, (p,))[0][1]
+                row, shift = self.dfa.table[state >> self._shift], self._shift
+                states, letters = table.states, self._letters()
+                targets = table.target[table.out[p]:table.out[p + 1]]
+                return tuple(states[t] | row[letters[t]] << shift
+                             for t in targets)
         raise InapplicableActionError(
             f"{self.actions[action].name} is not applicable in "
             f"{self.state_str(state)}")
-
-    def _lift(self, state: int, pairs) -> list[tuple[int, tuple[int, ...]]]:
-        """`(action, successors)` of the table's `pairs`, which belong to
-        the base state of `state`, with each successor paired with the
-        automaton state it leads to."""
-        table = self._table
-        states, letters = table.states, self._letter_of
-        if len(letters) < len(states):
-            letters.extend(map(self._minterm, states[len(letters):]))
-        row = self.dfa.table[state >> self._shift]
-        shift, action, out, target = (self._shift, table.action, table.out,
-                                      table.target)
-        found = []
-        for p in pairs:
-            succs = []
-            for t in target[out[p]:out[p + 1]]:
-                succs.append(states[t] | row[letters[t]] << shift)
-            found.append((action[p], tuple(succs)))
-        return found
 
     def is_goal(self, state: int) -> bool:
         return state >> self._shift in self.dfa.accepting

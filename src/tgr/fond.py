@@ -24,27 +24,34 @@ unconditional adds and deletes, and groups its conditional literals by
 condition, so a condition is evaluated once per `successors` call
 however many literals it guards.
 
-`GroundedFond.transitions` derives a state's transitions afresh on every
-call. A goal-free grounding that several goal products search also owns
-a `TransitionTable`, which derives each state's transitions once and
-keeps them in flat integer arrays for every later reader.
-`goal_free_grounding` keeps the last few goal-free groundings of the
-process, so every recognition of the same problem shares one grounding
-and its table; `ground` itself always builds a fresh model.
+The planner reads a model through `explore`, which numbers the states
+reachable from the initial one and lists their transitions as a
+`StateGraph`. `GroundedFond.explore` derives each state's transitions
+afresh (`transitions`), since a task searched once gains nothing from
+keeping them. A goal-free grounding that several goal products search
+also owns a `TransitionTable`, which derives each state's transitions
+once and keeps them in flat integer arrays, by state id, for every later
+reader. `goal_free_grounding` keeps the last few goal-free groundings of
+the process, so every recognition of the same problem shares one
+grounding and its table; `ground` itself always builds a fresh model.
+`Domain` and `ProblemInstance` compute their hash once, so a memo hit
+costs a lookup, not a walk over the parsed model.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
-from typing import Protocol
+from typing import Callable, Protocol
 
 from . import logic
-from .errors import (GroundingCapError, InapplicableActionError,
-                     PddlParseError, UnsupportedFeatureError)
+from .errors import (DeadlineExceeded, GroundingCapError,
+                     InapplicableActionError, PddlParseError,
+                     PlannerCapError, UnsupportedFeatureError)
 from .logic import Atom, Formula
 
 
@@ -175,13 +182,35 @@ class ActionSchema:
     effect: Effect
 
 
+def _hash_once(self) -> int:
+    """The hash of a frozen dataclass's fields, computed on first use and
+    kept on the instance; equality stays the dataclass's own."""
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        self.__dict__["_hash"] = h
+    return h
+
+
+def _state_without_hash(self) -> dict:
+    """Pickled state without the kept hash, which depends on the process's
+    string hash seed."""
+    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class Domain:
+    """A parsed domain. Its hash is computed once, since the grounding
+    memo hashes it on every lookup."""
+
     name: str
     requirements: tuple[str, ...]
     types: tuple[tuple[str, str], ...]  # (type, parent) pairs
     predicates: tuple[PredicateSchema, ...]
     actions: tuple[ActionSchema, ...]
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     def predicate(self, name: str) -> PredicateSchema | None:
         for p in self.predicates:
@@ -192,11 +221,22 @@ class Domain:
 
 @dataclass(frozen=True)
 class ProblemInstance:
+    """A parsed problem; its hash is computed once, as `Domain`'s."""
+
     name: str
     domain_name: str
     objects: tuple[tuple[str, str], ...]  # (object, type) pairs
     init: frozenset[Atom]
     goal: Formula | None = None
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
+
+    @cached_property
+    def _goal_free(self) -> ProblemInstance:
+        """This problem without its goal, one copy per instance, so that
+        its hash too is computed once."""
+        return replace(self, goal=None)
 
 
 _KNOWN_REQUIREMENTS = {
@@ -562,17 +602,49 @@ class GroundAction:
                     ...] = field(repr=False)
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded("planner deadline exceeded")
+
+
+def _state_cap_error(state_cap: int) -> PlannerCapError:
+    return PlannerCapError(f"reachable state space exceeded {state_cap} states")
+
+
+@dataclass
+class StateGraph:
+    """The part of a state model reachable from its initial state, as the
+    strong-cyclic solver reads it.
+
+    Nodes are numbered in breadth-first discovery order, node 0 being the
+    initial state; `state(i)` is the model state of node i. The pairs of
+    node s are first_pair[s] .. first_pair[s + 1] - 1: pair p applies
+    pair_action[p] in node pair_state[p] and leads to the nodes
+    pair_outcomes[p], in branch order. A node's pairs are in ascending
+    action order. `goal_ids` lists the goal nodes, which have no pairs;
+    so has a node from which the model knows no goal can be reached.
+    """
+
+    state: Callable[[int], int]
+    goal_ids: list[int] = field(default_factory=list)
+    first_pair: list[int] = field(default_factory=list)
+    pair_state: list[int] = field(default_factory=list)
+    pair_action: list[int] = field(default_factory=list)
+    pair_outcomes: list[tuple[int, ...]] = field(default_factory=list)
+
+
 class StateModel(Protocol):
     """The state model the planner and the execution enumerator search:
     `GroundedFond`, or the goal product of `compilation.GoalProduct`.
 
     States are ints; actions are indices into `actions`, whose `name` is
     the ground action name. `goal` is None for a task without a goal.
-    `transitions(state)` lists the applicable actions of `state` in
-    ascending order, each with `successors(state, action)`: one state
-    per nondeterministic branch, in branch order, duplicates merged.
-    The solver expands states through it; `applicable` and `successors`
-    serve the verifier and the walks over a policy.
+    `successors(state, action)` gives one state per nondeterministic
+    branch, in branch order, duplicates merged. The solver reads the
+    model's reachable states through `explore`, which numbers at most
+    `state_cap` of them (PlannerCapError beyond) and checks `deadline`
+    (DeadlineExceeded); `applicable` and `successors` serve the verifier
+    and the walks over a policy.
     """
 
     s0: int
@@ -582,8 +654,8 @@ class StateModel(Protocol):
 
     def applicable(self, state: int, action: int) -> bool: ...
 
-    def transitions(self, state: int
-                    ) -> list[tuple[int, tuple[int, ...]]]: ...
+    def explore(self, state_cap: int,
+                deadline: float | None) -> StateGraph: ...
 
     def successors(self, state: int, action: int) -> tuple[int, ...]: ...
 
@@ -670,6 +742,41 @@ class GroundedFond:
             found.append((ai, outcomes(state, actions[ai])))
         return found
 
+    def explore(self, state_cap: int, deadline: float | None) -> StateGraph:
+        """The states reachable from `s0`, each non-goal state expanded
+        through `transitions`: a model searched once keeps no table."""
+        order = {self.s0: 0}
+        states = [self.s0]
+        graph = StateGraph(states.__getitem__)
+        goal_ids, first_pair, pair_state, pair_action, pair_outcomes = (
+            graph.goal_ids, graph.first_pair, graph.pair_state,
+            graph.pair_action, graph.pair_outcomes)
+        i = 0
+        while i < len(states):
+            state = states[i]
+            first_pair.append(len(pair_action))
+            i += 1
+            if i % 512 == 0:
+                _check_deadline(deadline)
+            if self.is_goal(state):
+                goal_ids.append(i - 1)
+                continue
+            for ai, succs in self.transitions(state):
+                outcomes = []
+                for succ in succs:
+                    t = order.get(succ)
+                    if t is None:
+                        if len(states) >= state_cap:
+                            raise _state_cap_error(state_cap)
+                        t = order[succ] = len(states)
+                        states.append(succ)
+                    outcomes.append(t)
+                pair_state.append(i - 1)
+                pair_action.append(ai)
+                pair_outcomes.append(tuple(outcomes))
+        first_pair.append(len(pair_action))
+        return graph
+
     @cached_property
     def transition_table(self) -> TransitionTable:
         """This model's shared `TransitionTable`, made on first use. A
@@ -725,8 +832,9 @@ class TransitionTable:
     """The transitions of a model's states, each derived at most once.
 
     A state gets a dense id when it is first met, as a looked-up state
-    or as an outcome: `states[i]` is the state with id i. The first
-    `pairs(state)` expands it through `model.transitions` and appends its
+    or as an outcome: `states[i]` is the state with id i, and the model's
+    initial state has id 0. The first `pairs(state)` or `pairs_at(i)`
+    expands a state through `model.transitions` and appends its
     state-action pairs to flat arrays: pair p applies `action[p]` and
     leads to the states whose ids are `target[out[p]:out[p + 1]]`. A
     state's pairs are stored only after all of them are derived, so a
@@ -747,6 +855,7 @@ class TransitionTable:
         self.action = array("i")
         self.out = array("i", [0])
         self.target = array("i")
+        self._id(model.s0)
 
     def _id(self, state: int) -> int:
         i = self._ids.get(state)
@@ -762,9 +871,17 @@ class TransitionTable:
     def pairs(self, state: int) -> range:
         """The pair indices of `state`, expanding it on first use."""
         i = self._ids.get(state)
-        if i is None or self._first[i] < 0:
-            return self._expand(state, i)
-        return range(self._first[i], self._stop[i])
+        if i is None:
+            return self._expand(state, None)
+        return self.pairs_at(i)
+
+    def pairs_at(self, i: int) -> range:
+        """The pair indices of the state with id i, expanding it on first
+        use."""
+        first = self._first[i]
+        if first < 0:
+            return self._expand(self.states[i], i)
+        return range(first, self._stop[i])
 
     def _expand(self, state: int, i: int | None) -> range:
         found = self._model.transitions(state)
@@ -950,7 +1067,7 @@ def goal_free_grounding(domain: Domain,
     not change the shared model; `with_goal` makes a copy. A grounding
     error is raised again on every call, never stored.
     """
-    return _memo_ground(domain, replace(problem, goal=None))
+    return _memo_ground(domain, problem._goal_free)
 
 
 @lru_cache(maxsize=_GROUNDING_MEMO_SIZE)

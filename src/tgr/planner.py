@@ -5,18 +5,21 @@ The solver and the verifier read a model through `fond.StateModel`: a
 fluent i holds), or the goal product of `compilation.GoalProduct`. A
 policy maps such states to ground action indices.
 
-The solver expands the reachable state space breadth first, reading
-each state's applicable actions and their outcomes in one
-`transitions(state)` call. A goal product answers it from the
+The solver works in two stages. First the model explores its reachable
+state space breadth first (`explore`) and returns it as a
+`fond.StateGraph`: states numbered in discovery order, and one
+id-indexed table of state-action pairs holding each pair's state, its
+action, and the ids of its outcomes. The pairs of a state are
+contiguous and in ascending action order. A grounding derives each
+state's transitions afresh; a goal product reads them from the
 transition table its goal-free grounding shares with every other goal
-over it; a grounding searched on its own derives it afresh. The solver
-numbers states in discovery order and records every state-action pair
-in one id-indexed table: the pair's state, its action, and the ids of
-its outcomes. The pairs of a state are contiguous and in ascending
-action order. The verifier reads only the policy's own actions, through
-`applicable` and `successors`.
+over it, keys its nodes by table id, builds a node's state only when
+the policy maps it, and does not expand a node whose automaton can no
+longer accept. Second, one path prunes, measures goal distances and
+extracts the policy, whatever the model. The verifier reads only the
+policy's own actions, through `applicable` and `successors`.
 
-Pruning then runs to a fixpoint over reverse edges (target state to the
+Pruning runs to a fixpoint over reverse edges (target state to the
 pairs that lead into it) and per-state counters of live pairs. A dead
 state kills every pair leading into it, and a state whose counter drops
 to zero dies in turn; dead states are propagated through a worklist.
@@ -42,8 +45,9 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from .errors import (DeadlineExceeded, ExternalPlannerError, PlannerCapError,
-                     PolicyParseError, UnsolvableError)
+from . import fond
+from .errors import (DeadlineExceeded, ExternalPlannerError, PolicyParseError,
+                     UnsolvableError)
 from .fond import GroundedFond, StateModel
 from .logic import Atom
 
@@ -75,60 +79,20 @@ class PolicyReport:
         return self.closed and self.strong_cyclic
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded("planner deadline exceeded")
-
-
 def solve_strong_cyclic(grounded: StateModel, *,
                         state_cap: int = DEFAULT_STATE_CAP,
                         deadline: float | None = None) -> Policy:
     """Return a strong-cyclic policy or raise UnsolvableError."""
     if grounded.goal is None:
         raise UnsolvableError("planning task has no goal")
-
-    s0 = grounded.s0
-    if grounded.is_goal(s0):
+    if grounded.is_goal(grounded.s0):
         return Policy(grounded, {})
-    order: dict[int, int] = {s0: 0}
-    states: list[int] = [s0]
-    goal_ids: list[int] = []
-    # The pairs of state s are first_pair[s] .. first_pair[s + 1] - 1;
-    # pair p is pair_action[p] applied in pair_state[p], leading to the
-    # states pair_outcomes[p].
-    first_pair: list[int] = []
-    pair_state: list[int] = []
-    pair_action: list[int] = []
-    pair_outcomes: list[tuple[int, ...]] = []
+    graph = grounded.explore(state_cap, deadline)
+    goal_ids, first_pair, pair_state, pair_action, pair_outcomes = (
+        graph.goal_ids, graph.first_pair, graph.pair_state,
+        graph.pair_action, graph.pair_outcomes)
 
-    i = 0
-    while i < len(states):
-        state = states[i]
-        first_pair.append(len(pair_action))
-        i += 1
-        if i % 512 == 0:
-            _check_deadline(deadline)
-        if grounded.is_goal(state):
-            goal_ids.append(i - 1)
-            continue
-        for ai, succs in grounded.transitions(state):
-            outcomes = []
-            for succ in succs:
-                t = order.get(succ)
-                if t is None:
-                    if len(states) >= state_cap:
-                        raise PlannerCapError(
-                            f"reachable state space exceeded {state_cap} states")
-                    t = order[succ] = len(states)
-                    states.append(succ)
-                outcomes.append(t)
-            pair_state.append(i - 1)
-            pair_action.append(ai)
-            pair_outcomes.append(tuple(outcomes))
-    first_pair.append(len(pair_action))
-    del order
-
-    n = len(states)
+    n = len(first_pair) - 1
     into: list[list[int]] = [[] for _ in range(n)]
     for p, outcomes in enumerate(pair_outcomes):
         for t in outcomes:
@@ -141,7 +105,7 @@ def solve_strong_cyclic(grounded: StateModel, *,
     dead = [s for s in range(n) if not live[s] and not is_goal[s]]
 
     while True:
-        _check_deadline(deadline)
+        fond._check_deadline(deadline)
         # A pair dies with any of its outcomes; a state dies with its
         # last live pair.
         while dead:
@@ -197,7 +161,7 @@ def solve_strong_cyclic(grounded: StateModel, *,
                 key = (min(dist[t] for t in pair_outcomes[p]), pair_action[p])
                 if best is None or key < best:
                     best, chosen = key, p
-        mapping[states[s]] = pair_action[chosen]
+        mapping[graph.state(s)] = pair_action[chosen]
         for t in pair_outcomes[chosen]:
             if t not in seen:
                 seen.add(t)

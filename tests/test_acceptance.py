@@ -4,6 +4,7 @@ Each test checks one delivery criterion and prints a single PASS/FAIL
 line even under pytest's capture, so a full run reads as a checklist.
 """
 
+import hashlib
 import os
 import random
 import time
@@ -32,6 +33,12 @@ EXAMPLE1_DISTANCES = (
      "(changetire 22)": 4.0, "(move 22 23)": 3.0, "(changetire 23)": 2.5,
      "(move 23 24)": 1.5, "(changetire 24)": 1.0, "(move 24 15)": 0.0},
 )
+
+# sha256 of the records.json that `tgr bench --canonical` writes with the
+# bundled config, under CPython 3.11. Speed work must leave it unchanged;
+# a change of behaviour that changes it says why and updates it.
+DEFAULT_BENCH_RECORDS_SHA256 = (
+    "4f650597fb0f71dd38b97c4f4794cd2f19c9773e9539588adb75c534892effbc")
 
 FIG1_EXECUTIONS = sorted([
     ("(move 11 21)", "(move 21 22)"),
@@ -216,6 +223,14 @@ def test_criterion_8_benchmark_determinism(capsys, full_bench):
     _verdict(capsys, "8 same-seed byte-identical outputs", ok,
              f"records.json identical: {same_json}, "
              f"summary.csv identical: {same_csv}")
+
+
+def test_default_bench_records_digest(capsys, full_bench):
+    cfg, records, _, _ = full_bench
+    text = bench.records_json(cfg, records, canonical=True)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    _verdict(capsys, "canonical records.json unchanged",
+             digest == DEFAULT_BENCH_RECORDS_SHA256, f"sha256 {digest}")
 
 
 def test_criterion_9_planner_call_count(capsys, full_bench):

@@ -152,3 +152,11 @@ def test_to_dot_renders_every_state():
     assert dot.startswith("digraph")
     for s in range(dfa.n_states):
         assert f"q{s}" in dot
+
+
+def test_dead_states_are_those_that_cannot_accept():
+    until = automata.formula_to_dfa(logic.parse_formula("!(a) U (b)"))
+    (sink,) = until.dead
+    assert sink not in until.accepting
+    assert set(until.table[sink]) == {sink}
+    assert not automata.formula_to_dfa(logic.parse_formula("F((a))")).dead

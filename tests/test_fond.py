@@ -1,6 +1,7 @@
 """PDDL parsing, grounding, and the nondeterministic transition model."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -198,3 +199,17 @@ def test_goal_free_groundings_are_shared_but_errors_are_not(monkeypatch):
     assert all(p.goal is None for p in grounded[2:])
     # `ground` itself builds a fresh model every time
     assert fond.ground(dom, prob) is not fond.ground(dom, prob)
+
+
+def test_parsed_models_keep_their_hash_but_compare_by_value():
+    dom, prob = tireworld()
+    again_dom, again_prob = tireworld()
+    assert dom is not again_dom and prob is not again_prob
+    for first, second in ((dom, again_dom), (prob, again_prob)):
+        assert first == second and hash(first) == hash(second)
+    # A kept hash does not leak into equality, replacement or pickles.
+    moved = dataclasses.replace(prob, init=prob.init | {logic.Atom("flat")})
+    assert moved != prob and "_hash" not in vars(moved)
+    copy = pickle.loads(pickle.dumps(dom))
+    assert "_hash" not in vars(copy) and copy == dom
+    assert hash(copy) == hash(dom)

@@ -89,6 +89,43 @@ def test_goal_products_fill_only_their_base_table():
         base.with_goal(logic.parse_formula("(vAt 22)")))
 
 
+SINK_DOMAIN = """(define (domain sink) (:requirements :negative-preconditions)
+  (:predicates (a) (b) (c))
+  (:action set-a :parameters () :precondition (and (not (a)) (not (b)))
+   :effect (a))
+  (:action set-c :parameters () :precondition (and (a)) :effect (c))
+  (:action set-b :parameters () :precondition (and (not (a))) :effect (b)))
+"""
+
+
+def test_goal_products_expand_no_state_of_the_rejecting_sink(monkeypatch):
+    # Under !a U b, setting a before b enters the automaton's rejecting
+    # sink: {a} is numbered but never expanded, so {a, c}, which only {a}
+    # leads to, is not even met.
+    domain = fond.parse_domain(SINK_DOMAIN)
+    problem = fond.parse_problem("(define (problem p) (:domain sink) (:init))")
+    base = fond.ground(domain, problem)
+    expanded = []
+    transitions = base.transitions
+
+    def recording(state):
+        expanded.append(state)
+        return transitions(state)
+
+    monkeypatch.setattr(base, "transitions", recording)
+    product = compilation.GoalProduct(base, logic.parse_formula("!(a) U (b)"))
+    assert product.dfa.dead
+    policy = planner.solve_strong_cyclic(product, state_cap=3)
+    assert expanded == [base.s0]
+    a, c = (base.state_of({logic.Atom(name, ())}) for name in "ac")
+    assert a in base.transition_table.states
+    assert a | c not in base.transition_table.states
+    assert {base.actions[ai].name for ai in policy.mapping.values()} == \
+        {"(set-b)"}
+    with pytest.raises(PlannerCapError):
+        planner.solve_strong_cyclic(product, state_cap=2)
+
+
 def blocks_cycle_policy():
     """A policy that shuttles b3 between table and hand forever.
 
