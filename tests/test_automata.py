@@ -1,5 +1,7 @@
 """DFA construction: semantics, minimality, determinism, lifting."""
 
+import hashlib
+
 import pytest
 
 from tgr import automata, logic
@@ -160,3 +162,21 @@ def test_dead_states_are_those_that_cannot_accept():
     assert sink not in until.accepting
     assert set(until.table[sink]) == {sink}
     assert not automata.formula_to_dfa(logic.parse_formula("F((a))")).dead
+
+
+def _tables_digest(build, corpus):
+    """sha256 over (atoms, sorted accepting states, table) of every DFA."""
+    h = hashlib.sha256()
+    for f in corpus:
+        dfa = build(f)
+        h.update(repr((dfa.atoms, sorted(dfa.accepting), dfa.table)).encode())
+    return h.hexdigest()
+
+
+def test_dfa_tables_are_pinned():
+    # Pins state numbering as well as acceptance: a change to the
+    # construction must leave every corpus automaton identical.
+    assert _tables_digest(automata.ltlf_to_dfa, ltlf_corpus()) == (
+        "36d54a132210ebbf6b01bf6c71f34c4054547a0e5f9fc009afadf7f7fe280dec")
+    assert _tables_digest(automata.pltlf_to_dfa, pltlf_corpus()) == (
+        "9b667ff11f4cfa0f9850b1e494ad64b339a01b05c91150802fc01a434fad7214")

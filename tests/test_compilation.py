@@ -1,5 +1,7 @@
 """Compiling temporal goals into augmented FOND tasks."""
 
+import hashlib
+
 import pytest
 
 from tgr import bench, compilation, executions, fond, logic, planner
@@ -201,3 +203,62 @@ def test_past_goal_compiles():
     execs = executions.enumerate_executions(policy, aug)
     assert all(logic.evaluate(aug.formula, e.trace, as_dialect="PLTLf")
                for e in execs)
+
+
+# sha256 of the emitted (domain, problem) text, by goal and mode.
+PINNED_PDDL = {
+    ("F(vAt_51)", "grounded"):
+        "0a1ba8eaa57b672df6625029e28e28c594083f09ad88d2faa543f9357b5f5f79",
+    ("F(vAt_51)", "parametric"):
+        "813c1b36416b6f2393f104c953580fad407398f800ffd84b804b80135a7d5f3b",
+    ("F(vAt_22 & X(F(vAt_33)))", "grounded"):
+        "0aec6837cf49f84c3018535a86b383b7cd6fef4dccdb6c330fa5a3cbb7f67bf9",
+    ("F(vAt_22 & X(F(vAt_33)))", "parametric"):
+        "bee5958108989ab8aad1908972eea031c43bbddb8f8f4ff7e4fc8b3d3249fbd6",
+    ("vAt_22 & O(vAt_11)", "grounded"):
+        "a755d249a1669e4906e3a83db7a78ae5c71c3c24b6784421da90998809a3ba52",
+    ("vAt_22 & O(vAt_11)", "parametric"):
+        "33fc789036618cec9671a215a5a118e7a214973cd7607961b681a741f56964c3",
+    ("F(emptyhand)", "grounded"):
+        "047d52015b79145d4ba144a004324312e6a2955f1e217defc48e38f2152ba226",
+    ("F(emptyhand)", "parametric"):
+        "0262f2b7310c12c9cc7982f44dbb74e1b54bb3fa43237b3bba3ca00476d7f3ba",
+    ("true", "grounded"):
+        "356a90b3e0bf3b421c8a2ec8e3dff0f6fd60bc27849a8a6c5108c2dec96dbf67",
+    ("true", "parametric"):
+        "d8869b05913dc320e6d55fbd7169d598949abfc621dc5d23dfdc82915c5baa85",
+    ("clash: F(vAt_22)", "grounded"):
+        "caf8f186ab3231f126f96742d59d91535d84d176392edbcbfdd10f8589e1aa75",
+    ("clash: F(vAt_22)", "parametric"):
+        "6f5788ef878786964b0dc5cf08beebfb737efde9b89644ae4afd533382bdbcd5",
+}
+
+
+def test_emitted_pddl_is_pinned():
+    # The blocks-world goals have no objects of interest, so their
+    # parametric sync action and `tracked` fact take no parameters; the
+    # clash domain declares q0, as in test_prefix_picks_a_fresh_namespace.
+    dom, prob = tireworld()
+    blocks = bench.bundled_dataset("blocks-world")
+    bdom = fond.parse_domain(blocks.domain_text)
+    bprob = fond.parse_problem(blocks.problem_text)
+    clash = fond.Domain(dom.name, dom.requirements, dom.types,
+                        dom.predicates + (fond.PredicateSchema("q0", ()),),
+                        dom.actions)
+    cases = [
+        ("F(vAt_51)", dom, prob, "F(vAt_51)"),
+        ("F(vAt_22 & X(F(vAt_33)))", dom, prob, "F(vAt_22 & X(F(vAt_33)))"),
+        ("vAt_22 & O(vAt_11)", dom, prob, "vAt_22 & O(vAt_11)"),
+        ("F(emptyhand)", bdom, bprob, "F(emptyhand)"),
+        ("true", bdom, bprob, "true"),
+        ("clash: F(vAt_22)", clash, prob, "F(vAt_22)"),
+    ]
+    got = {}
+    for label, d, p, text in cases:
+        aug = compilation.compile_goal(d, p, logic.parse_formula(text))
+        for mode in ("grounded", "parametric"):
+            h = hashlib.sha256()
+            for part in compilation.emit_pddl(aug, mode):
+                h.update(part.encode())
+            got[label, mode] = h.hexdigest()
+    assert got == PINNED_PDDL
