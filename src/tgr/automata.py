@@ -8,19 +8,25 @@ minterm groups by Quine-McCluskey simplification, built the first time
 they are read: the planning pipeline steps automata through the table
 and never reads them.
 
-LTLf formulas go through negation normal form and a syntax-driven NFA
-(states are sets of pending obligations), then subset construction.
-PLTLf formulas use the standard truth-vector construction: a state is the
-truth value of every subformula after reading a prefix. Both results are
-completed, Hopcroft-minimized, and renumbered in BFS order so equal
-formulas always yield structurally identical automata.
+One breadth-first driver builds the DFA of either dialect: it enforces
+the atom and state caps, reads every minterm letter from each state, and
+numbers the states it reaches. Only the step and the acceptance test
+differ. For LTLf, a state
+is a set of states of a syntax-driven NFA over the negation normal form
+(NFA states are sets of pending obligations), so the driver performs
+subset construction. For PLTLf, a state is the truth value of every
+subformula after reading a prefix (the standard truth-vector
+construction). The result is completed, Hopcroft-minimized, and
+renumbered in BFS order so equal formulas always yield structurally
+identical automata.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from . import logic
 from .errors import AutomatonCapError, TgrError
@@ -90,28 +96,17 @@ class Dfa:
 
 
 @dataclass(frozen=True)
-class Pdfa:
+class Pdfa(Dfa):
     """A DFA whose atoms mention parameters instead of concrete objects.
 
     `object_map` records, in order, which object each parameter replaced.
     Atom order matches the source DFA so `instantiate` is the structural
     inverse of `lift`. Guards are built from the lifted atoms on first
-    use, as for `Dfa`; lifting renames atoms and keeps their positions,
-    so they equal the source DFA's guards with the objects renamed.
+    use; lifting renames atoms and keeps their positions, so they equal
+    the source DFA's guards with the objects renamed.
     """
 
-    atoms: tuple[Atom, ...]
-    accepting: frozenset[int]
-    table: tuple[tuple[int, ...], ...]
     object_map: tuple[tuple[str, str], ...] = ()  # (object, variable) pairs
-
-    @cached_property
-    def transitions(self) -> tuple[tuple[tuple[Formula, int], ...], ...]:
-        return _guard_rows(self.atoms, self.table)
-
-    @property
-    def n_states(self) -> int:
-        return len(self.table)
 
     def instantiate(self, bindings: dict[str, str] | None = None) -> Dfa:
         """Substitute objects back for variables. With no argument, undo
@@ -203,55 +198,21 @@ def ltlf_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     if logic.dialect(f) != "LTLf":
         raise TgrError("ltlf_to_dfa requires a future-dialect formula")
     nnf = logic.to_nnf(f)
-    atoms = tuple(sorted(logic.atoms(f) | logic.atoms(nnf)))
-    if len(atoms) > _MAX_ATOMS:
-        raise AutomatonCapError(
-            f"formula has {len(atoms)} atoms; the minterm alphabet cap is "
-            f"{_MAX_ATOMS}")
-    n_minterms = 1 << len(atoms)
-    letters = [frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
-               for m in range(n_minterms)]
     memo: dict = {}
 
-    # DFA states are frozensets of NFA states; index 0 is a distinguished
-    # initial state whose successors come from expanding the formula itself.
-    ids: dict[frozenset, int] = {}
-    rows: list[list[int]] = []
-    acc: set[int] = set()
-    values: list[frozenset | None] = [None]
-    rows.append([])
-    if logic.evaluate(f, []):
-        acc.add(0)
+    # A state is a set of NFA states; the initial state's successors come
+    # from expanding the formula itself.
+    def step(value: frozenset | None, letter: frozenset[Atom]) -> frozenset:
+        if value is None:
+            return _expand(nnf, letter, memo)
+        targets: frozenset = frozenset()
+        for nfa_state in value:
+            targets |= _nfa_step(nfa_state, letter, memo)
+        return targets
 
-    def intern(value: frozenset) -> int:
-        got = ids.get(value)
-        if got is not None:
-            return got
-        idx = len(values)
-        if idx > state_cap:
-            raise AutomatonCapError(f"DFA exceeded {state_cap} states")
-        ids[value] = idx
-        values.append(value)
-        rows.append([])
-        if any(_nfa_accepting(s) for s in value):
-            acc.add(idx)
-        return idx
-
-    frontier = 0
-    while frontier < len(values):
-        value = values[frontier]
-        row = rows[frontier]
-        for letter in letters:
-            if value is None:
-                targets = _expand(nnf, letter, memo)
-            else:
-                targets = frozenset()
-                for nfa_state in value:
-                    targets |= _nfa_step(nfa_state, letter, memo)
-            row.append(intern(targets))
-        frontier += 1
-
-    return _finish(atoms, rows, acc)
+    return _determinize(
+        f, tuple(sorted(logic.atoms(f) | logic.atoms(nnf))), step,
+        lambda value: any(_nfa_accepting(s) for s in value), state_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +228,6 @@ def pltlf_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     subs = logic.subformulas(f)
     index = {g: i for i, g in enumerate(subs)}
     root = index[f]
-    atoms = tuple(sorted(logic.atoms(f)))
-    if len(atoms) > _MAX_ATOMS:
-        raise AutomatonCapError(
-            f"formula has {len(atoms)} atoms; the minterm alphabet cap is "
-            f"{_MAX_ATOMS}")
-    n_minterms = 1 << len(atoms)
-    letters = [frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
-               for m in range(n_minterms)]
 
     def advance(prev: tuple[bool, ...] | None, val: frozenset[Atom]) -> tuple[bool, ...]:
         now: list[bool] = []
@@ -307,35 +260,48 @@ def pltlf_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
             now.append(v)
         return tuple(now)
 
-    ids: dict[tuple[bool, ...], int] = {}
-    values: list[tuple[bool, ...] | None] = [None]
-    rows: list[list[int]] = [[]]
-    acc: set[int] = set()
-    if logic.evaluate(f, []):
-        acc.add(0)
+    return _determinize(f, tuple(sorted(logic.atoms(f))), advance,
+                        lambda vec: vec[root], state_cap)
 
-    def intern(vec: tuple[bool, ...]) -> int:
-        got = ids.get(vec)
-        if got is not None:
-            return got
-        idx = len(values)
-        if idx > state_cap:
-            raise AutomatonCapError(f"DFA exceeded {state_cap} states")
-        ids[vec] = idx
-        values.append(vec)
-        rows.append([])
-        if vec[root]:
-            acc.add(idx)
-        return idx
 
-    frontier = 0
-    while frontier < len(values):
-        vec = values[frontier]
-        row = rows[frontier]
+# ---------------------------------------------------------------------------
+# Determinization shared by both dialects
+
+def _determinize(f: Formula, atoms: tuple[Atom, ...],
+                 step: Callable[[Hashable | None, frozenset[Atom]], Hashable],
+                 accepts: Callable[[Hashable], bool], state_cap: int) -> Dfa:
+    """Breadth-first construction of the DFA whose states are the values
+    `step` reaches from the initial value None, one letter per minterm
+    over `atoms`, then minimized by `_finish`.
+
+    The initial state accepts iff `f` holds on the empty trace; any other
+    state accepts iff `accepts` holds of its value.
+    """
+    if len(atoms) > _MAX_ATOMS:
+        raise AutomatonCapError(
+            f"formula has {len(atoms)} atoms; the minterm alphabet cap is "
+            f"{_MAX_ATOMS}")
+    letters = [frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
+               for m in range(1 << len(atoms))]
+    ids: dict[Hashable, int] = {}
+    values: list[Hashable | None] = [None]
+    rows: list[list[int]] = []
+    acc = {0} if logic.evaluate(f, []) else set()
+    for value in values:  # grows as new values are numbered
+        row = []
         for letter in letters:
-            row.append(intern(advance(vec, letter)))
-        frontier += 1
-
+            target = step(value, letter)
+            idx = ids.get(target)
+            if idx is None:
+                idx = len(values)
+                if idx > state_cap:
+                    raise AutomatonCapError(f"DFA exceeded {state_cap} states")
+                ids[target] = idx
+                values.append(target)
+                if accepts(target):
+                    acc.add(idx)
+            row.append(idx)
+        rows.append(row)
     return _finish(atoms, rows, acc)
 
 
@@ -439,7 +405,6 @@ def _hopcroft(n: int, m: int, table: list[list[int]],
         for s in blk:
             block_of[s] = i
 
-    from collections import deque
     work: deque[tuple[int, int]] = deque()
     in_work: set[tuple[int, int]] = set()
     smaller = min(range(len(blocks)), key=lambda i: len(blocks[i]))
@@ -566,7 +531,7 @@ def lift(dfa: Dfa, objects: Sequence[str]) -> Pdfa:
     )
 
 
-def to_dot(dfa: Dfa | Pdfa) -> str:
+def to_dot(dfa: Dfa) -> str:
     """Graphviz rendering with guard-labelled edges."""
     lines = ["digraph dfa {", "  rankdir=LR;", '  hidden [shape=point, label=""];']
     for s in range(dfa.n_states):

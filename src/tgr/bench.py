@@ -187,7 +187,8 @@ def load_config(path: str | None = None) -> BenchConfig:
 
 
 def goal_pool(domain: Domain, problem: ProblemInstance) -> list[Atom]:
-    """Ground atoms some action can add and the initial state lacks.
+    """Fluents of the problem's goal-free grounding that some action can
+    add and the initial state lacks.
 
     Goal templates draw their targets from this pool. Atoms of
     never-added predicates (static facts) and atoms already true
@@ -205,20 +206,9 @@ def goal_pool(domain: Domain, problem: ProblemInstance) -> list[Atom]:
     for action in domain.actions:
         walk(action.effect)
 
-    by_type = fond._type_table(domain, problem)
-    pool: list[Atom] = []
-    for schema in domain.predicates:
-        if schema.name not in addable:
-            continue
-        slots = [by_type.get(p.type, []) for p in schema.params]
-        for combo in itertools.product(*slots):
-            if len(set(combo)) != len(combo):
-                continue
-            atom = Atom(schema.name, tuple(combo))
-            if atom not in problem.init:
-                pool.append(atom)
-    pool.sort(key=str)
-    return pool
+    return sorted((a for a in fond.goal_free_grounding(domain, problem).fluents
+                   if a.predicate in addable and len(set(a.args)) == len(a.args)
+                   and a not in problem.init), key=str)
 
 
 def _template(name: str, rng: random.Random, pool: list[Atom]) -> Formula:

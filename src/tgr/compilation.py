@@ -8,7 +8,10 @@ steps through its transition table. The builtin planner uses it.
 `compile_goal` encodes the same product as a PDDL task, which is what
 `tgr compile`, `tgr plan` and external planners get. The automaton for
 the goal formula is embedded into the planning task: one zero-ary
-fluent per automaton state, plus a turn-alternation fluent.
+fluent per automaton state, plus a turn-alternation fluent. The
+parametric emission (`emit_pddl(aug, "parametric")`) comes from the same
+builder with the automaton lifted: its fluents and the sync action take
+one parameter per object of the goal, pinned by a static `tracked` fact.
 Every domain action requires the turn fluent and retracts it; a single
 sync action (`trans`) requires it to be false and asserts it, advancing
 the automaton with one conditional effect per transition. Plans therefore
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import automata, fond, logic, planner
-from .automata import Dfa, Pdfa
+from .automata import Dfa
 from .errors import (CompileError, InapplicableActionError,
                      MalformedAlternationError, TgrError)
 from .fond import (ActionSchema, Domain, Effect, Literal, Parameter,
@@ -216,12 +219,18 @@ class GoalProduct:
         return f"{atoms} {q}" if atoms else q
 
 
+def _names(prefix: str, n_states: int) -> tuple[list[str], str, str, str]:
+    """The bookkeeping names under `prefix`: one fluent per automaton
+    state, the turn fluent, the sync action and the `tracked` fact."""
+    return ([f"{prefix}q{i}" for i in range(n_states)], f"{prefix}turnDomain",
+            f"{prefix}trans", f"{prefix}tracked")
+
+
 def _pick_prefix(domain: Domain, n_states: int) -> str:
     taken = {p.name for p in domain.predicates} | {a.name for a in domain.actions}
     for prefix in ("", "sync-", "sync2-"):
-        names = {f"{prefix}q{i}" for i in range(n_states)}
-        names |= {f"{prefix}turnDomain", f"{prefix}trans", f"{prefix}tracked"}
-        if not names & taken:
+        q_names, *others = _names(prefix, n_states)
+        if taken.isdisjoint(q_names + others):
             return prefix
     raise CompileError("cannot find a collision-free name prefix for the "
                        "automaton fluents")
@@ -280,10 +289,6 @@ class AugmentedProblem:
                     out.append(arg)
         return tuple(out)
 
-    @cached_property
-    def pdfa(self) -> Pdfa:
-        return automata.lift(self.dfa, self.objects_of_interest)
-
 
 def compile_goal(domain: Domain, problem: ProblemInstance, formula: Formula,
                  *, goal_id: str = "g0",
@@ -291,23 +296,57 @@ def compile_goal(domain: Domain, problem: ProblemInstance, formula: Formula,
     """Build the augmented domain/problem pair for `formula` and ground it."""
     dfa = goal_dfa(domain, problem, formula, state_cap)
     prefix = _pick_prefix(domain, dfa.n_states)
+    aug_domain, aug_problem = _augment(domain, problem, dfa, prefix, goal_id)
+    q_names, turn_name, sync_name, _ = _names(prefix, dfa.n_states)
+    return AugmentedProblem(
+        base_domain=domain, base_problem=problem, formula=formula,
+        goal_id=goal_id, dfa=dfa, domain=aug_domain, problem=aug_problem,
+        grounded=fond.ground(aug_domain, aug_problem), prefix=prefix,
+        q_atoms=tuple(map(Atom, q_names)), turn_atom=Atom(turn_name),
+        sync_schema=sync_name)
 
-    q_atoms = tuple(Atom(f"{prefix}q{i}") for i in range(dfa.n_states))
-    turn_atom = Atom(f"{prefix}turnDomain")
-    sync_schema = f"{prefix}trans"
+
+def _augment(domain: Domain, problem: ProblemInstance, dfa: Dfa, prefix: str,
+             goal_id: str, objects: tuple[str, ...] | None = None
+             ) -> tuple[Domain, ProblemInstance]:
+    """The augmented domain and problem that embed `dfa` under `prefix`.
+
+    Without `objects` the automaton fluents are zero-ary. Given the
+    objects of interest, the automaton is lifted: its fluents and the
+    sync action take one parameter per object, and a static `tracked`
+    fact over the objects pins the sync parameters to them, so grounding
+    the emitted files yields exactly one sync action and the automaton
+    cannot skip letters.
+    """
+    q_names, turn_name, sync_name, tracked_name = _names(prefix, dfa.n_states)
+    turn = Atom(turn_name)
+    params: tuple[Parameter, ...] = ()
+    tracked: tuple[str, ...] = ()  # the tracked fact's name, when lifted
+    if objects is not None:
+        dfa = automata.lift(dfa, objects)
+        obj_types = dict(problem.objects)
+        params = tuple(Parameter(var, obj_types[obj])
+                       for obj, var in dfa.object_map)
+        tracked = (tracked_name,)
+    variables = tuple(p.name for p in params)
+    args = objects or ()
 
     predicates = list(domain.predicates)
-    predicates.extend(PredicateSchema(a.predicate, ()) for a in q_atoms)
-    predicates.append(PredicateSchema(turn_atom.predicate, ()))
+    predicates.extend(PredicateSchema(name, params) for name in q_names)
+    predicates.append(PredicateSchema(turn_name, ()))
+    predicates.extend(PredicateSchema(name, params) for name in tracked)
 
     actions = [
         ActionSchema(
             name=a.name, params=a.params,
-            precondition=a.precondition + (Literal(turn_atom, True),),
-            effect=eff_and((a.effect, eff_lit(Literal(turn_atom, False)))))
+            precondition=a.precondition + (Literal(turn, True),),
+            effect=eff_and((a.effect, eff_lit(Literal(turn, False)))))
         for a in domain.actions
     ]
-    actions.append(_sync_action(dfa, q_atoms, turn_atom, sync_schema, ()))
+    actions.append(_sync_action(
+        dfa, tuple(Atom(name, variables) for name in q_names), turn,
+        sync_name, params,
+        tuple(Literal(Atom(name, variables), True) for name in tracked)))
 
     requirements = list(domain.requirements)
     for extra in (":negative-preconditions", ":conditional-effects"):
@@ -322,29 +361,24 @@ def compile_goal(domain: Domain, problem: ProblemInstance, formula: Formula,
         actions=tuple(actions),
     )
 
-    accepting = [q_atoms[i] for i in sorted(dfa.accepting)]
+    accepting = [Atom(q_names[i], args) for i in sorted(dfa.accepting)]
     goal = logic.land(
         logic.disj([logic.from_atom(a) for a in accepting]),
-        logic.from_atom(turn_atom))
+        logic.from_atom(turn))
 
     aug_problem = ProblemInstance(
         name=f"{problem.name}-{goal_id}",
         domain_name=aug_domain.name,
         objects=problem.objects,
-        init=problem.init | {q_atoms[0]},
+        init=problem.init | {Atom(name, args) for name in (q_names[0], *tracked)},
         goal=goal,
     )
-
-    return AugmentedProblem(
-        base_domain=domain, base_problem=problem, formula=formula,
-        goal_id=goal_id, dfa=dfa, domain=aug_domain, problem=aug_problem,
-        grounded=fond.ground(aug_domain, aug_problem), prefix=prefix,
-        q_atoms=q_atoms, turn_atom=turn_atom, sync_schema=sync_schema)
+    return aug_domain, aug_problem
 
 
-def _sync_action(dfa: Dfa | Pdfa, q_atoms: tuple[Atom, ...], turn_atom: Atom,
+def _sync_action(dfa: Dfa, q_atoms: tuple[Atom, ...], turn_atom: Atom,
                  name: str, params: tuple[Parameter, ...],
-                 extra_pre: tuple[Literal, ...] = ()) -> ActionSchema:
+                 extra_pre: tuple[Literal, ...]) -> ActionSchema:
     """One conditional effect per DFA transition: entering state t asserts
     q_t and retracts every other state fluent."""
     effects: list[Effect] = [eff_lit(Literal(turn_atom, True))]
@@ -363,71 +397,17 @@ def _sync_action(dfa: Dfa | Pdfa, q_atoms: tuple[Atom, ...], turn_atom: Atom,
         effect=eff_and(effects))
 
 
-def _parametric_pair(aug: AugmentedProblem) -> tuple[Domain, ProblemInstance]:
-    """Rebuild the augmented pair with the objects of interest lifted to
-    parameters of the automaton fluents and of the sync action.
-
-    A static `tracked` fact pins the sync parameters to the objects of
-    interest, so grounding the emitted files yields exactly one sync
-    action and the automaton cannot skip letters."""
-    objs = aug.objects_of_interest
-    obj_types = dict(aug.base_problem.objects)
-    pdfa = aug.pdfa
-    params = tuple(Parameter(var, obj_types[obj])
-                   for obj, var in pdfa.object_map)
-    variables = tuple(var for _, var in pdfa.object_map)
-
-    q_lifted = tuple(Atom(a.predicate, variables) for a in aug.q_atoms)
-    tracked_name = f"{aug.prefix}tracked"
-
-    predicates = list(aug.base_domain.predicates)
-    predicates.extend(PredicateSchema(a.predicate, params) for a in q_lifted)
-    predicates.append(PredicateSchema(aug.turn_atom.predicate, ()))
-    predicates.append(PredicateSchema(tracked_name, params))
-
-    actions = [
-        ActionSchema(
-            name=a.name, params=a.params,
-            precondition=a.precondition + (Literal(aug.turn_atom, True),),
-            effect=eff_and((a.effect, eff_lit(Literal(aug.turn_atom, False)))))
-        for a in aug.base_domain.actions
-    ]
-    actions.append(_sync_action(
-        pdfa, q_lifted, aug.turn_atom, aug.sync_schema, params,
-        extra_pre=(Literal(Atom(tracked_name, variables), True),)))
-
-    domain = Domain(
-        name=aug.domain.name,
-        requirements=aug.domain.requirements,
-        types=aug.base_domain.types,
-        predicates=tuple(predicates),
-        actions=tuple(actions),
-    )
-
-    accepting = [Atom(aug.q_atoms[i].predicate, objs)
-                 for i in sorted(aug.dfa.accepting)]
-    goal = logic.land(
-        logic.disj([logic.from_atom(a) for a in accepting]),
-        logic.from_atom(aug.turn_atom))
-    problem = ProblemInstance(
-        name=aug.problem.name,
-        domain_name=domain.name,
-        objects=aug.base_problem.objects,
-        init=aug.base_problem.init
-        | {Atom(aug.q_atoms[0].predicate, objs), Atom(tracked_name, objs)},
-        goal=goal,
-    )
-    return domain, problem
-
-
 def emit_pddl(aug: AugmentedProblem, mode: str = "grounded") -> tuple[str, str]:
     """Render the augmented task as PDDL text (domain, problem)."""
     if mode == "grounded":
-        return fond.domain_to_pddl(aug.domain), fond.problem_to_pddl(aug.problem)
-    if mode == "parametric":
-        domain, problem = _parametric_pair(aug)
-        return fond.domain_to_pddl(domain), fond.problem_to_pddl(problem)
-    raise CompileError(f"unknown emission mode {mode!r}")
+        domain, problem = aug.domain, aug.problem
+    elif mode == "parametric":
+        domain, problem = _augment(aug.base_domain, aug.base_problem, aug.dfa,
+                                   aug.prefix, aug.goal_id,
+                                   aug.objects_of_interest)
+    else:
+        raise CompileError(f"unknown emission mode {mode!r}")
+    return fond.domain_to_pddl(domain), fond.problem_to_pddl(problem)
 
 
 def write_pddl(aug: AugmentedProblem, out_dir: str, *,
