@@ -98,10 +98,11 @@ class GoalProduct:
     every product over the same base shares, so a base state is
     expanded once however many automaton states and goals pair with it.
     The product keeps the DFA letter of each base state by table id.
-    `explore` keys a product node as `table id * n_dfa_states + q` and
-    builds a node's state only when the policy maps it. A node whose q
-    is a dead DFA state (`Dfa.dead`) is numbered but not expanded: no
-    goal lies beyond it, so the solver would prune all it leads to.
+    The planner searches it a set of table ids per DFA state at a time
+    (see `planner`), so a product holds no per-goal graph, and builds a
+    node's state only when the policy maps it. A node whose q is a dead
+    DFA state (`Dfa.dead`) is numbered but not expanded: no goal lies
+    beyond it, so the solver would prune all it leads to.
     """
 
     def __init__(self, base: fond.GroundedFond, goal: Formula,
@@ -138,61 +139,6 @@ class GoalProduct:
 
     def applicable(self, state: int, action: int) -> bool:
         return self.base.applicable(state & self._low, action)
-
-    def explore(self, state_cap: int,
-                deadline: float | None) -> fond.StateGraph:
-        """The product nodes reachable from `s0`, keyed and expanded as
-        the class docstring says."""
-        table, dfa, shift = self._table, self.dfa, self._shift
-        rows, accepting, dead, nq = (dfa.table, dfa.accepting, dfa.dead,
-                                     dfa.n_states)
-        states, action, out, target = (table.states, table.action,
-                                       table.out, table.target)
-        letters = self._letters()
-        # The base's initial state has table id 0.
-        keys = [self.s0 >> shift]
-        order = {keys[0]: 0}
-
-        def state(node: int) -> int:
-            t, q = divmod(keys[node], nq)
-            return states[t] | q << shift
-
-        graph = fond.StateGraph(state)
-        goal_ids, first_pair, pair_state, pair_action, pair_outcomes = (
-            graph.goal_ids, graph.first_pair, graph.pair_state,
-            graph.pair_action, graph.pair_outcomes)
-        i = 0
-        while i < len(keys):
-            base_id, q = divmod(keys[i], nq)
-            first_pair.append(len(pair_action))
-            i += 1
-            if i % 512 == 0:
-                fond._check_deadline(deadline)
-            if q in accepting:
-                goal_ids.append(i - 1)
-                continue
-            if q in dead:
-                continue
-            pairs = table.pairs_at(base_id)
-            if len(letters) < len(states):
-                letters = self._letters()
-            row = rows[q]
-            for p in pairs:
-                outcomes = []
-                for t in target[out[p]:out[p + 1]]:
-                    succ = t * nq + row[letters[t]]
-                    node = order.get(succ)
-                    if node is None:
-                        if len(keys) >= state_cap:
-                            raise fond._state_cap_error(state_cap)
-                        node = order[succ] = len(keys)
-                        keys.append(succ)
-                    outcomes.append(node)
-                pair_state.append(i - 1)
-                pair_action.append(action[p])
-                pair_outcomes.append(tuple(outcomes))
-        first_pair.append(len(pair_action))
-        return graph
 
     def successors(self, state: int, action: int) -> tuple[int, ...]:
         table = self._table

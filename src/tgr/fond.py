@@ -24,14 +24,16 @@ unconditional adds and deletes, and groups its conditional literals by
 condition, so a condition is evaluated once per `successors` call
 however many literals it guards.
 
-The planner reads a model through `explore`, which numbers the states
-reachable from the initial one and lists their transitions as a
-`StateGraph`. `GroundedFond.explore` derives each state's transitions
-afresh (`transitions`), since a task searched once gains nothing from
-keeping them. A goal-free grounding that several goal products search
-also owns a `TransitionTable`, which derives each state's transitions
-once and keeps them in flat integer arrays, by state id, for every later
-reader. `goal_free_grounding` keeps the last few goal-free groundings of
+The planner reads a grounding through `explore`, which numbers the
+states reachable from the initial one and lists their transitions as a
+`StateGraph`, deriving each state's transitions afresh (`transitions`),
+since a task searched once gains nothing from keeping them. A goal-free
+grounding that several goal products search also owns a
+`TransitionTable`, which derives each state's transitions once and
+keeps them, by state id, for every later reader: flat integer arrays of
+state-action pairs, and the links (successors, incoming pairs, pair
+sources) over which the planner searches a product a set of states at a
+time. `goal_free_grounding` keeps the last few goal-free groundings of
 the process, so every recognition of the same problem shares one
 grounding and its table; `ground` itself always builds a fresh model.
 `Domain` and `ProblemInstance` compute their hash once, so a memo hit
@@ -613,8 +615,8 @@ def _state_cap_error(state_cap: int) -> PlannerCapError:
 
 @dataclass
 class StateGraph:
-    """The part of a state model reachable from its initial state, as the
-    strong-cyclic solver reads it.
+    """The part of a grounding reachable from its initial state, as the
+    strong-cyclic solver reads it (`GroundedFond.explore`).
 
     Nodes are numbered in breadth-first discovery order, node 0 being the
     initial state; `state(i)` is the model state of node i. The pairs of
@@ -622,7 +624,7 @@ class StateGraph:
     pair_action[p] in node pair_state[p] and leads to the nodes
     pair_outcomes[p], in branch order. A node's pairs are in ascending
     action order. `goal_ids` lists the goal nodes, which have no pairs;
-    so has a node from which the model knows no goal can be reached.
+    so has a node where no action applies.
     """
 
     state: Callable[[int], int]
@@ -640,11 +642,10 @@ class StateModel(Protocol):
     States are ints; actions are indices into `actions`, whose `name` is
     the ground action name. `goal` is None for a task without a goal.
     `successors(state, action)` gives one state per nondeterministic
-    branch, in branch order, duplicates merged. The solver reads the
-    model's reachable states through `explore`, which numbers at most
-    `state_cap` of them (PlannerCapError beyond) and checks `deadline`
-    (DeadlineExceeded); `applicable` and `successors` serve the verifier
-    and the walks over a policy.
+    branch, in branch order, duplicates merged. `applicable` and
+    `successors` serve the verifier and the walks over a policy; the
+    solver reads each model's reachable states its own way (see
+    `planner`).
     """
 
     s0: int
@@ -653,9 +654,6 @@ class StateModel(Protocol):
     action_index: dict[str, int]
 
     def applicable(self, state: int, action: int) -> bool: ...
-
-    def explore(self, state_cap: int,
-                deadline: float | None) -> StateGraph: ...
 
     def successors(self, state: int, action: int) -> tuple[int, ...]: ...
 
@@ -744,7 +742,9 @@ class GroundedFond:
 
     def explore(self, state_cap: int, deadline: float | None) -> StateGraph:
         """The states reachable from `s0`, each non-goal state expanded
-        through `transitions`: a model searched once keeps no table."""
+        through `transitions`: a model searched once keeps no table. At
+        most `state_cap` states are numbered (PlannerCapError beyond),
+        and `deadline` is checked every 512 (DeadlineExceeded)."""
         order = {self.s0: 0}
         states = [self.s0]
         graph = StateGraph(states.__getitem__)
@@ -842,6 +842,13 @@ class TransitionTable:
     partial entry for the next reader. An exception raised inside an
     expansion, such as a KeyboardInterrupt, undoes that expansion, since
     the table outlives the search (see `goal_free_grounding`).
+
+    An expansion also fills three links that the planner's set-at-a-time
+    search over goal products reads: `_succ[i]`, the distinct successor
+    ids of state i (None until i is expanded); `_into[i]`, the pairs
+    that lead to state i; and `_source[p]`, the id of the state that
+    pair p applies in. They hold ids in tuples and lists, not sets, to
+    keep the table small; the undo covers them too.
     """
 
     def __init__(self, model: GroundedFond) -> None:
@@ -855,6 +862,9 @@ class TransitionTable:
         self.action = array("i")
         self.out = array("i", [0])
         self.target = array("i")
+        self._succ: list[tuple[int, ...] | None] = []
+        self._into: list[list[int]] = []
+        self._source: list[int] = []
         self._id(model.s0)
 
     def _id(self, state: int) -> int:
@@ -865,6 +875,8 @@ class TransitionTable:
             self.states.append(state)
             self._first.append(-1)
             self._stop.append(-1)
+            self._succ.append(None)
+            self._into.append([])
             self._ids[state] = i
         return i
 
@@ -885,27 +897,45 @@ class TransitionTable:
 
     def _expand(self, state: int, i: int | None) -> range:
         found = self._model.transitions(state)
-        states, action, out, target = (self.states, self.action, self.out,
-                                       self.target)
+        states, action, out, target, into, source = (
+            self.states, self.action, self.out, self.target, self._into,
+            self._source)
         n_states, first, n_targets = len(states), len(action), len(target)
         try:
             if i is None:
                 i = self._id(state)
+            succ = set()
             for ai, succs in found:
+                p = len(action)
                 action.append(ai)
+                source.append(i)
                 for t in succs:
-                    target.append(self._id(t))
+                    t = self._id(t)
+                    target.append(t)
+                    into[t].append(p)
+                    succ.add(t)
                 out.append(len(target))
             self._first[i] = first
             self._stop[i] = len(action)
+            self._succ[i] = tuple(succ)
         except BaseException:
             if i is not None and i < n_states:
                 self._first[i] = -1
+                self._succ[i] = None
+            # A pair of this expansion is numbered `first` or above; the
+            # ids met first here are dropped whole below.
+            for t in set(target[n_targets:]):
+                if t < n_states:
+                    pairs = into[t]
+                    while pairs and pairs[-1] >= first:
+                        pairs.pop()
             for s in states[n_states:]:
                 self._ids.pop(s, None)
             del states[n_states:], self._first[n_states:], \
-                self._stop[n_states:]
-            del action[first:], out[first + 1:], target[n_targets:]
+                self._stop[n_states:], self._succ[n_states:], \
+                into[n_states:]
+            del action[first:], out[first + 1:], target[n_targets:], \
+                source[first:]
             raise
         return range(first, len(action))
 

@@ -157,16 +157,18 @@ def disj(parts: Sequence[Formula]) -> Formula:
 def subformulas(f: Formula) -> list[Formula]:
     """All distinct subformulas in postorder (children before parents)."""
     seen: dict[Formula, None] = {}
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        for c in g.children:
-            walk(c)
-        seen[g] = None
-
-    walk(f)
+    _postorder(f, seen)
     return list(seen)
+
+
+def _postorder(g: Formula, seen: dict[Formula, None]) -> None:
+    # A module-level function, not a closure that calls itself: such a
+    # closure is a reference cycle left to the cyclic collector.
+    if g in seen:
+        return
+    for c in g.children:
+        _postorder(c, seen)
+    seen[g] = None
 
 
 def atoms(f: Formula) -> frozenset[Atom]:

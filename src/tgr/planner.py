@@ -5,36 +5,46 @@ The solver and the verifier read a model through `fond.StateModel`: a
 fluent i holds), or the goal product of `compilation.GoalProduct`. A
 policy maps such states to ground action indices.
 
-The solver works in two stages. First the model explores its reachable
-state space breadth first (`explore`) and returns it as a
-`fond.StateGraph`: states numbered in discovery order, and one
-id-indexed table of state-action pairs holding each pair's state, its
-action, and the ids of its outcomes. The pairs of a state are
-contiguous and in ascending action order. A grounding derives each
-state's transitions afresh; a goal product reads them from the
-transition table its goal-free grounding shares with every other goal
-over it, keys its nodes by table id, builds a node's state only when
-the policy maps it, and does not expand a node whose automaton can no
-longer accept. Second, one path prunes, measures goal distances and
-extracts the policy, whatever the model. The verifier reads only the
-policy's own actions, through `applicable` and `successors`.
+Every model gets the same fixpoint. A state-action pair dies with any of
+its outcomes, and a non-goal state with its last live pair. Then a
+backward breadth-first search from the goals through live pairs gives
+each state its goal distance (each action one step, taking the best
+outcome), and the live states that get none die. The rounds repeat until
+one kills nothing. Surviving pairs reach the goal under the usual
+fairness assumption: every outcome of an action that is tried infinitely
+often occurs infinitely often. The states counted toward `state_cap`
+are every state numbered, goals and dead ends included.
 
-Pruning runs to a fixpoint over reverse edges (target state to the
-pairs that lead into it) and per-state counters of live pairs. A dead
-state kills every pair leading into it, and a state whose counter drops
-to zero dies in turn; dead states are propagated through a worklist.
-Each round then runs one backward BFS from the goals through live pairs,
-and kills the live states that reach no goal. Every round is linear in
-the size of the table, and the search stops after a round that kills
-nothing. Surviving pairs reach the goal under the usual fairness
-assumption: every outcome of an action that is tried infinitely often
-occurs infinitely often.
+Two bodies compute it, one per model, because their costs differ:
 
-The final round's BFS gives each surviving state its goal distance
-(each action one step, taking the best outcome). The extracted policy
-picks, per state, the action whose best outcome is closest to the goal,
-breaking ties by lowest ground-action index. The result is deterministic
-and is checked by `verify_policy` before being returned.
+- A grounding is searched once (`tgr plan`, a compiled task, a classical
+  goal), so its body works a state at a time. `GroundedFond.explore`
+  numbers the reachable states into a `fond.StateGraph`, deriving each
+  state's transitions afresh. The rounds then run over reverse edges,
+  per-state counters of live pairs and a dead-state worklist, each
+  linear in the graph. The deadline is checked every 512 states and
+  once per round.
+- A goal product is searched a set at a time, over the transition table
+  that its goal-free grounding shares with every goal and recognition of
+  the same problem (Cimatti, Pistore, Roveri & Traverso, AIJ 2003, state
+  the fixpoint over sets). A node is a table id t with an automaton
+  state q. Per q, the solver keeps the ids reached with q and the dead
+  pairs of q. Forward reachability unions the table's successor ids and
+  splits them by the automaton step; the dead-pair propagation and the
+  distance search union the table's incoming pairs, less q's dead pairs,
+  one level at a time. The table builds those links once, so a goal
+  pays only for set operations, which run in C. A node whose q accepts
+  is a goal and one whose q can no longer accept (`Dfa.dead`) is dead:
+  both are numbered but not expanded. The deadline is checked once per
+  level and once per round. A grounding has no shared table to amortise
+  the links over, and there exploring state by state is cheaper.
+
+Extraction is shared. From the initial state, the policy maps each
+reachable non-goal state to the action whose best outcome is closest to
+the goal, ties to the lowest ground-action index, and follows that
+action's outcomes in branch order. The result is deterministic and is
+checked by `verify_policy`, which reads only the policy's own actions,
+through `applicable` and `successors`, before being returned.
 """
 
 from __future__ import annotations
@@ -44,6 +54,8 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
+from itertools import chain, compress, filterfalse
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Sequence
 
 from . import fond
 from .errors import (DeadlineExceeded, ExternalPlannerError, PolicyParseError,
@@ -51,7 +63,12 @@ from .errors import (DeadlineExceeded, ExternalPlannerError, PolicyParseError,
 from .fond import GroundedFond, StateModel
 from .logic import Atom
 
+if TYPE_CHECKING:
+    from . import compilation
+
 DEFAULT_STATE_CAP = 500_000
+# A node's policy step: its state, its action and the outcome nodes.
+_Step = tuple[int, int, Sequence[Hashable]]
 
 
 @dataclass
@@ -87,7 +104,41 @@ def solve_strong_cyclic(grounded: StateModel, *,
         raise UnsolvableError("planning task has no goal")
     if grounded.is_goal(grounded.s0):
         return Policy(grounded, {})
-    graph = grounded.explore(state_cap, deadline)
+    if isinstance(grounded, GroundedFond):
+        start, choose = _graph_rounds(grounded.explore(state_cap, deadline),
+                                      deadline)
+    else:
+        start, choose = _product_rounds(grounded, state_cap, deadline)
+
+    mapping: dict[int, int] = {}
+    closure = [start]
+    seen = {start}
+    for node in closure:
+        step = choose(node)
+        if step is None:
+            continue
+        state, action, outcomes = step
+        mapping[state] = action
+        for t in outcomes:
+            if t not in seen:
+                seen.add(t)
+                closure.append(t)
+
+    policy = Policy(grounded, mapping)
+    report = verify_policy(policy)
+    if not report.ok:  # pragma: no cover - solver internal invariant
+        raise UnsolvableError(f"extracted policy failed verification: "
+                              f"{report.reason}")
+    return policy
+
+
+_PRUNED = "no strong-cyclic policy: the initial state was pruned"
+
+
+def _graph_rounds(graph: fond.StateGraph, deadline: float | None
+                  ) -> tuple[int, Callable[[int], _Step | None]]:
+    """The fixpoint over a `fond.StateGraph`, a node at a time. Returns
+    the initial node and the policy step of a node (None at a goal)."""
     goal_ids, first_pair, pair_state, pair_action, pair_outcomes = (
         graph.goal_ids, graph.first_pair, graph.pair_state,
         graph.pair_action, graph.pair_outcomes)
@@ -143,36 +194,206 @@ def solve_strong_cyclic(grounded: StateModel, *,
             break
 
     if not live[0]:
-        raise UnsolvableError(
-            "no strong-cyclic policy: the initial state was pruned")
+        raise UnsolvableError(_PRUNED)
 
-    mapping: dict[int, int] = {}
-    closure = [0]
-    seen = {0}
-    ci = 0
-    while ci < len(closure):
-        s = closure[ci]
-        ci += 1
+    def choose(s: int) -> _Step | None:
         if is_goal[s]:
-            continue
+            return None
         best: tuple[int, int] | None = None
         for p in range(first_pair[s], first_pair[s + 1]):
             if alive[p]:
                 key = (min(dist[t] for t in pair_outcomes[p]), pair_action[p])
                 if best is None or key < best:
                     best, chosen = key, p
-        mapping[graph.state(s)] = pair_action[chosen]
-        for t in pair_outcomes[chosen]:
-            if t not in seen:
-                seen.add(t)
-                closure.append(t)
+        return graph.state(s), pair_action[chosen], pair_outcomes[chosen]
 
-    policy = Policy(grounded, mapping)
-    report = verify_policy(policy)
-    if not report.ok:  # pragma: no cover - solver internal invariant
-        raise UnsolvableError(f"extracted policy failed verification: "
-                              f"{report.reason}")
-    return policy
+    return 0, choose
+
+
+def _product_rounds(product: compilation.GoalProduct, state_cap: int,
+                    deadline: float | None
+                    ) -> tuple[tuple[int, int],
+                               Callable[[tuple[int, int]], _Step | None]]:
+    """The same fixpoint over a goal product, a set of base ids at a time,
+    over the links of the base's `fond.TransitionTable`. A node is
+    (table id t, automaton state q). Returns what `_graph_rounds` does."""
+    table, dfa = product.base.transition_table, product.dfa
+    rows, accepting, nq = dfa.table, dfa.accepting, dfa.n_states
+    states, succ, into, source = (table.states, table._succ, table._into,
+                                  table._source)
+    first, stop = table._first, table._stop
+
+    def spans(ids: tuple[int, ...]) -> Iterator[range]:
+        """The pairs of each expanded id, as ranges, in order."""
+        return map(range, map(first.__getitem__, ids),
+                   map(stop.__getitem__, ids))
+
+    # The automaton states whose nodes have pairs: a node whose q accepts
+    # is a goal, and one whose q is dead (`Dfa.dead`) has none.
+    expanded = {q for q in range(nq)
+                if q not in accepting and q not in dfa.dead}
+    # The outcome of a pair of (t, q) into t' is (t', rows[q][letter]),
+    # the letter being t''s. Per q, usual[q] is the most common target,
+    # and other[q][q2] holds the ids whose letter moves q to another q2,
+    # filled as the table grows.
+    usual = [max(set(row), key=row.count) for row in rows]
+    moves: list[list[tuple[int, int]]] = [[] for _ in rows[0]]
+    other: list[dict[int, set[int]]] = [{} for _ in rows]
+    for q in expanded:
+        for letter, q2 in enumerate(rows[q]):
+            if q2 != usual[q]:
+                moves[letter].append((q, q2))
+                other[q][q2] = set()
+    letters: list[int] = []
+
+    # Forward: the ids reached with each q, one breadth-first level at a
+    # time. Every numbered node counts toward the cap, which is checked
+    # before the level that crosses it is expanded.
+    q0 = product.s0 >> product._shift
+    reached: list[set[int]] = [set() for _ in rows]
+    reached[q0].add(0)
+    total = 1
+    level = {q0: {0}}
+    while level:
+        fond._check_deadline(deadline)
+        nxt: dict[int, set[int]] = {}
+        for q, ids in level.items():
+            if q not in expanded:
+                continue
+            try:
+                rest = set(chain.from_iterable(map(succ.__getitem__, ids)))
+            except TypeError:  # some id is not expanded yet
+                for t in ids:
+                    if succ[t] is None:
+                        table.pairs_at(t)
+                rest = set(chain.from_iterable(map(succ.__getitem__, ids)))
+            if len(letters) < len(states):
+                n = len(letters)
+                letters = product._letters()
+                for t in range(n, len(letters)):
+                    for q1, q2 in moves[letters[t]]:
+                        other[q1][q2].add(t)
+            for q2, cls in other[q].items():
+                part = rest & cls
+                if part:
+                    rest -= part
+                    nxt.setdefault(q2, set()).update(part - reached[q2])
+            q2 = usual[q]
+            nxt.setdefault(q2, set()).update(rest - reached[q2])
+        level = {}
+        for q2, ids in nxt.items():
+            if ids:
+                reached[q2] |= ids
+                total += len(ids)
+                level[q2] = ids
+        if level and total > state_cap:
+            raise fond._state_cap_error(state_cap)
+
+    # entering[q2] lists (q, cls, keep) per q whose nodes have pairs into
+    # nodes of q2: into those whose ids are in cls (keep) or not in it
+    # (not keep), or into all of them (cls None).
+    entering: list[list[tuple[int, set[int] | None, bool]]] = [
+        [] for _ in rows]
+    for q in expanded:
+        if reached[q]:
+            for q2, cls in other[q].items():
+                entering[q2].append((q, cls, True))
+            entering[usual[q]].append(
+                (q, set(chain.from_iterable(other[q].values())) or None,
+                 False))
+
+    # Per q: its dead nodes, and the dead pairs of its nodes.
+    dead_ids: list[set[int]] = [set() for _ in rows]
+    dead_pairs: list[set[int]] = [set() for _ in rows]
+    for q in dfa.dead:
+        dead_ids[q] = reached[q]
+    for q in expanded:
+        dead_ids[q] = set(filterfalse(succ.__getitem__, reached[q]))
+    work = [(q, ids) for q, ids in enumerate(dead_ids) if ids]
+    goals = {q: reached[q] for q in accepting if reached[q]}
+
+    while True:
+        fond._check_deadline(deadline)
+        # A pair dies with any of its outcomes; a node dies with its last
+        # live pair.
+        while work:
+            q2, ids = work.pop()
+            for q, cls, keep in entering[q2]:
+                hit = ids if cls is None else ids & cls if keep else ids - cls
+                gone = dead_pairs[q]
+                new = set(filterfalse(gone.__contains__, chain.from_iterable(
+                    map(into.__getitem__, hit))))
+                if not new:
+                    continue
+                gone |= new
+                nodes = set(map(source.__getitem__, new))
+                nodes &= reached[q]
+                nodes = tuple(nodes - dead_ids[q])
+                died = set(compress(nodes, map(gone.issuperset,
+                                               spans(nodes))))
+                if died:
+                    dead_ids[q] |= died
+                    work.append((q, died))
+        # Goal distances through live pairs, one level at a time: dist[q]
+        # maps the ids of the nodes of q that have one, goals aside. A live
+        # node that gets none reaches no goal and dies.
+        todo = [reached[q] - dead_ids[q] if q in expanded else set()
+                for q in range(nq)]
+        dist: list[dict[int, int]] = [{} for _ in rows]
+        level, d = goals, 0
+        while level:
+            d += 1
+            nxt = {}
+            for q2, ids in level.items():
+                for q, cls, keep in entering[q2]:
+                    if not todo[q]:
+                        continue
+                    hit = (ids if cls is None else ids & cls if keep
+                           else ids - cls)
+                    live = chain.from_iterable(map(into.__getitem__, hit))
+                    if dead_pairs[q]:
+                        live = filterfalse(dead_pairs[q].__contains__, live)
+                    found = todo[q].intersection(map(source.__getitem__,
+                                                     live))
+                    if found:
+                        todo[q] -= found
+                        dist[q].update(dict.fromkeys(found, d))
+                        nxt.setdefault(q, set()).update(found)
+            level = nxt
+        for q in expanded:
+            lost = todo[q]
+            if lost:
+                dead_pairs[q].update(chain.from_iterable(spans(tuple(lost))))
+                dead_ids[q] |= lost
+                work.append((q, lost))
+        if not work:
+            break
+
+    if 0 in dead_ids[q0]:
+        raise UnsolvableError(_PRUNED)
+
+    action, out, target = table.action, table.out, table.target
+    shift = product._shift
+
+    def choose(node: tuple[int, int]) -> _Step | None:
+        # The first live pair, in action order, with an outcome one step
+        # nearer the goals than the node is the pair whose best outcome is
+        # nearest, ties to the lowest action index; a live node has one.
+        t, q = node
+        if q in accepting:
+            return None
+        nearer, row, gone = dist[q][t] - 1, rows[q], dead_pairs[q]
+        for p in range(first[t], stop[t]):
+            if p not in gone:
+                for u in target[out[p]:out[p + 1]]:
+                    q2 = row[letters[u]]
+                    if (0 if q2 in accepting else dist[q2].get(u)) == nearer:
+                        return (states[t] | q << shift, action[p],
+                                [(u, row[letters[u]])
+                                 for u in target[out[p]:out[p + 1]]])
+        return None  # pragma: no cover - unreachable, as said above
+
+    return (0, q0), choose
 
 
 def verify_policy(policy: Policy) -> PolicyReport:

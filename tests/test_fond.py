@@ -213,3 +213,50 @@ def test_parsed_models_keep_their_hash_but_compare_by_value():
     copy = pickle.loads(pickle.dumps(dom))
     assert "_hash" not in vars(copy) and copy == dom
     assert hash(copy) == hash(dom)
+
+
+class Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt, which pytest itself acts on."""
+
+
+def filled(table):
+    """`table` with every state it reaches expanded, in id order; its
+    arrays and the links the planner's product search reads."""
+    i = 0
+    while i < len(table.states):
+        table.pairs_at(i)
+        i += 1
+    return (table.states, table.action, table.out, table.target,
+            table._succ, table._into, table._source)
+
+
+def test_an_interrupted_expansion_is_undone_links_included(monkeypatch):
+    # Putting a block down returns to a known state, so an expansion
+    # links known ids as well as new ones. Interrupted at any id lookup,
+    # the table is left as if the expansion had not begun, and filling
+    # it afterwards gives the table a cold fill gives.
+    dom = fond.parse_domain(BLOCKS.domain_text)
+    prob = dataclasses.replace(fond.parse_problem(BLOCKS.problem_text),
+                               goal=None)
+    g = fond.ground(dom, prob)
+    cold = filled(fond.TransitionTable(g))
+    real = fond.TransitionTable._id
+    calls = []
+
+    def interrupting(self, state):
+        calls.append(state)
+        if len(calls) == cut:
+            raise Interrupt
+        return real(self, state)
+
+    monkeypatch.setattr(fond.TransitionTable, "_id", interrupting)
+    cut = 0
+    filled(fond.TransitionTable(g))
+    total = len(calls)
+    assert total > len(cold[0])
+    for cut in range(2, total + 1):
+        calls.clear()
+        table = fond.TransitionTable(g)
+        with pytest.raises(Interrupt):
+            filled(table)
+        assert filled(table) == cold

@@ -56,6 +56,13 @@ def goal_free_tireworld():
     return fond.ground(g.domain, dataclasses.replace(g.problem, goal=None))
 
 
+def test_deadline_checked_during_product_search():
+    product = compilation.GoalProduct(goal_free_tireworld(),
+                                      logic.parse_formula("F((vAt 22))"))
+    with pytest.raises(DeadlineExceeded):
+        planner.solve_strong_cyclic(product, deadline=time.monotonic() - 1.0)
+
+
 def test_single_use_models_hold_no_transition_table():
     # The `tgr plan` route, a compiled temporal goal, and a classical goal
     # on a goal-free grounding: each model is searched once, so none of

@@ -12,7 +12,8 @@ on the tasks' own goals and on temporal goals compiled into them. Also
 checked: the goal model read off the walk against the one reduced from
 the enumerated executions; the on-the-fly goal product against the
 compiled task, whose grounding must extend the goal-free one for its
-policies to translate onto the product; goals solved one after another
+policies to translate onto the product; the product's state cap against
+the nodes a breadth-first search numbers; goals solved one after another
 on one shared goal-free grounding against each goal solved alone; and a
 recognition on the process's memoized grounding against the same
 recognition on a fresh one.
@@ -282,6 +283,48 @@ def test_goal_product_solver_agrees_with_reference(task, data):
         except CompileError:
             continue
         assert_agrees_with_reference(product, planner.DEFAULT_STATE_CAP)
+
+
+def numbered_nodes(product):
+    """The product states a breadth-first search from s0 numbers: goal
+    states and dead-automaton states are numbered but not expanded."""
+    shift = len(product.base.fluents)
+    queue, seen = [product.s0], {product.s0}
+    for state in queue:
+        if product.is_goal(state) or state >> shift in product.dfa.dead:
+            continue
+        for ai in range(len(product.actions)):
+            if product.applicable(state, ai):
+                for succ in product.successors(state, ai):
+                    if succ not in seen:
+                        seen.add(succ)
+                        queue.append(succ)
+    return len(queue)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.data())
+def test_goal_product_state_cap_is_the_numbered_node_count(task, data):
+    # Whatever order the solver numbers nodes in, it stops at the same
+    # cap: a search that numbers N nodes passes at cap N and fails at
+    # N - 1 (a lone initial node numbers nothing new, and fails at no cap).
+    domain, problem = (fond.parse_domain(task[0]),
+                       fond.parse_problem(task[1]))
+    a, b = draw_goal_atoms(domain, data)
+    for template in TEMPORAL_GOALS:
+        base = fond.ground(domain, dataclasses.replace(problem, goal=None))
+        try:
+            product = compilation.GoalProduct(base, template(a, b))
+        except CompileError:
+            continue
+        if product.is_goal(product.s0):
+            continue
+        n = numbered_nodes(product)
+        if n > 1:
+            with pytest.raises(PlannerCapError):
+                planner.solve_strong_cyclic(product, state_cap=n - 1)
+        assert outcome(planner.solve_strong_cyclic, product, n) \
+            is not PlannerCapError
 
 
 @settings(max_examples=200, deadline=None)

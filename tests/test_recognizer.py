@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -250,7 +251,46 @@ def test_an_interrupted_recognition_leaves_the_memo_intact(monkeypatch,
         calls.clear()
         with pytest.raises(Interrupt):
             recognizer.analyze(rp)
+        assert_links_match_the_pairs(fond.goal_free_grounding(
+            rp.domain, rp.problem).transition_table)
         assert recognizer.analyze(rp).models == cold
+
+
+def assert_links_match_the_pairs(table):
+    """The links the planner's product search reads are the ones the
+    table's pairs imply, as after an uninterrupted fill."""
+    n, pairs = len(table.states), len(table.action)
+    assert len(table._succ) == len(table._into) == n
+    assert len(table._source) == pairs == len(table.out) - 1
+    into = [[] for _ in range(n)]
+    for i in range(n):
+        if table._first[i] < 0:
+            assert table._succ[i] is None
+            continue
+        targets = set()
+        for p in table.pairs_at(i):
+            assert table._source[p] == i
+            for t in table.target[table.out[p]:table.out[p + 1]]:
+                into[t].append(p)
+                targets.add(t)
+        assert sorted(table._succ[i]) == sorted(targets)
+    assert table._into == into
+
+
+def test_a_warm_recognition_leaves_no_reference_cycles():
+    # Cyclic garbage waits for the cyclic collector; a recognition whose
+    # automata and grounding are memoized should make none.
+    rp = recognizer.load_bundle(EX1)
+    recognizer.recognize(rp)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        recognizer.recognize(rp)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_analyses_build_each_automaton_once(monkeypatch):
