@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -102,6 +103,57 @@ def test_plan_with_temporal_goal(tireworld_files, tmp_path, capsys):
     assert rc == 0
     assert captured.out == ""
     assert "(move 11 21)" in out.read_text()
+
+
+DATA = os.path.join(os.path.dirname(tgr.__file__), "data")
+
+# sha256 of `tgr plan` stdout, and its stderr, per bundled p01 problem with
+# its own goal ("") or per --goal on triangle-tireworld.
+PINNED_PLANS = {
+    ("triangle-tireworld", ""): (
+        "37cc94920d2670cdd39c471ec917900a26a28dd15b063e6e1befd7bf83ee2e1d",
+        "policy: 4 states\n"),
+    ("blocks-world", ""): (
+        "3afe93ed77226e39ca12db047f690929d17a580ffb0f7d6e0baa27d4b7beda6d",
+        "policy: 2 states\n"),
+    ("logistics", ""): (
+        "b916dfb0dc6bb568a19c1bfc0a332e719ebdbc65f110ea4de31fba883838a6a0",
+        "policy: 4 states\n"),
+    ("triangle-tireworld", "(vAt 22)"): (
+        "37cc94920d2670cdd39c471ec917900a26a28dd15b063e6e1befd7bf83ee2e1d",
+        "policy: 4 states\n"),
+    ("triangle-tireworld", "vAt_22 & !vAt_11"): (
+        "37cc94920d2670cdd39c471ec917900a26a28dd15b063e6e1befd7bf83ee2e1d",
+        "policy: 4 states\n"),
+    ("triangle-tireworld", "F(vAt_21 & X(F(vAt_22)))"): (
+        "dd4a0efc85952e72660e7dd133e516e973f58c76c69ebea91dca7a147a1a86d3",
+        "policy: 12 states\n"),
+}
+
+
+def plan_argv(dataset, *extra):
+    return ["plan", "--domain", os.path.join(DATA, dataset, "domain.pddl"),
+            "--problem", os.path.join(DATA, dataset, "p01.pddl"), *extra]
+
+
+def test_plan_output_is_pinned(capsys):
+    got = {}
+    for dataset, goal in PINNED_PLANS:
+        rc = cli.main(plan_argv(dataset, *(["--goal", goal] if goal else [])))
+        captured = capsys.readouterr()
+        assert rc == 0
+        got[dataset, goal] = (
+            hashlib.sha256(captured.out.encode()).hexdigest(), captured.err)
+    assert got == PINNED_PLANS
+
+
+@pytest.mark.parametrize("extra, err", [
+    (["--state-cap", "2"], "error: reachable state space exceeded 2 states\n"),
+    (["--goal", "(vAt 99)"], "error: unknown atom (vAt 99) in goal\n"),
+])
+def test_plan_errors_are_pinned(extra, err, capsys):
+    assert cli.main(plan_argv("triangle-tireworld", *extra)) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_plan_unsolvable_exits_2(tmp_path, capsys):
