@@ -95,17 +95,15 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     domain, problem = _read_task(args)
     if args.goal is not None:
-        formula = logic.parse_formula(args.goal)
-        if logic.is_propositional(formula):
-            grounded = fond.ground(
-                domain, dataclasses.replace(problem, goal=formula))
-        else:
-            grounded = compilation.compile_goal(domain, problem,
-                                                formula).grounded
+        goal = logic.parse_formula(args.goal)
+    elif problem.goal is None:
+        raise TgrError("the problem has no goal; pass one with --goal")
     else:
-        if problem.goal is None:
-            raise TgrError("the problem has no goal; pass one with --goal")
-        grounded = fond.ground(domain, problem)
+        goal = problem.goal
+    if logic.is_propositional(goal):
+        grounded = fond.goal_free_grounding(domain, problem).with_goal(goal)
+    else:
+        grounded = compilation.compile_goal(domain, problem, goal).grounded
 
     solve = recognizer._resolve_planner(args.planner, args.state_cap,
                                         _deadline(args.deadline))

@@ -24,12 +24,11 @@ unconditional adds and deletes, and groups its conditional literals by
 condition, so a condition is evaluated once per `successors` call
 however many literals it guards.
 
-The planner reads a grounding through `explore`, which numbers the
-states reachable from the initial one and lists their transitions as a
-`StateGraph`, deriving each state's transitions afresh (`transitions`),
-since a task searched once gains nothing from keeping them. A goal-free
-grounding that several goal products search also owns a
-`TransitionTable`, which derives each state's transitions once and
+The planner numbers the states of a grounding reachable from its
+initial one itself, deriving each state's transitions afresh
+(`transitions`), since a task searched once gains nothing from keeping
+them. A goal-free grounding that several goal products search also owns
+a `TransitionTable`, which derives each state's transitions once and
 keeps them, by state id, for every later reader: flat integer arrays of
 state-action pairs, and the links (successors, incoming pairs, pair
 sources) over which the planner searches a product a set of states at a
@@ -48,7 +47,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
-from typing import Callable, Protocol
+from typing import Protocol
 
 from . import logic
 from .errors import (DeadlineExceeded, GroundingCapError,
@@ -613,28 +612,6 @@ def _state_cap_error(state_cap: int) -> PlannerCapError:
     return PlannerCapError(f"reachable state space exceeded {state_cap} states")
 
 
-@dataclass
-class StateGraph:
-    """The part of a grounding reachable from its initial state, as the
-    strong-cyclic solver reads it (`GroundedFond.explore`).
-
-    Nodes are numbered in breadth-first discovery order, node 0 being the
-    initial state; `state(i)` is the model state of node i. The pairs of
-    node s are first_pair[s] .. first_pair[s + 1] - 1: pair p applies
-    pair_action[p] in node pair_state[p] and leads to the nodes
-    pair_outcomes[p], in branch order. A node's pairs are in ascending
-    action order. `goal_ids` lists the goal nodes, which have no pairs;
-    so has a node where no action applies.
-    """
-
-    state: Callable[[int], int]
-    goal_ids: list[int] = field(default_factory=list)
-    first_pair: list[int] = field(default_factory=list)
-    pair_state: list[int] = field(default_factory=list)
-    pair_action: list[int] = field(default_factory=list)
-    pair_outcomes: list[tuple[int, ...]] = field(default_factory=list)
-
-
 class StateModel(Protocol):
     """The state model the planner and the execution enumerator search:
     `GroundedFond`, or the goal product of `compilation.GoalProduct`.
@@ -644,8 +621,8 @@ class StateModel(Protocol):
     `successors(state, action)` gives one state per nondeterministic
     branch, in branch order, duplicates merged. `applicable` and
     `successors` serve the verifier and the walks over a policy; the
-    solver reads each model's reachable states its own way (see
-    `planner`).
+    solver reads a grounding through `GroundedFond.transitions` and a
+    goal product through its base's `TransitionTable` (see `planner`).
     """
 
     s0: int
@@ -732,50 +709,15 @@ class GroundedFond:
         return found
 
     def transitions(self, state: int) -> list[tuple[int, tuple[int, ...]]]:
-        """`(action, successors)` per applicable action, derived afresh:
-        single-use models hold no table."""
+        """`(action, successors)` per applicable action, in ascending
+        action order, derived afresh: the planner expands a grounding it
+        searches once through this, and `TransitionTable` keeps what it
+        returns for a goal-free grounding that many goals share."""
         actions, outcomes = self.actions, self._outcomes
         found = []
         for ai in self.applicable_actions(state):
             found.append((ai, outcomes(state, actions[ai])))
         return found
-
-    def explore(self, state_cap: int, deadline: float | None) -> StateGraph:
-        """The states reachable from `s0`, each non-goal state expanded
-        through `transitions`: a model searched once keeps no table. At
-        most `state_cap` states are numbered (PlannerCapError beyond),
-        and `deadline` is checked every 512 (DeadlineExceeded)."""
-        order = {self.s0: 0}
-        states = [self.s0]
-        graph = StateGraph(states.__getitem__)
-        goal_ids, first_pair, pair_state, pair_action, pair_outcomes = (
-            graph.goal_ids, graph.first_pair, graph.pair_state,
-            graph.pair_action, graph.pair_outcomes)
-        i = 0
-        while i < len(states):
-            state = states[i]
-            first_pair.append(len(pair_action))
-            i += 1
-            if i % 512 == 0:
-                _check_deadline(deadline)
-            if self.is_goal(state):
-                goal_ids.append(i - 1)
-                continue
-            for ai, succs in self.transitions(state):
-                outcomes = []
-                for succ in succs:
-                    t = order.get(succ)
-                    if t is None:
-                        if len(states) >= state_cap:
-                            raise _state_cap_error(state_cap)
-                        t = order[succ] = len(states)
-                        states.append(succ)
-                    outcomes.append(t)
-                pair_state.append(i - 1)
-                pair_action.append(ai)
-                pair_outcomes.append(tuple(outcomes))
-        first_pair.append(len(pair_action))
-        return graph
 
     @cached_property
     def transition_table(self) -> TransitionTable:

@@ -18,12 +18,12 @@ are every state numbered, goals and dead ends included.
 Two bodies compute it, one per model, because their costs differ:
 
 - A grounding is searched once (`tgr plan`, a compiled task, a classical
-  goal), so its body works a state at a time. `GroundedFond.explore`
-  numbers the reachable states into a `fond.StateGraph`, deriving each
-  state's transitions afresh. The rounds then run over reverse edges,
-  per-state counters of live pairs and a dead-state worklist, each
-  linear in the graph. The deadline is checked every 512 states and
-  once per round.
+  goal), so its body works a state at a time. It numbers the reachable
+  states breadth-first, deriving each state's transitions afresh
+  (`GroundedFond.transitions`); a goal state is numbered but not
+  expanded. The rounds then run over reverse edges, per-state counters
+  of live pairs and a dead-state worklist, each linear in the graph.
+  The deadline is checked every 512 states and once per round.
 - A goal product is searched a set at a time, over the transition table
   that its goal-free grounding shares with every goal and recognition of
   the same problem (Cimatti, Pistore, Roveri & Traverso, AIJ 2003, state
@@ -39,12 +39,15 @@ Two bodies compute it, one per model, because their costs differ:
   level and once per round. A grounding has no shared table to amortise
   the links over, and there exploring state by state is cheaper.
 
-Extraction is shared. From the initial state, the policy maps each
-reachable non-goal state to the action whose best outcome is closest to
-the goal, ties to the lowest ground-action index, and follows that
-action's outcomes in branch order. The result is deterministic and is
-checked by `verify_policy`, which reads only the policy's own actions,
-through `applicable` and `successors`, before being returned.
+Both bodies extract the policy by one rule. From the initial state, the
+policy maps each reachable non-goal state to its first live pair, in
+action order, that has an outcome one step nearer the goals, and
+follows that action's outcomes in branch order. A live state's distance
+is one more than its nearest live outcome's, so this is the action
+whose best outcome is closest to the goal, ties to the lowest
+ground-action index. The result is deterministic and is checked by
+`verify_policy`, which reads only the policy's own actions, through
+`applicable` and `successors`, before being returned.
 """
 
 from __future__ import annotations
@@ -105,8 +108,7 @@ def solve_strong_cyclic(grounded: StateModel, *,
     if grounded.is_goal(grounded.s0):
         return Policy(grounded, {})
     if isinstance(grounded, GroundedFond):
-        start, choose = _graph_rounds(grounded.explore(state_cap, deadline),
-                                      deadline)
+        start, choose = _graph_rounds(grounded, state_cap, deadline)
     else:
         start, choose = _product_rounds(grounded, state_cap, deadline)
 
@@ -135,15 +137,51 @@ def solve_strong_cyclic(grounded: StateModel, *,
 _PRUNED = "no strong-cyclic policy: the initial state was pruned"
 
 
-def _graph_rounds(graph: fond.StateGraph, deadline: float | None
+def _graph_rounds(grounded: GroundedFond, state_cap: int,
+                  deadline: float | None
                   ) -> tuple[int, Callable[[int], _Step | None]]:
-    """The fixpoint over a `fond.StateGraph`, a node at a time. Returns
-    the initial node and the policy step of a node (None at a goal)."""
-    goal_ids, first_pair, pair_state, pair_action, pair_outcomes = (
-        graph.goal_ids, graph.first_pair, graph.pair_state,
-        graph.pair_action, graph.pair_outcomes)
+    """The fixpoint over a grounding, a state at a time. Returns the
+    initial node and the policy step of a node (None at a goal)."""
+    # Number the reachable states breadth-first, node 0 being `s0`. The
+    # pairs of node s are first_pair[s] .. first_pair[s + 1] - 1, in
+    # ascending action order: pair p applies pair_action[p] in node
+    # pair_state[p] and leads to the nodes pair_outcomes[p], in branch
+    # order. A goal node is numbered but not expanded.
+    is_goal_state, transitions = grounded.is_goal, grounded.transitions
+    order = {grounded.s0: 0}
+    states = [grounded.s0]
+    goal_ids: list[int] = []
+    first_pair: list[int] = []
+    pair_state: list[int] = []
+    pair_action: list[int] = []
+    pair_outcomes: list[tuple[int, ...]] = []
+    i = 0
+    while i < len(states):
+        state = states[i]
+        first_pair.append(len(pair_action))
+        i += 1
+        if i % 512 == 0:
+            fond._check_deadline(deadline)
+        if is_goal_state(state):
+            goal_ids.append(i - 1)
+            continue
+        for ai, succs in transitions(state):
+            outcomes = []
+            for succ in succs:
+                t = order.get(succ)
+                if t is None:
+                    if len(states) >= state_cap:
+                        raise fond._state_cap_error(state_cap)
+                    t = order[succ] = len(states)
+                    states.append(succ)
+                outcomes.append(t)
+            pair_state.append(i - 1)
+            pair_action.append(ai)
+            pair_outcomes.append(tuple(outcomes))
+    first_pair.append(len(pair_action))
+    del order  # the rounds look no state up; free it before they run
 
-    n = len(first_pair) - 1
+    n = len(states)
     into: list[list[int]] = [[] for _ in range(n)]
     for p, outcomes in enumerate(pair_outcomes):
         for t in outcomes:
@@ -199,13 +237,11 @@ def _graph_rounds(graph: fond.StateGraph, deadline: float | None
     def choose(s: int) -> _Step | None:
         if is_goal[s]:
             return None
-        best: tuple[int, int] | None = None
+        nearer = dist[s] - 1
         for p in range(first_pair[s], first_pair[s + 1]):
-            if alive[p]:
-                key = (min(dist[t] for t in pair_outcomes[p]), pair_action[p])
-                if best is None or key < best:
-                    best, chosen = key, p
-        return graph.state(s), pair_action[chosen], pair_outcomes[chosen]
+            if alive[p] and nearer in map(dist.__getitem__, pair_outcomes[p]):
+                return states[s], pair_action[p], pair_outcomes[p]
+        return None  # pragma: no cover - a live node has such a pair
 
     return 0, choose
 
@@ -376,9 +412,6 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
     shift = product._shift
 
     def choose(node: tuple[int, int]) -> _Step | None:
-        # The first live pair, in action order, with an outcome one step
-        # nearer the goals than the node is the pair whose best outcome is
-        # nearest, ties to the lowest action index; a live node has one.
         t, q = node
         if q in accepting:
             return None
@@ -391,7 +424,7 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
                         return (states[t] | q << shift, action[p],
                                 [(u, row[letters[u]])
                                  for u in target[out[p]:out[p + 1]]])
-        return None  # pragma: no cover - unreachable, as said above
+        return None  # pragma: no cover - a live node has such a pair
 
     return (0, q0), choose
 

@@ -156,6 +156,20 @@ def test_plan_errors_are_pinned(extra, err, capsys):
     assert capsys.readouterr() == ("", err)
 
 
+def test_plan_grounds_a_problem_once_per_process(monkeypatch, capsys):
+    grounded = []
+
+    def counting(dom, prob, ground=fond.ground):
+        grounded.append(prob)
+        return ground(dom, prob)
+
+    monkeypatch.setattr(fond, "ground", counting)
+    for goal in ([], ["--goal", "(vAt 21)"]):
+        assert cli.main(plan_argv("triangle-tireworld", *goal)) == 0
+    capsys.readouterr()
+    assert len(grounded) == 1 and grounded[0].goal is None
+
+
 def test_plan_unsolvable_exits_2(tmp_path, capsys):
     domain = tmp_path / "domain.pddl"
     trap = tmp_path / "trap.pddl"

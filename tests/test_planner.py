@@ -63,6 +63,33 @@ def test_deadline_checked_during_product_search():
         planner.solve_strong_cyclic(product, deadline=time.monotonic() - 1.0)
 
 
+def test_deadline_checked_while_a_grounding_is_numbered(monkeypatch):
+    # The compiled task expands 3 084 states; the deadline is checked
+    # every 512 numbered states, not only once per fixpoint round.
+    blocks = " ".join(f"b{i}" for i in range(1, 6))
+    init = " ".join(f"(ontable b{i}) (clear b{i})" for i in range(1, 6))
+    problem = fond.parse_problem(
+        f"(define (problem bw-5) (:domain blocks-world) "
+        f"(:objects {blocks} - block) (:init (emptyhand) {init}))")
+    aug = compilation.compile_goal(
+        fond.parse_domain(BLOCKS.domain_text), problem,
+        logic.parse_formula("F(on_b1_b2 & X(F(on_b3_b1)))"))
+    calls = []
+
+    def counting(self, state, transitions=fond.GroundedFond.transitions):
+        calls.append(state)
+        return transitions(self, state)
+
+    monkeypatch.setattr(fond.GroundedFond, "transitions", counting)
+    with pytest.raises(DeadlineExceeded):
+        planner.solve_strong_cyclic(aug.grounded,
+                                    deadline=time.monotonic() - 1.0)
+    assert 0 < len(calls) <= 512
+    calls.clear()
+    planner.solve_strong_cyclic(aug.grounded)
+    assert len(calls) == 3084
+
+
 def test_single_use_models_hold_no_transition_table():
     # The `tgr plan` route, a compiled temporal goal, and a classical goal
     # on a goal-free grounding: each model is searched once, so none of
