@@ -147,7 +147,6 @@ def _graph_rounds(grounded: GroundedFond, state_cap: int,
     # ascending action order: pair p applies pair_action[p] in node
     # pair_state[p] and leads to the nodes pair_outcomes[p], in branch
     # order. A goal node is numbered but not expanded.
-    is_goal_state, transitions = grounded.is_goal, grounded.transitions
     order = {grounded.s0: 0}
     states = [grounded.s0]
     goal_ids: list[int] = []
@@ -162,10 +161,10 @@ def _graph_rounds(grounded: GroundedFond, state_cap: int,
         i += 1
         if i % 512 == 0:
             fond._check_deadline(deadline)
-        if is_goal_state(state):
+        if grounded.is_goal(state):
             goal_ids.append(i - 1)
             continue
-        for ai, succs in transitions(state):
+        for ai, succs in grounded.transitions(state):
             outcomes = []
             for succ in succs:
                 t = order.get(succ)
