@@ -24,8 +24,8 @@ unconditional adds and deletes, and groups its conditional literals by
 condition, so a condition is evaluated once per `successors` call
 however many literals it guards.
 
-The planner numbers the states of a grounding reachable from its
-initial one itself, deriving each state's transitions afresh
+The planner numbers the states reachable from a grounding's initial
+state on its own, deriving each state's transitions afresh
 (`transitions`), since a task searched once gains nothing from keeping
 them. A goal-free grounding that several goal products search also owns
 a `TransitionTable`, which derives each state's transitions once and
