@@ -1,5 +1,5 @@
-"""Enumerate the executions of a strong-cyclic policy, or reduce them
-to a goal model.
+"""Enumerate the executions of a strong-cyclic policy, or count them
+into a goal model.
 
 An execution is a path from the initial state to a goal state that
 follows the policy and visits no state more than `MAX_VISITS` times,
@@ -7,21 +7,32 @@ which lets each fairness loop fire at most once. Two paths with the
 same action sequence count as one execution (the first found in DFS
 order is kept as the representative).
 
-One depth-first walk serves both uses. Many paths run through the same
-few policy states, so the work that depends only on a state is done
-once per walk, the first time a path reaches it: the goal test, the
-policy's action and that action's outcomes. Alongside the paths the
-walk builds the trie of their action sequences, which deduplicates them
-at one dict lookup per step. `enumerate_executions` builds each
+`enumerate_executions` walks the paths depth first. Many paths run
+through the same few policy states, so the work that depends only on a
+state is done once per walk, the first time a path reaches it: the goal
+test, the policy's action and that action's outcomes. Alongside the
+paths the walk builds the trie of their action sequences, which
+deduplicates them at one dict lookup per step, and it builds each
 execution, with its state trace, the first time its trie node is
-reached at a goal; `goal_model` never builds one, and reads the
-distance table and the ordered pairs off the trie instead.
+reached at a goal.
+
+`goal_model` counts the executions instead, so its work grows with the
+policy rather than with its paths. A configuration is a policy state
+together with the visit counts of the path that reached it. A state
+visited earlier that the current state can reach again lies on a cycle
+through the current state, so only the counts of the current state's
+strongly connected component matter: a configuration keeps just those,
+and every path that continues from it depends on nothing else. Each
+configuration is counted once however many paths reach it. The cap
+still counts raw goal-reaching paths, before deduplication, in the
+walk's order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -179,49 +190,263 @@ def enumerate_executions(policy: Policy, aug=None, *,
 def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
                deadline: float | None = None
                ) -> tuple[int, dict[str, float], frozenset[tuple[str, str]]]:
-    """The goal model of `policy`'s executions E, without building them:
-    (len(E), average_distances(E), the union of order_relations over E).
+    """The goal model of `policy`'s executions E, counted without listing
+    them: (len(E), average_distances(E), the union of order_relations
+    over E).
 
-    Raises as `enumerate_executions` does; the cap counts goal-reaching
-    paths before deduplication.
+    The count runs over configurations (see the module docstring).
+    Determinized by action label, they form a DAG each node of which
+    stands for the action sequences that reach one set of
+    configurations. A depth-first pass over the nodes reachable from the
+    initial configuration counts, in post-order, each node's distinct
+    suffixes and their summed length; a forward pass then counts each
+    node's distinct prefixes and the labels on them. Together they give
+    the model as exact ints. An open policy is walked instead, so that it
+    fails as the walk does.
+
+    Raises as `enumerate_executions` does. The cap counts goal-reaching
+    paths before deduplication, in the walk's order, so the count raises
+    no later than the walk would. The deadline is checked at the start
+    and every 512 states, configurations or nodes expanded.
     """
-    names, edges, ends = _walk(policy, cap, deadline)
-    width = len(policy.grounded.actions)
-    nodes = len(edges) + 1
-    # Per node i: kept[i] executions extend its sequence, and after[i]
-    # sums the actions they take after it. `edges` lists the nodes in
-    # creation order. An execution through child c of i takes one action
-    # more after i than after c.
-    kept = [0] * nodes
-    after = [0] * nodes
-    for i in ends:
-        kept[i] = 1
-    for key, i in reversed(edges.items()):  # children before parents
-        p = key // width
-        kept[p] += kept[i]
-        after[p] += after[i] + kept[i]
-    # `seen[i]` is the bit set of labels on the way to node i, and
-    # `before[lab]` that of the labels some execution orders before an
-    # action labelled lab.
+    _check_deadline(deadline)
+    g = policy.grounded
+    if g.is_goal(g.s0):
+        if cap < 1:
+            raise ExecutionCapError(
+                f"policy has more than {cap} goal-reaching paths")
+        return 1, {}, frozenset()
+    names, label_of, outs, comp = _policy_graph(policy, cap, deadline)
+    n = len(outs)
+    expanded = n  # states, configurations and nodes
+
+    # The configurations, depth first in the walk's order. A key is the
+    # state id plus n times the bits of its component's states entered
+    # once (the low n bits) and twice (the next n, as MAX_VISITS is 2); a
+    # state on no cycle is its own key. info[key] = ((label, 1 if some outcome is a goal
+    # else 0, the node of the successor configurations), raw paths),
+    # where a node is a set of keys: None when empty, the key itself when
+    # single, else a frozenset.
+    info: dict[int, tuple] = {}
+    found = 0  # raw paths so far: +1 per goal outcome, +raw per memo hit
+    once = 1 if comp[0] >= 0 else 0
+    root = n * once
+    stack = [[root, 0, once, 0, iter(outs[0]), [], 0, 0]]
+    while stack:
+        frame = stack[-1]
+        key, i, once, twice, pending, kids, ends, start = frame
+        for t in pending:
+            if t < 0:
+                ends = 1
+                found += 1
+            else:
+                c = comp[t]
+                if c < 0:
+                    child, o, w = t, 0, 0
+                else:
+                    if c != comp[i]:
+                        o, w = 1 << t, 0
+                    else:
+                        bit = 1 << t
+                        if twice & bit:
+                            continue  # a third entry
+                        o, w = ((once & ~bit, twice | bit) if once & bit
+                                else (once | bit, twice))
+                    child = t + n * (o | w << n)
+                kids.append(child)
+                hit = info.get(child)
+                if hit is None:
+                    frame[6] = ends
+                    expanded += 1
+                    if not expanded % 512:
+                        _check_deadline(deadline)
+                    stack.append([child, t, o, w, iter(outs[t]), [], 0,
+                                  found])
+                    break
+                found += hit[1]
+            if found > cap:
+                raise ExecutionCapError(
+                    f"policy has more than {cap} goal-reaching paths")
+        else:
+            stack.pop()
+            node = (None if not kids else kids[0] if len(kids) == 1
+                    else frozenset(kids))
+            info[key] = ((label_of[i], ends, node), found - start)
+
+    # Determinize by label, depth first from the root's node. Nodes are
+    # numbered when they finish, so edges lead to lower numbers and the
+    # root is last. Per node: its edges (label, executions through the
+    # edge, the actions they take after it, child number or -1), its
+    # distinct suffixes and their summed length.
+    numbers: dict[int | frozenset[int], int] = {}
+    edges: list[list[tuple[int, int, int, int]]] = []
+    kept: list[int] = []
+    after: list[int] = []
+    todo: list[list] = [[root, None]]
+    while todo:
+        frame = todo[-1]
+        node, steps = frame
+        if steps is None:
+            expanded += 1
+            if not expanded % 512:
+                _check_deadline(deadline)
+            if type(node) is int:
+                steps = (info[node][0],)
+            else:
+                # A label that one configuration of the set takes leads
+                # to that configuration's successor node.
+                by_label: dict[int, list] = {}
+                for key in node:
+                    step = info[key][0]
+                    by_label.setdefault(step[0], []).append(step)
+                steps = []
+                for lab, group in by_label.items():
+                    if len(group) == 1:
+                        steps.append(group[0])
+                        continue
+                    ends, union = 0, set()
+                    for _, e, child in group:
+                        ends |= e
+                        if type(child) is int:
+                            union.add(child)
+                        elif child:
+                            union.update(child)
+                    steps.append((lab, ends, None if not union else
+                                  union.pop() if len(union) == 1
+                                  else frozenset(union)))
+            frame[1] = steps
+        for _, _, child in steps:
+            if child is not None and child not in numbers:
+                todo.append([child, None])
+                break
+        else:
+            todo.pop()
+            row = []
+            k_sum = a_sum = 0
+            for lab, ends, child in steps:
+                if child is None:
+                    k, a, c = ends, 0, -1
+                else:
+                    c = numbers[child]
+                    k, a = ends + kept[c], after[c]
+                row.append((lab, k, a, c))
+                k_sum += k
+                a_sum += k + a
+            numbers[node] = len(edges)
+            edges.append(row)
+            kept.append(k_sum)
+            after.append(a_sum)
+
+    # Forward, parents before children: per node the distinct prefixes
+    # that reach it and the bit set of the labels on them; `before[lab]`
+    # is the bit set of the labels some execution orders before lab.
+    # Nodes no prefix reaches have none.
+    top = len(edges) - 1
+    prefixes = [0] * top + [1]
+    seen = [0] * (top + 1)
     totals = [0] * len(names)
     counts = [0] * len(names)
     before = [0] * len(names)
-    seen = [0] * nodes
-    for key, i in edges.items():  # parents before children
-        k = kept[i]
-        if not k:
+    for x in range(top, -1, -1):
+        p = prefixes[x]
+        if not p:
             continue
-        p, lab = divmod(key, width)
-        totals[lab] += after[i]
-        counts[lab] += k
-        before[lab] |= seen[p]
-        seen[i] = seen[p] | 1 << lab
+        s = seen[x]
+        for lab, k, a, c in edges[x]:
+            if not k:
+                continue
+            counts[lab] += p * k
+            totals[lab] += p * a
+            before[lab] |= s
+            if c >= 0:
+                prefixes[c] += p
+                seen[c] |= s | 1 << lab
     distances = {names[lab]: totals[lab] / counts[lab]
                  for lab in range(len(names)) if counts[lab]}
     pairs = frozenset((names[x], names[lab])
                       for lab, mask in enumerate(before)
                       for x in range(mask.bit_length()) if mask >> x & 1)
-    return kept[0], distances, pairs
+    return kept[top], distances, pairs
+
+
+def _policy_graph(policy: Policy, cap: int, deadline: float | None) -> tuple:
+    """Number the reachable non-goal states of `policy` depth first from
+    s0 and find the cycles through them (Tarjan's algorithm, iterative).
+    Returns (names, label_of, outs, comp): the action names by label, and
+    per state id its action's label, its outcomes' ids in order (-1 for a
+    goal), and the id of its strongly connected component if a cycle
+    runs through the state, else -1. An open policy is walked instead,
+    and fails as the walk does. The deadline is checked every 512 states.
+    """
+    g = policy.grounded
+    ids = {g.s0: 0}
+    labels: dict[int, int] = {}  # action index -> label
+    names: list[str] = []
+    label_of: list[int] = []
+    outs: list[list[int]] = []
+    comp: list[int] = []
+    # Tarjan's low links, ids doubling as visit order; a state whose
+    # component is complete gets `done`, which no comparison picks.
+    low: list[int] = []
+    done = sys.maxsize
+    path: list[int] = []
+    stack: list[tuple] = []
+    state = g.s0
+    while True:
+        if state is not None:  # enter it as state len(outs)
+            ai = policy.mapping.get(state)
+            if ai is None:
+                _walk(policy, cap, deadline)  # raises here or at the cap
+                raise AssertionError("the walk of an open policy returned")
+            i = len(outs)
+            if i and not i % 512:
+                _check_deadline(deadline)
+            lab = labels.get(ai)
+            if lab is None:
+                lab = labels[ai] = len(names)
+                names.append(g.actions[ai].name)
+            label_of.append(lab)
+            outs.append([])
+            comp.append(-1)
+            low.append(i)
+            path.append(i)
+            stack.append((i, iter(g.successors(state, ai))))
+            state = None
+        v, pending = stack[-1]
+        row = outs[v]
+        for succ in pending:
+            w = ids.get(succ)
+            if w is None:
+                if not g.is_goal(succ):
+                    ids[succ] = len(outs)
+                    row.append(len(outs))
+                    state = succ
+                    break
+                w = ids[succ] = -1
+            row.append(w)
+            if w >= 0 and low[w] < low[v]:
+                low[v] = low[w]
+        else:
+            stack.pop()
+            if low[v] == v:
+                w = path.pop()
+                low[w] = done
+                if w != v or v in row:
+                    comp[w] = v
+                while w != v:
+                    w = path.pop()
+                    low[w] = done
+                    comp[w] = v
+            if not stack:
+                return names, label_of, outs, comp
+            u = stack[-1][0]
+            if low[v] < low[u]:
+                low[u] = low[v]
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded("execution enumeration deadline exceeded")
 
 
 def average_distances(executions: list[Execution]) -> dict[str, float]:

@@ -5,6 +5,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_executions
 from tgr import bench, compilation, executions, fond, logic, planner
@@ -185,6 +186,13 @@ class Model:
         return str(state)
 
 
+class GoalSetModel(Model):
+    """`Model` whose goal is a set of states."""
+
+    def is_goal(self, state):
+        return state in self.goal_state
+
+
 def reduced(execs):
     return (len(execs), executions.average_distances(execs),
             frozenset().union(*map(executions.order_relations, execs)))
@@ -210,3 +218,78 @@ def test_goal_model_ignores_paths_cut_by_the_visit_bound():
     model = executions.goal_model(policy)
     assert model == reduced(execs)
     assert ("(b)", "(b)") not in model[2]
+
+
+@st.composite
+def explicit_policies(draw):
+    """A closed policy of a random explicit model: up to nine states,
+    state 0 initial, a random set of goal states, one to three action
+    names shared across states, and per non-goal state an ordered list of
+    distinct outcomes. The policy need not reach a goal."""
+    n = draw(st.integers(1, 9))
+    names = [f"(a{k})" for k in range(draw(st.integers(1, 3)))]
+    goals = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=3)))
+    outcomes = {s: tuple(draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                       max_size=3, unique=True)))
+                for s in range(n) if s not in goals}
+    mapping = {s: draw(st.integers(0, len(names) - 1)) for s in outcomes}
+    return planner.Policy(GoalSetModel(names, outcomes.__getitem__, goals),
+                          mapping)
+
+
+def model_or_error(build):
+    try:
+        return build()
+    except TgrError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(explicit_policies(), st.integers(1, 12))
+def test_goal_model_is_the_reduced_reference_enumeration(policy, small_cap):
+    for cap in (executions.DEFAULT_EXECUTION_CAP, small_cap):
+        expected = model_or_error(lambda: reduced(
+            reference_executions.enumerate_executions(policy, cap=cap)))
+        assert model_or_error(
+            lambda: executions.goal_model(policy, cap=cap)) == expected
+
+
+def test_goal_model_checks_its_deadline_during_the_count(monkeypatch):
+    # A chain of 300 states is 300 states to number and 299
+    # configurations after the initial one: 599 expansions. The clock
+    # passes the deadline right after its reading at the start, so the
+    # count must read it again, and raise, at expansion 512.
+    chain = Model(["(step)"], lambda s: (s + 1,), 300)
+    policy = planner.Policy(chain, dict.fromkeys(range(300), 0))
+    readings = []
+
+    def clock():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 2.0
+
+    monkeypatch.setattr(executions, "time", SimpleNamespace(monotonic=clock))
+    with pytest.raises(DeadlineExceeded, match="enumeration deadline"):
+        executions.goal_model(policy, deadline=1.0)
+    assert len(readings) == 2
+
+
+def test_goal_model_stops_at_the_cap_no_later_than_the_walk(monkeypatch):
+    # A 24-state ring: each state steps to the next or the one after, and
+    # every third state may also reach the goal. Its raw paths exceed the
+    # default cap, and the count must find that out with no more work
+    # than the walk: the clock is read once per 512 steps of the walk and
+    # once per 512 expansions of the count, and never passes the deadline.
+    n = 24
+    ring = Model(["(step)"], lambda s: ((s + 1) % n, (s + 2) % n)
+                 + ((n,) if s % 3 == 2 else ()), n)
+    policy = planner.Policy(ring, dict.fromkeys(range(n), 0))
+    readings = []
+    monkeypatch.setattr(executions, "time", SimpleNamespace(
+        monotonic=lambda: readings.append(None) or 0.0))
+    with pytest.raises(ExecutionCapError):
+        executions.enumerate_executions(policy, deadline=1.0)
+    walked = len(readings)
+    readings.clear()
+    with pytest.raises(ExecutionCapError, match="more than 10000"):
+        executions.goal_model(policy, deadline=1.0)
+    assert len(readings) <= walked
