@@ -16,10 +16,11 @@ import functools
 import json
 import logging
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import compilation, executions as executions_mod, fond, logic, planner
 from .errors import (BundleError, CompileError, ExecutionCapError,
@@ -32,6 +33,13 @@ from .planner import Policy
 
 log = logging.getLogger(__name__)
 
+
+
+def _left_sum(xs: Iterable[float]) -> float:
+    """The sum of `xs` added left to right in plain float arithmetic.
+    `sum()` compensates float sums from CPython 3.12 on, which would
+    change the pinned records."""
+    return functools.reduce(operator.add, xs, 0)
 
 @dataclass(frozen=True)
 class RecognitionProblem:
@@ -66,7 +74,7 @@ class RecognitionProblem:
             raise BundleError("priors must not all be zero")
         # Scaled by the largest first, the sum cannot overflow.
         scaled = [p / top for p in self.priors]
-        total = sum(scaled)
+        total = _left_sum(scaled)
         return tuple(p / total for p in scaled)
 
 
@@ -154,8 +162,8 @@ def pairwise_score(p: int, o_i: str, goal_index: int,
     table = tables[goal_index]
     if table is None:
         raise TgrError("pairwise_score called for an unsolvable goal")
-    denominator = sum(t.get(o_i, ABSENT_DISTANCE)
-                      for t in tables if t is not None)
+    denominator = _left_sum(t.get(o_i, ABSENT_DISTANCE)
+                           for t in tables if t is not None)
     if denominator == 0:
         return 0.0
     d = table.get(o_i, ABSENT_DISTANCE)
@@ -171,7 +179,7 @@ def posteriors(likelihoods: Sequence[float],
                priors: Sequence[float]) -> list[float]:
     """Normalized likelihood * prior; uniform fallback when all are zero."""
     weights = [l * p for l, p in zip(likelihoods, priors)]
-    total = sum(weights)
+    total = _left_sum(weights)
     if total <= 0:
         log.warning("all goal likelihoods are zero; falling back to a "
                     "uniform posterior")
@@ -308,7 +316,7 @@ def score(analysis: Analysis, obs: Sequence[str]) -> RecognitionResult:
         model.scores = tuple(pairwise_score(p, o, i, tables)
                              for p, o in zip(model.penalties, obs))
         # Nothing observed: every solvable goal explains equally well.
-        model.avg_score = sum(model.scores) / len(obs) if obs else 0.0
+        model.avg_score = _left_sum(model.scores) / len(obs) if obs else 0.0
         model.likelihood = likelihood(model.avg_score)
 
     post = posteriors([m.likelihood for m in models],
