@@ -223,10 +223,10 @@ def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
     # The configurations, depth first in the walk's order. A key is the
     # state id plus n times the bits of its component's states entered
     # once (the low n bits) and twice (the next n, as MAX_VISITS is 2); a
-    # state on no cycle is its own key. info[key] = ((label, 1 if some outcome is a goal
-    # else 0, the node of the successor configurations), raw paths),
-    # where a node is a set of keys: None when empty, the key itself when
-    # single, else a frozenset.
+    # state on no cycle is its own key. info[key] = ((label, 1 if some
+    # outcome is a goal else 0, the node of the successor
+    # configurations), raw paths), where a node is a set of keys: None
+    # when empty, the key itself when single, else a frozenset.
     info: dict[int, tuple] = {}
     found = 0  # raw paths so far: +1 per goal outcome, +raw per memo hit
     once = 1 if comp[0] >= 0 else 0

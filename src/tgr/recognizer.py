@@ -34,12 +34,12 @@ from .planner import Policy
 log = logging.getLogger(__name__)
 
 
-
 def _left_sum(xs: Iterable[float]) -> float:
     """The sum of `xs` added left to right in plain float arithmetic.
     `sum()` compensates float sums from CPython 3.12 on, which would
     change the pinned records."""
     return functools.reduce(operator.add, xs, 0)
+
 
 @dataclass(frozen=True)
 class RecognitionProblem:
