@@ -19,6 +19,12 @@ subformula after reading a prefix (the standard truth-vector
 construction). The result is completed, Hopcroft-minimized, and
 renumbered in BFS order so equal formulas always yield structurally
 identical automata.
+
+Since the construction never reads an atom's name, only its position
+in the sorted atom tuple, `formula_to_dfa` builds one automaton per
+shape (the formula with its atoms renamed, in sort order, to
+placeholders) and gives each formula of that shape the shape's states
+and table over its own atoms.
 """
 
 from __future__ import annotations
@@ -308,10 +314,20 @@ def _determinize(f: Formula, atoms: tuple[Atom, ...],
 def formula_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Dispatch on dialect; propositional formulas use the LTLf reading.
 
+    The automaton is built once per shape: `f` with its k sorted atoms
+    renamed to k placeholders that sort the same way. That is exact. The
+    construction reads an atom only through its membership in a letter,
+    with bit i of a minterm standing for the i-th sorted atom, and
+    minimization with BFS renumbering is canonical; so `f`'s DFA is the
+    shape's with the real atoms put back, and no error message names an
+    atom. Goals drawn from a few templates over many atoms thus share a
+    few constructions, and their automata share the shape's table.
+
     The construction is pure and its result immutable, so the last
-    `_DFA_MEMO_SIZE` results are memoized: a recognizer asked about the
-    same goals again builds each automaton once. A cap error is raised
-    again on every call, never stored.
+    `_DFA_MEMO_SIZE` formulas and, behind them, the last `_DFA_MEMO_SIZE`
+    shapes are memoized: a recognizer asked about the same goals again
+    builds each automaton once. A cap error is raised again on every
+    call, never stored.
     """
     # Both arguments go to the memo positionally, so a call that relies
     # on the default cap and one that passes it share an entry.
@@ -320,8 +336,27 @@ def formula_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
 @lru_cache(maxsize=_DFA_MEMO_SIZE)
 def _memo_dfa(f: Formula, state_cap: int) -> Dfa:
+    atoms = tuple(sorted(logic.atoms(f)))
+    # Zero-padded, so that "p10" does not sort before "p2".
+    width = len(str(len(atoms)))
+    placeholders = {a: logic.from_atom(Atom(f"p{i:0{width}d}"))
+                    for i, a in enumerate(atoms)}
+    shape = _memo_shape(_rename(f, placeholders), state_cap)
+    return Dfa(atoms=atoms, accepting=shape.accepting, table=shape.table)
+
+
+@lru_cache(maxsize=_DFA_MEMO_SIZE)
+def _memo_shape(f: Formula, state_cap: int) -> Dfa:
     return (pltlf_to_dfa(f, state_cap) if logic.dialect(f) == "PLTLf"
             else ltlf_to_dfa(f, state_cap))
+
+
+def _rename(f: Formula, placeholders: dict[Atom, Formula]) -> Formula:
+    if f.kind == "atom":
+        return placeholders[f.atom]
+    if not f.children:
+        return f
+    return Formula(f.kind, tuple(_rename(c, placeholders) for c in f.children))
 
 
 # ---------------------------------------------------------------------------

@@ -437,9 +437,9 @@ def summarize(records: list[dict]) -> list[dict]:
             "level": level,
             "goals": sum(len(r["goals"]) for r in recs) / n,
             "obs": sum(len(r["observations"]) for r in recs) / n,
-            "time_s": sum(r["time_s"] for r in recs) / n,
+            "time_s": recognizer._left_sum(r["time_s"] for r in recs) / n,
             "tpr": tpr,
-            "fpr": sum(r["fpr"] for r in recs) / n,
+            "fpr": recognizer._left_sum(r["fpr"] for r in recs) / n,
             "fnr": 1.0 - tpr,
         })
     return rows

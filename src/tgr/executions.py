@@ -58,17 +58,16 @@ class Execution:
 
 
 def _walk(policy: Policy, cap: int, deadline: float | None,
-          kept: list[Execution] | None = None) -> tuple:
-    """Walk every goal-reaching path of `policy` depth first and return
-    the trie of their action sequences as (names, edges, ends).
+          kept: list[Execution] | None = None) -> None:
+    """Walk every goal-reaching path of `policy` depth first. When `kept`
+    is given, also track the current path's action names and trace, and
+    append to `kept` the first path, in DFS order, of each execution.
 
-    Node 0 is the empty sequence. `edges` maps parent * len(actions) +
-    label to node i > 0, which extends the sequence of node `parent` by
-    the action named `names[label]`; nodes are numbered in creation
-    order, so parents first. `ends` holds the nodes whose sequence some
-    goal-reaching path has. When `kept` is given, the walk also tracks
-    the current path's action names and trace, and appends to `kept`
-    the first path, in DFS order, of each execution.
+    The walk deduplicates by action sequence through a trie of the
+    sequences: node 0 is the empty sequence, `edges` maps parent *
+    len(actions) + label to the node that extends the parent's sequence
+    by the action named `names[label]`, and `ends` holds the nodes whose
+    sequence some goal-reaching path has.
 
     Raises ExecutionCapError when more than `cap` goal-reaching paths are
     found before deduplication, and DeadlineExceeded when the monotonic
@@ -126,7 +125,7 @@ def _walk(policy: Policy, cap: int, deadline: float | None,
         trace.append(views[g.s0])
     if not start:
         arrive(0)
-        return names, edges, ends
+        return
 
     # The frame at stack depth d holds the state after d actions, its
     # action's untried outcomes, the trie node of the d + 1 actions that
@@ -165,8 +164,6 @@ def _walk(policy: Policy, cap: int, deadline: float | None,
         visit_counts[succ] = visits + 1
         child = edges.setdefault(node * width + step[0], len(edges) + 1)
         stack.append((succ, iter(step[2]), child, step[1]))
-
-    return names, edges, ends
 
 
 def enumerate_executions(policy: Policy, aug=None, *,

@@ -10,3 +10,4 @@ def cold_memos():
     same work whatever ran before them."""
     fond._memo_ground.cache_clear()
     automata._memo_dfa.cache_clear()
+    automata._memo_shape.cache_clear()

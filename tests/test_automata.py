@@ -3,9 +3,10 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tgr import automata, logic
-from tgr.errors import AutomatonCapError
+from tgr.errors import AutomatonCapError, TgrError
 
 from helpers import P, Q, ltlf_corpus, pltlf_corpus, trace_corpus
 
@@ -110,6 +111,86 @@ def test_formula_to_dfa_memoizes_results_but_not_cap_errors(monkeypatch):
     assert automata.formula_to_dfa(f) is automata.formula_to_dfa(
         f, automata.DEFAULT_STATE_CAP)
     assert built == [2, 2, automata.DEFAULT_STATE_CAP]
+
+
+# Atoms listed out of sort order, so that a drawn formula's order of
+# occurrence seldom matches the sort order its automaton's bits follow.
+SHAPE_ATOMS = (logic.Atom("q"), logic.Atom("on", ("x", "a")), logic.Atom("c9"),
+               logic.Atom("b"), logic.Atom("on", ("a", "x")),
+               logic.Atom("c10"), logic.Atom("a"))
+FUTURE_OPS = ([logic.next_, logic.weak_next, logic.eventually, logic.always],
+              [logic.until])
+PAST_OPS = ([logic.yesterday, logic.once, logic.historically], [logic.since])
+MIXED_OPS = (FUTURE_OPS[0] + PAST_OPS[0], FUTURE_OPS[1] + PAST_OPS[1])
+
+
+@st.composite
+def shape_formulas(draw):
+    """Random LTLf, PLTLf or mixed formulas over 0-5 atoms, atoms repeated."""
+    atoms = draw(st.lists(st.sampled_from(SHAPE_ATOMS), max_size=5,
+                          unique=True))
+    unaries, binaries = draw(st.sampled_from((FUTURE_OPS, PAST_OPS, MIXED_OPS)))
+    leaves = st.sampled_from([logic.TRUE, logic.FALSE]
+                             + [logic.from_atom(a) for a in atoms])
+    return draw(st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(lambda op, f: op(f),
+                  st.sampled_from([logic.lnot] + unaries), sub),
+        st.builds(lambda op, f, g: op(f, g),
+                  st.sampled_from([logic.land, logic.lor] + binaries),
+                  sub, sub)), max_leaves=8))
+
+
+def _direct(f, state_cap):
+    build = (automata.pltlf_to_dfa if logic.dialect(f) == "PLTLf"
+             else automata.ltlf_to_dfa)
+    return build(f, state_cap)
+
+
+def _outcome(build, f, state_cap):
+    try:
+        dfa = build(f, state_cap)
+    except TgrError as e:
+        return type(e), str(e)
+    return dfa.atoms, dfa.accepting, dfa.table
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape_formulas(), st.integers(1, 4))
+def test_formula_to_dfa_by_shape_equals_the_direct_construction(f, small_cap):
+    for cap in (small_cap, automata.DEFAULT_STATE_CAP):
+        assert _outcome(automata.formula_to_dfa, f, cap) == \
+            _outcome(_direct, f, cap), (str(f), cap)
+
+
+def test_shape_placeholders_sort_like_eleven_atoms():
+    # Bit i of a minterm is the i-th sorted atom; placeholders that sorted
+    # "p10" before "p2" would hand the negated atom's bit to a positive one.
+    atoms = [logic.atom(name) for name in "abcdefghijk"]
+    f = logic.eventually(logic.conj(atoms[:10] + [logic.lnot(atoms[10])]))
+    shaped = automata.formula_to_dfa(f)
+    direct = automata.ltlf_to_dfa(f)
+    assert (shaped.atoms, shaped.accepting, shaped.table) == \
+        (direct.atoms, direct.accepting, direct.table)
+
+
+def test_renamed_twin_costs_no_second_construction(monkeypatch):
+    built = []
+
+    def counting(f, state_cap, build=automata.ltlf_to_dfa):
+        built.append(str(f))
+        return build(f, state_cap)
+
+    monkeypatch.setattr(automata, "ltlf_to_dfa", counting)
+    goal, twin, flipped = (automata.formula_to_dfa(logic.parse_formula(g))
+                           for g in ("F(((vAt 21) & X(F((vAt 22)))))",
+                                     "F(((vAt 31) & X(F((vAt 33)))))",
+                                     "F(((vAt 33) & X(F((vAt 31)))))"))
+    # The twin's atoms sort in the order of the goal's; the flipped
+    # goal's do not, so it is another shape.
+    assert built == ["F((p0 & X(F(p1))))", "F((p1 & X(F(p0))))"]
+    assert twin.atoms == (logic.Atom("vAt", ("31",)), logic.Atom("vAt", ("33",)))
+    assert twin.table is goal.table and twin.accepting is goal.accepting
+    assert flipped.atoms == twin.atoms and flipped.table != goal.table
 
 
 def test_atom_cap():
