@@ -352,6 +352,7 @@ def _memo_shape(f: Formula, state_cap: int) -> Dfa:
 
 
 def _rename(f: Formula, placeholders: dict[Atom, Formula]) -> Formula:
+    """`f` with every atom replaced by its placeholder."""
     if f.kind == "atom":
         return placeholders[f.atom]
     if not f.children:
