@@ -341,7 +341,8 @@ def _memo_dfa(f: Formula, state_cap: int) -> Dfa:
     width = len(str(len(atoms)))
     placeholders = {a: logic.from_atom(Atom(f"p{i:0{width}d}"))
                     for i, a in enumerate(atoms)}
-    shape = _memo_shape(_rename(f, placeholders), state_cap)
+    shape = _memo_shape(logic.map_atoms(f, placeholders.__getitem__),
+                        state_cap)
     return Dfa(atoms=atoms, accepting=shape.accepting, table=shape.table)
 
 
@@ -349,15 +350,6 @@ def _memo_dfa(f: Formula, state_cap: int) -> Dfa:
 def _memo_shape(f: Formula, state_cap: int) -> Dfa:
     return (pltlf_to_dfa(f, state_cap) if logic.dialect(f) == "PLTLf"
             else ltlf_to_dfa(f, state_cap))
-
-
-def _rename(f: Formula, placeholders: dict[Atom, Formula]) -> Formula:
-    """`f` with every atom replaced by its placeholder."""
-    if f.kind == "atom":
-        return placeholders[f.atom]
-    if not f.children:
-        return f
-    return Formula(f.kind, tuple(_rename(c, placeholders) for c in f.children))
 
 
 # ---------------------------------------------------------------------------

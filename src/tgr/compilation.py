@@ -33,8 +33,7 @@ from functools import cached_property
 
 from . import automata, fond, logic, planner
 from .automata import Dfa
-from .errors import (CompileError, InapplicableActionError,
-                     MalformedAlternationError, TgrError)
+from .errors import CompileError, InapplicableActionError, TgrError
 from .fond import (ActionSchema, Domain, Effect, Literal, Parameter,
                    PredicateSchema, ProblemInstance, eff_and, eff_lit,
                    eff_when)
@@ -370,35 +369,3 @@ def write_pddl(aug: AugmentedProblem, out_dir: str, *,
     with open(problem_path, "w") as fh:
         fh.write(problem_text)
     return domain_path, problem_path
-
-
-def strip_sync(actions, sync_schema: str = "trans") -> list[str]:
-    """Remove sync actions from a compiled action sequence.
-
-    Valid sequences alternate strictly, starting and ending with a sync
-    action: t, a1, t, a2, ..., t. Anything else is malformed.
-    """
-
-    def is_sync(name: str) -> bool:
-        head = name[1:-1].split() if name.startswith("(") else name.split()
-        return bool(head) and head[0] == sync_schema
-
-    acts = list(actions)
-    if not acts:
-        raise MalformedAlternationError(
-            "empty sequence: a compiled execution starts with the sync action")
-    out: list[str] = []
-    for i, name in enumerate(acts):
-        if i % 2 == 0:
-            if not is_sync(name):
-                raise MalformedAlternationError(
-                    f"expected the sync action at position {i}, found {name}")
-        else:
-            if is_sync(name):
-                raise MalformedAlternationError(
-                    f"unexpected sync action at position {i}")
-            out.append(name)
-    if len(acts) % 2 == 0:
-        raise MalformedAlternationError(
-            "compiled execution must end with the sync action")
-    return out

@@ -74,10 +74,6 @@ class InapplicableActionError(TgrError):
     """Action applied in a state where its precondition does not hold."""
 
 
-class MalformedAlternationError(TgrError):
-    """Action sequence violates the sync/domain alternation discipline."""
-
-
 class ExecutionCapError(TgrError):
     """Execution enumeration exceeded its cap."""
 

@@ -7,14 +7,11 @@ which lets each fairness loop fire at most once. Two paths with the
 same action sequence count as one execution (the first found in DFS
 order is kept as the representative).
 
-`enumerate_executions` walks the paths depth first. Many paths run
-through the same few policy states, so the work that depends only on a
-state is done once per walk, the first time a path reaches it: the goal
-test, the policy's action and that action's outcomes. Alongside the
-paths the walk builds the trie of their action sequences, which
-deduplicates them at one dict lookup per step, and it builds each
-execution, with its state trace, the first time its trie node is
-reached at a goal.
+Both entry points read the policy's state model once, through
+`_policy_graph`, which numbers the reachable states and records each
+state's action label and outcome ids. `enumerate_executions` then walks
+the paths over those ids depth first, keeping the first path of each
+action sequence with its state trace.
 
 `goal_model` counts the executions instead, so its work grows with the
 policy rather than with its paths. A configuration is a policy state
@@ -37,6 +34,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import DeadlineExceeded, ExecutionCapError, TgrError
+from .fond import StateModel
 from .logic import Atom
 from .planner import Policy
 
@@ -57,83 +55,51 @@ class Execution:
     trace: tuple[frozenset[Atom], ...]
 
 
-def _walk(policy: Policy, cap: int, deadline: float | None,
-          kept: list[Execution] | None = None) -> None:
-    """Walk every goal-reaching path of `policy` depth first. When `kept`
-    is given, also track the current path's action names and trace, and
-    append to `kept` the first path, in DFS order, of each execution.
-
-    The walk deduplicates by action sequence through a trie of the
-    sequences: node 0 is the empty sequence, `edges` maps parent *
-    len(actions) + label to the node that extends the parent's sequence
-    by the action named `names[label]`, and `ends` holds the nodes whose
-    sequence some goal-reaching path has.
+def _walk(g: StateModel, graph: tuple, cap: int,
+          deadline: float | None) -> list[Execution]:
+    """The executions of the policy that `graph` (from `_policy_graph`)
+    numbers on the model `g`, walked depth first over the graph's ids:
+    the first path, in DFS order, of each distinct action sequence.
 
     Raises ExecutionCapError when more than `cap` goal-reaching paths are
-    found before deduplication, and DeadlineExceeded when the monotonic
-    clock passes `deadline` (checked at the start and every 512 steps).
+    found before deduplication, TgrError at the first state the walk
+    reaches that the policy does not map, and DeadlineExceeded when the
+    monotonic clock passes `deadline` (checked at the start and every
+    512 steps).
     """
-    g = policy.grounded
-    width = len(g.actions)
-    labels: dict[int, int] = {}  # action index -> label
-    names: list[str] = []
-    views: dict[int, frozenset[Atom]] = {}
-
-    # Per state, filled the first time a path reaches it: the policy
-    # action's label, name and outcomes, or () at a goal state; and the
-    # atom set, when the walk tracks traces.
-    steps: dict[int, tuple] = {}
-
-    def reach(state: int) -> tuple:
-        if kept is not None:
-            views[state] = g.atoms_of(state)
-        if g.is_goal(state):
-            step: tuple = ()
-        else:
-            ai = policy.mapping.get(state)
-            if ai is None:
-                raise TgrError(
-                    f"policy is not closed: no action for {g.state_str(state)}")
-            lab = labels.get(ai)
-            if lab is None:
-                lab = labels[ai] = len(names)
-                names.append(g.actions[ai].name)
-            step = (lab, names[lab], g.successors(state, ai))
-        steps[state] = step
-        return step
-
-    edges: dict[int, int] = {}
-    ends: set[int] = set()
-    raw_found = 0
-    # The current path's action names and trace, when tracked.
+    names, label_of, outs, _, states, goals = graph
+    views = [g.atoms_of(s) for s in states]
+    goal_views = [g.atoms_of(s) for s in goals]
+    kept: dict[tuple[str, ...], Execution] = {}
+    found = 0
+    # The current path's action names and trace.
     actions: list[str] = []
-    trace: list[frozenset[Atom]] = []
+    trace = [views[0] if states else goal_views[0]]
 
-    def arrive(node: int) -> None:
-        nonlocal raw_found
-        raw_found += 1
-        if raw_found > cap:
+    def arrive() -> None:
+        nonlocal found
+        found += 1
+        if found > cap:
             raise ExecutionCapError(
                 f"policy has more than {cap} goal-reaching paths")
-        if node not in ends:
-            ends.add(node)
-            if kept is not None:
-                kept.append(Execution(tuple(actions), tuple(trace)))
+        key = tuple(actions)
+        if key not in kept:
+            kept[key] = Execution(key, tuple(trace))
 
-    start = reach(g.s0)
-    if kept is not None:
-        trace.append(views[g.s0])
-    if not start:
-        arrive(0)
-        return
+    def not_closed(v: int) -> TgrError:
+        return TgrError("policy is not closed: no action for "
+                        f"{g.state_str(states[v])}")
 
-    # The frame at stack depth d holds the state after d actions, its
-    # action's untried outcomes, the trie node of the d + 1 actions that
-    # reach those outcomes, and the action's name.
-    edges[start[0]] = 1
-    visit_counts: dict[int, int] = {g.s0: 1}
-    stack = [(g.s0, iter(start[2]), 1, start[1])]
-    tracked = kept is not None
+    if not states:
+        arrive()
+        return list(kept.values())
+    if label_of[0] < 0:
+        raise not_closed(0)
+    # The frame at stack depth d holds the state after d actions and its
+    # action's untried outcomes.
+    visits = [0] * len(states)
+    visits[0] = 1
+    stack = [(0, iter(outs[0]))]
     n_steps = 0
     while stack:
         if deadline is not None:
@@ -141,29 +107,27 @@ def _walk(policy: Policy, cap: int, deadline: float | None,
                 raise DeadlineExceeded(
                     "execution enumeration deadline exceeded")
             n_steps += 1
-        state, pending, node, name = stack[-1]
-        succ = next(pending, None)
-        if succ is None:
+        v, pending = stack[-1]
+        t = next(pending, None)
+        if t is None:
             stack.pop()
-            visit_counts[state] -= 1
+            visits[v] -= 1
             continue
-        visits = visit_counts.get(succ, 0)
-        if visits >= MAX_VISITS:
+        if t >= 0 and visits[t] >= MAX_VISITS:
             continue
-        step = steps.get(succ)
-        if step is None:
-            step = reach(succ)
-        if tracked:
-            depth = len(stack) - 1
-            del actions[depth:], trace[depth + 1:]
-            actions.append(name)
-            trace.append(views[succ])
-        if not step:
-            arrive(node)
+        depth = len(stack) - 1
+        del actions[depth:], trace[depth + 1:]
+        actions.append(names[label_of[v]])
+        if t < 0:
+            trace.append(goal_views[~t])
+            arrive()
             continue
-        visit_counts[succ] = visits + 1
-        child = edges.setdefault(node * width + step[0], len(edges) + 1)
-        stack.append((succ, iter(step[2]), child, step[1]))
+        if label_of[t] < 0:
+            raise not_closed(t)
+        trace.append(views[t])
+        visits[t] += 1
+        stack.append((t, iter(outs[t])))
+    return list(kept.values())
 
 
 def enumerate_executions(policy: Policy, aug=None, *,
@@ -175,13 +139,13 @@ def enumerate_executions(policy: Policy, aug=None, *,
 
     Raises ExecutionCapError when more than `cap` goal-reaching paths are
     found before deduplication, and DeadlineExceeded when the monotonic
-    clock passes `deadline` (checked at the start and every 512 steps).
+    clock passes `deadline` (checked at the start of the walk, every 512
+    steps, and every 512 states numbered before it).
     """
     if aug is not None:
         policy = aug.product_policy(policy)
-    kept: list[Execution] = []
-    _walk(policy, cap, deadline, kept)
-    return kept
+    return _walk(policy.grounded, _policy_graph(policy, deadline), cap,
+                 deadline)
 
 
 def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
@@ -199,7 +163,7 @@ def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
     suffixes and their summed length; a forward pass then counts each
     node's distinct prefixes and the labels on them. Together they give
     the model as exact ints. An open policy is walked instead, so that it
-    fails as the walk does.
+    fails as the walk does, and so is a policy whose s0 is a goal.
 
     Raises as `enumerate_executions` does. The cap counts goal-reaching
     paths before deduplication, in the walk's order, so the count raises
@@ -207,13 +171,13 @@ def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
     and every 512 states, configurations or nodes expanded.
     """
     _check_deadline(deadline)
-    g = policy.grounded
-    if g.is_goal(g.s0):
-        if cap < 1:
-            raise ExecutionCapError(
-                f"policy has more than {cap} goal-reaching paths")
-        return 1, {}, frozenset()
-    names, label_of, outs, comp = _policy_graph(policy, cap, deadline)
+    graph = _policy_graph(policy, deadline)
+    names, label_of, outs, comp, _, _ = graph
+    if not outs or -1 in label_of:
+        # s0 is a goal, which the walk answers, or the policy is open,
+        # and the walk raises where `enumerate_executions` would.
+        return len(_walk(policy.grounded, graph, cap, deadline)), {}, \
+            frozenset()
     n = len(outs)
     expanded = n  # states, configurations and nodes
 
@@ -366,22 +330,32 @@ def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
     return kept[top], distances, pairs
 
 
-def _policy_graph(policy: Policy, cap: int, deadline: float | None) -> tuple:
-    """Number the reachable non-goal states of `policy` depth first from
-    s0 and find the cycles through them (Tarjan's algorithm, iterative).
-    Returns (names, label_of, outs, comp): the action names by label, and
-    per state id its action's label, its outcomes' ids in order (-1 for a
-    goal), and the id of its strongly connected component if a cycle
-    runs through the state, else -1. An open policy is walked instead,
-    and fails as the walk does. The deadline is checked every 512 states.
+def _policy_graph(policy: Policy, deadline: float | None) -> tuple:
+    """Number the states of `policy` depth first from s0 and find the
+    cycles through them (Tarjan's algorithm, iterative). Nothing else here
+    reads the policy's mapping or the model's successors and goal test:
+    `_walk` and the count in `goal_model` follow these ids.
+
+    Returns (names, label_of, outs, comp, states, goals). `names` are the
+    action names by label. Per state id: its action's label (-1 if the
+    policy maps no action there), its outcomes' ids in order (~j for the
+    j-th goal state met), the id of its strongly connected component if
+    a cycle runs through the state, else -1, and the state itself.
+    `goals` are the goal states by j. When s0 is a goal, only `goals`
+    is non-empty. The deadline is checked every 512 states.
     """
     g = policy.grounded
-    ids = {g.s0: 0}
-    labels: dict[int, int] = {}  # action index -> label
     names: list[str] = []
     label_of: list[int] = []
     outs: list[list[int]] = []
     comp: list[int] = []
+    states: list[int] = []
+    goals: list[int] = []
+    if g.is_goal(g.s0):
+        goals.append(g.s0)
+        return names, label_of, outs, comp, states, goals
+    ids = {g.s0: 0}
+    labels: dict[int, int] = {}  # action index -> label
     # Tarjan's low links, ids doubling as visit order; a state whose
     # component is complete gets `done`, which no comparison picks.
     low: list[int] = []
@@ -391,23 +365,25 @@ def _policy_graph(policy: Policy, cap: int, deadline: float | None) -> tuple:
     state = g.s0
     while True:
         if state is not None:  # enter it as state len(outs)
-            ai = policy.mapping.get(state)
-            if ai is None:
-                _walk(policy, cap, deadline)  # raises here or at the cap
-                raise AssertionError("the walk of an open policy returned")
             i = len(outs)
             if i and not i % 512:
                 _check_deadline(deadline)
-            lab = labels.get(ai)
-            if lab is None:
-                lab = labels[ai] = len(names)
-                names.append(g.actions[ai].name)
+            ai = policy.mapping.get(state)
+            if ai is None:
+                lab, succs = -1, ()
+            else:
+                lab = labels.get(ai)
+                if lab is None:
+                    lab = labels[ai] = len(names)
+                    names.append(g.actions[ai].name)
+                succs = g.successors(state, ai)
             label_of.append(lab)
             outs.append([])
             comp.append(-1)
+            states.append(state)
             low.append(i)
             path.append(i)
-            stack.append((i, iter(g.successors(state, ai))))
+            stack.append((i, iter(succs)))
             state = None
         v, pending = stack[-1]
         row = outs[v]
@@ -419,7 +395,8 @@ def _policy_graph(policy: Policy, cap: int, deadline: float | None) -> tuple:
                     row.append(len(outs))
                     state = succ
                     break
-                w = ids[succ] = -1
+                w = ids[succ] = ~len(goals)
+                goals.append(succ)
             row.append(w)
             if w >= 0 and low[w] < low[v]:
                 low[v] = low[w]
@@ -435,7 +412,7 @@ def _policy_graph(policy: Policy, cap: int, deadline: float | None) -> tuple:
                     low[w] = done
                     comp[w] = v
             if not stack:
-                return names, label_of, outs, comp
+                return names, label_of, outs, comp, states, goals
             u = stack[-1][0]
             if low[v] < low[u]:
                 low[u] = low[v]

@@ -46,7 +46,7 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Protocol
 
 from . import logic
@@ -357,6 +357,22 @@ def _parse_effect(expr, what: str) -> Effect:
     return eff_lit(Literal(_parse_atom(expr, what), True))
 
 
+def _nesting_checked(what: str):
+    """Make a parser of `what` raise PddlParseError, not RecursionError,
+    on input nested too deeply for its recursive descent."""
+
+    def wrap(parse):
+        @wraps(parse)
+        def checked(text: str):
+            try:
+                return parse(text)
+            except RecursionError:
+                raise PddlParseError(f"{what} is nested too deeply") from None
+        return checked
+    return wrap
+
+
+@_nesting_checked("domain")
 def parse_domain(text: str) -> Domain:
     exprs = _read_sexprs(text)
     if len(exprs) != 1 or not _head_is(exprs[0], "define"):
@@ -436,6 +452,7 @@ def _parse_action(section: list) -> ActionSchema:
     return ActionSchema(name, params, precondition, effect)
 
 
+@_nesting_checked("problem")
 def parse_problem(text: str) -> ProblemInstance:
     exprs = _read_sexprs(text)
     if len(exprs) != 1 or not _head_is(exprs[0], "define"):
@@ -991,8 +1008,10 @@ def ground(domain: Domain, problem: ProblemInstance, *,
                     if cond.kind == "true":
                         masks = unconditional
                     else:
+                        ground_cond = logic.map_atoms(
+                            cond, lambda a: logic.from_atom(subst(a)))
                         compiled = _compile_condition(
-                            _substitute_formula(cond, theta), fluent_index,
+                            ground_cond, fluent_index,
                             f"effect condition of {schema.name}")
                         ci = conditions.setdefault(compiled, len(conditions))
                         masks = guarded.setdefault(ci, [0, 0])
@@ -1045,18 +1064,6 @@ def goal_free_grounding(domain: Domain,
 @lru_cache(maxsize=_GROUNDING_MEMO_SIZE)
 def _memo_ground(domain: Domain, problem: ProblemInstance) -> GroundedFond:
     return ground(domain, problem)
-
-
-def _substitute_formula(f: Formula, theta: dict[str, str]) -> Formula:
-    if f.kind == "atom":
-        assert f.atom is not None
-        return logic.from_atom(
-            Atom(f.atom.predicate,
-                 tuple(theta.get(x, x) for x in f.atom.args)))
-    if not f.children:
-        return f
-    return Formula(f.kind, tuple(_substitute_formula(c, theta)
-                                 for c in f.children))
 
 
 # ---------------------------------------------------------------------------

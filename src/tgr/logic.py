@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import FormulaParseError, MixedDialectError, TgrError
 
@@ -169,6 +169,15 @@ def _postorder(g: Formula, seen: dict[Formula, None]) -> None:
     for c in g.children:
         _postorder(c, seen)
     seen[g] = None
+
+
+def map_atoms(f: Formula, to: Callable[[Atom], Formula]) -> Formula:
+    """`f` with every atom `a` replaced by the formula `to(a)`."""
+    if f.kind == "atom":
+        return to(f.atom)
+    if not f.children:
+        return f
+    return Formula(f.kind, tuple(map_atoms(c, to) for c in f.children))
 
 
 def atoms(f: Formula) -> frozenset[Atom]:
@@ -370,11 +379,15 @@ def parse_formula(text: str) -> Formula:
     """Parse the concrete syntax into a Formula.
 
     Atoms are written either `pred_obj1_obj2` or `(pred obj1 obj2)`.
-    Raises FormulaParseError on bad syntax and MixedDialectError when
-    future and past operators are combined.
+    Raises FormulaParseError on bad syntax or nesting too deep to parse,
+    and MixedDialectError when future and past operators are combined.
     """
-    f = _Parser(_tokenize(text)).parse()
-    dialect(f)
+    parser = _Parser(_tokenize(text))
+    try:
+        f = parser.parse()
+        dialect(f)
+    except RecursionError:
+        raise parser.error("formula is nested too deeply") from None
     return f
 
 

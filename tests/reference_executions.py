@@ -10,6 +10,10 @@ return equal execution lists and raise at the same caps.
 A compiled task is walked as it is, not translated onto the goal
 product: the sync action is skipped and the automaton fluents are
 projected away. So the comparison also checks the translation.
+
+`strip_sync` is the same check for an action sequence alone: it drops
+the sync actions of a compiled execution, which must alternate with the
+domain actions.
 """
 
 from tgr.errors import ExecutionCapError, TgrError
@@ -87,3 +91,39 @@ def enumerate_executions(policy, aug=None, *, cap=DEFAULT_EXECUTION_CAP,
         stack.append(frame_for(succ))
 
     return list(kept.values())
+
+
+class MalformedAlternationError(TgrError):
+    """Action sequence violates the sync/domain alternation discipline."""
+
+
+def strip_sync(actions, sync_schema: str = "trans") -> list[str]:
+    """Remove sync actions from a compiled action sequence.
+
+    Valid sequences alternate strictly, starting and ending with a sync
+    action: t, a1, t, a2, ..., t. Anything else is malformed.
+    """
+
+    def is_sync(name: str) -> bool:
+        head = name[1:-1].split() if name.startswith("(") else name.split()
+        return bool(head) and head[0] == sync_schema
+
+    acts = list(actions)
+    if not acts:
+        raise MalformedAlternationError(
+            "empty sequence: a compiled execution starts with the sync action")
+    out: list[str] = []
+    for i, name in enumerate(acts):
+        if i % 2 == 0:
+            if not is_sync(name):
+                raise MalformedAlternationError(
+                    f"expected the sync action at position {i}, found {name}")
+        else:
+            if is_sync(name):
+                raise MalformedAlternationError(
+                    f"unexpected sync action at position {i}")
+            out.append(name)
+    if len(acts) % 2 == 0:
+        raise MalformedAlternationError(
+            "compiled execution must end with the sync action")
+    return out

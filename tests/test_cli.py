@@ -399,3 +399,34 @@ def test_bad_propositional_goal_is_dropped_per_goal(tmp_path, capsys):
     assert [g["error"] for g in payload["per_goal"]] == [
         None, None, None, "goal atom (vAt 99): '99' is not a declared object"]
     assert payload["gstar"] == [1]
+
+
+@pytest.mark.parametrize("goal, depth, rc", [
+    ("bundle", 150, 1),
+    ("bundle", 140, 0),
+    ("pddl", 1000, 1),
+])
+def test_deeply_nested_goal_exits_1_not_3(tireworld_files, tmp_path, goal,
+                                          depth, rc):
+    # A fresh interpreter, so that the parsers start from the CLI's stack
+    # depth, not the test runner's.
+    if goal == "bundle":
+        nested = "F(" * depth + "vAt_22" + ")" * depth
+        argv = ["recognize", "--bundle",
+                example1_with(tmp_path, goals=[nested, "F(vAt_51)"])]
+    else:
+        domain, _ = tireworld_files
+        problem = tmp_path / "deep.pddl"
+        problem.write_text(TIREWORLD.problem_text.replace(
+            "(:goal (vAt 22))",
+            "(:goal " + "(and " * depth + "(vAt 22)" + ")" * depth + ")"))
+        argv = ["plan", "--domain", domain, "--problem", str(problem)]
+    src = os.path.dirname(os.path.dirname(tgr.__file__))
+    proc = subprocess.run([sys.executable, "-m", "tgr", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == rc, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if rc:
+        assert proc.stderr.startswith("error:")
+        assert "nested too deeply" in proc.stderr

