@@ -261,3 +261,26 @@ def test_dfa_tables_are_pinned():
         "36d54a132210ebbf6b01bf6c71f34c4054547a0e5f9fc009afadf7f7fe280dec")
     assert _tables_digest(automata.pltlf_to_dfa, pltlf_corpus()) == (
         "9b667ff11f4cfa0f9850b1e494ad64b339a01b05c91150802fc01a434fad7214")
+
+
+BENCH_SHAPES = ("F(a)", "F(a) & F(b)", "F(a & X(F(b)))", "!(a) U b",
+                "a & O(b)", "a & (!(b) S c)")
+
+
+def wide_probes(k):
+    """`F(c1 & X(F(c2)))` and `c2 & O(c1)`, where c1 and c2 are the
+    conjunctions of the first and the last k // 2 of k atoms."""
+    atoms = [logic.atom(f"x{i:02d}") for i in range(k)]
+    c1, c2 = logic.conj(atoms[:k // 2]), logic.conj(atoms[k // 2:])
+    return (logic.eventually(logic.land(c1, logic.next_(logic.eventually(c2)))),
+            logic.land(c2, logic.once(c1)))
+
+
+def test_bench_shapes_and_wide_probes_are_pinned():
+    # The corpus above has two atoms and depth <= 3; these pin the bench
+    # templates' automata and two 8-atom goals.
+    shapes = [logic.parse_formula(t) for t in BENCH_SHAPES]
+    assert _tables_digest(automata.formula_to_dfa, shapes) == (
+        "a4ae00b1039cd6532f238d9de33d1c30e4b694b7812f5f18755398bf91c2df9c")
+    assert _tables_digest(automata.formula_to_dfa, wide_probes(8)) == (
+        "188472cc415f2d49717f3233d504562efbd23acd1fea9639633b3227dab8d5e0")
