@@ -16,9 +16,11 @@ is a set of states of a syntax-driven NFA over the negation normal form
 (NFA states are sets of pending obligations), so the driver performs
 subset construction. For PLTLf, a state is the truth value of every
 subformula after reading a prefix (the standard truth-vector
-construction). The result is completed, Hopcroft-minimized, and
-renumbered in BFS order so equal formulas always yield structurally
-identical automata.
+construction), kept only where the next step reads it. The result is
+complete and minimized by Moore's signature refinement, each block
+numbered by its first state; since the driver numbers states
+breadth first, equal formulas always yield structurally identical
+automata.
 
 Since the construction never reads an atom's name, only its position
 in the sorted atom tuple, `formula_to_dfa` builds one automaton per
@@ -29,7 +31,6 @@ and table over its own atoms.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Iterable, Sequence
@@ -234,6 +235,14 @@ def pltlf_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     subs = logic.subformulas(f)
     index = {g: i for i, g in enumerate(subs)}
     root = index[f]
+    # A state keeps only what the next step reads: the root, the operand
+    # of each Y, and each S, O and H itself. Vectors that agree there
+    # agree on acceptance and on every successor, so the minimal DFA is
+    # the full vectors' one, without a state per letter before it.
+    read = {root} | {index[g.children[0]] if g.kind == "yesterday" else index[g]
+                     for g in subs
+                     if g.kind in ("yesterday", "since", "once", "historically")}
+    kept = [i in read for i in range(len(subs))]
 
     def advance(prev: tuple[bool, ...] | None, val: frozenset[Atom]) -> tuple[bool, ...]:
         now: list[bool] = []
@@ -264,7 +273,7 @@ def pltlf_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
             else:  # pragma: no cover
                 raise TgrError(f"unexpected kind in past formula: {k!r}")
             now.append(v)
-        return tuple(now)
+        return tuple(v and k for v, k in zip(now, kept))
 
     return _determinize(f, tuple(sorted(logic.atoms(f))), advance,
                         lambda vec: vec[root], state_cap)
@@ -278,7 +287,9 @@ def _determinize(f: Formula, atoms: tuple[Atom, ...],
                  accepts: Callable[[Hashable], bool], state_cap: int) -> Dfa:
     """Breadth-first construction of the DFA whose states are the values
     `step` reaches from the initial value None, one letter per minterm
-    over `atoms`, then minimized by `_finish`.
+    over `atoms`, then minimized by `_finish`. States are numbered in the
+    order they are first reached, successors in minterm order, which is
+    the order `_finish` needs; `state_cap` bounds their number.
 
     The initial state accepts iff `f` holds on the empty trace; any other
     state accepts iff `accepts` holds of its value.
@@ -300,7 +311,7 @@ def _determinize(f: Formula, atoms: tuple[Atom, ...],
             idx = ids.get(target)
             if idx is None:
                 idx = len(values)
-                if idx > state_cap:
+                if idx >= state_cap:
                     raise AutomatonCapError(f"DFA exceeded {state_cap} states")
                 ids[target] = idx
                 values.append(target)
@@ -318,7 +329,7 @@ def formula_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     renamed to k placeholders that sort the same way. That is exact. The
     construction reads an atom only through its membership in a letter,
     with bit i of a minterm standing for the i-th sorted atom, and
-    minimization with BFS renumbering is canonical; so `f`'s DFA is the
+    minimization numbers the states canonically; so `f`'s DFA is the
     shape's with the real atoms put back, and no error message names an
     atom. Goals drawn from a few templates over many atoms thus share a
     few constructions, and their automata share the shape's table.
@@ -357,42 +368,37 @@ def _memo_shape(f: Formula, state_cap: int) -> Dfa:
 
 def _finish(atoms: tuple[Atom, ...], rows: list[list[int]],
             accepting: set[int]) -> Dfa:
-    block_of = _hopcroft(len(rows), len(rows[0]), rows, accepting)
+    """The minimal DFA of `rows`, by Moore's signature refinement.
 
-    # Renumber blocks in BFS discovery order from the initial state's block
-    # so the result does not depend on partition bookkeeping.
-    n_minterms = len(rows[0])
-    order: dict[int, int] = {block_of[0]: 0}
-    queue = [block_of[0]]
-    reps = {block_of[0]: 0}
-    for s, b in enumerate(block_of):
-        reps.setdefault(b, s)
-    qi = 0
-    while qi < len(queue):
-        b = queue[qi]
-        qi += 1
-        rep = reps[b]
-        for m in range(n_minterms):
-            tb = block_of[rows[rep][m]]
-            if tb not in order:
-                order[tb] = len(order)
-                queue.append(tb)
+    Starting from the accepting/rejecting split, each round gives every
+    state the signature (its block, the blocks of its row) and numbers
+    the signatures by the first state that has them; the partition is
+    final when a round splits no block. Each block thus takes the number
+    of its first state, and the minimal table is read off that state's
+    row.
 
-    n_new = len(order)
-    table = [[0] * n_minterms for _ in range(n_new)]
-    new_accepting = set()
-    for b, new_id in order.items():
-        rep = reps[b]
-        for m in range(n_minterms):
-            table[new_id][m] = order[block_of[rows[rep][m]]]
-        if rep in accepting:
-            new_accepting.add(new_id)
-
-    return Dfa(
-        atoms=atoms,
-        accepting=frozenset(new_accepting),
-        table=tuple(tuple(r) for r in table),
-    )
+    The numbering is canonical only if `rows` holds reachable states
+    only, numbered breadth first from state 0 with successors in minterm
+    order, as `_determinize` numbers them. Then the blocks' first states
+    come in the order in which a breadth-first walk of the minimal DFA
+    meets the blocks, so equal languages give equal tables.
+    """
+    block = [s in accepting for s in range(len(rows))]
+    n_blocks = len(set(block))
+    while True:
+        numbers: dict[tuple, int] = {}
+        block = [numbers.setdefault((block[s], *map(block.__getitem__, row)),
+                                    len(numbers))
+                 for s, row in enumerate(rows)]
+        if len(numbers) == n_blocks:
+            break
+        n_blocks = len(numbers)
+    table: list[tuple[int, ...]] = []
+    for s, row in enumerate(rows):
+        if block[s] == len(table):  # s is the first state of its block
+            table.append(tuple(block[t] for t in row))
+    return Dfa(atoms=atoms, accepting=frozenset(block[s] for s in accepting),
+               table=tuple(table))
 
 
 def _guard_rows(atoms: tuple[Atom, ...], table: tuple[tuple[int, ...], ...]
@@ -408,69 +414,6 @@ def _guard_rows(atoms: tuple[Atom, ...], table: tuple[tuple[int, ...], ...]
         rows.append(tuple((_minterms_to_formula(ms, atoms), t)
                           for t, ms in groups.items()))
     return tuple(rows)
-
-
-def _hopcroft(n: int, m: int, table: list[list[int]],
-              accepting: set[int]) -> list[int]:
-    """Hopcroft's partition refinement; returns block index per state.
-
-    The coarsest congruence is unique, so internal ordering choices cannot
-    affect the final automaton after BFS renumbering.
-    """
-    inverse: list[list[list[int]]] = [[[] for _ in range(m)] for _ in range(n)]
-    for s in range(n):
-        for c in range(m):
-            inverse[table[s][c]][c].append(s)
-
-    acc = frozenset(accepting)
-    rej = frozenset(range(n)) - acc
-    blocks: list[set[int]] = []
-    for grp in (acc, rej):
-        if grp:
-            blocks.append(set(grp))
-    block_of = [0] * n
-    for i, blk in enumerate(blocks):
-        for s in blk:
-            block_of[s] = i
-
-    work: deque[tuple[int, int]] = deque()
-    in_work: set[tuple[int, int]] = set()
-    smaller = min(range(len(blocks)), key=lambda i: len(blocks[i]))
-    for c in range(m):
-        work.append((smaller, c))
-        in_work.add((smaller, c))
-
-    while work:
-        a_idx, c = work.popleft()
-        in_work.discard((a_idx, c))
-        a_block = blocks[a_idx]
-        x = set()
-        for t in a_block:
-            x.update(inverse[t][c])
-        touched: dict[int, set[int]] = {}
-        for s in x:
-            touched.setdefault(block_of[s], set()).add(s)
-        for b_idx, inside in touched.items():
-            b_block = blocks[b_idx]
-            if len(inside) == len(b_block):
-                continue
-            outside = b_block - inside
-            small, large = (inside, outside) if len(inside) <= len(outside) \
-                else (outside, inside)
-            blocks[b_idx] = large
-            new_idx = len(blocks)
-            blocks.append(small)
-            for s in small:
-                block_of[s] = new_idx
-            for cc in range(m):
-                if (b_idx, cc) in in_work:
-                    work.append((new_idx, cc))
-                    in_work.add((new_idx, cc))
-                else:
-                    pick = new_idx if len(small) <= len(large) else b_idx
-                    work.append((pick, cc))
-                    in_work.add((pick, cc))
-    return block_of
 
 
 # ---------------------------------------------------------------------------

@@ -345,8 +345,7 @@ def generate_problem(domain: Domain, problem: ProblemInstance,
                             obs_by_level, analysis)
 
 
-def evaluate_problem(domain: Domain, problem: ProblemInstance,
-                     gen: GeneratedProblem, cfg: BenchConfig, *,
+def evaluate_problem(gen: GeneratedProblem, cfg: BenchConfig, *,
                      canonical: bool = False) -> list[dict]:
     """Score every level of one generated problem against the analysis
     its generation built. A record's time_s is that analysis time plus
@@ -391,7 +390,7 @@ def _run_problem(cfg: BenchConfig, dataset_index: int, problem_index: int,
     domain = fond.parse_domain(spec.domain_text)
     problem = fond.parse_problem(spec.problem_text)
     gen = generate_problem(domain, problem, cfg, spec.name, problem_index)
-    return evaluate_problem(domain, problem, gen, cfg, canonical=canonical)
+    return evaluate_problem(gen, cfg, canonical=canonical)
 
 
 def run_benchmark(cfg: BenchConfig, *, jobs: int = 1, canonical: bool = False,

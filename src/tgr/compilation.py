@@ -69,12 +69,11 @@ def validate_goal_atoms(domain: Domain, problem: ProblemInstance,
                     f"type {obj_types[arg]!r}, expected {param.type!r}")
 
 
-def goal_dfa(domain: Domain, problem: ProblemInstance, formula: Formula,
-             state_cap: int = automata.DEFAULT_STATE_CAP) -> Dfa:
+def goal_dfa(domain: Domain, problem: ProblemInstance, formula: Formula) -> Dfa:
     """The minimal DFA of a goal whose atoms are checked against the
     domain and problem; a goal no trace satisfies is a CompileError."""
     validate_goal_atoms(domain, problem, formula)
-    dfa = automata.formula_to_dfa(formula, state_cap)
+    dfa = automata.formula_to_dfa(formula)
     if not dfa.accepting:
         raise CompileError(
             f"goal {formula} is unsatisfiable: its automaton has no "
@@ -236,10 +235,9 @@ class AugmentedProblem:
 
 
 def compile_goal(domain: Domain, problem: ProblemInstance, formula: Formula,
-                 *, goal_id: str = "g0",
-                 state_cap: int = automata.DEFAULT_STATE_CAP) -> AugmentedProblem:
+                 *, goal_id: str = "g0") -> AugmentedProblem:
     """Build the augmented domain/problem pair for `formula` and ground it."""
-    dfa = goal_dfa(domain, problem, formula, state_cap)
+    dfa = goal_dfa(domain, problem, formula)
     prefix = _pick_prefix(domain, dfa.n_states)
     aug_domain, aug_problem = _augment(domain, problem, dfa, prefix, goal_id)
     q_names, turn_name, sync_name, _ = _names(prefix, dfa.n_states)

@@ -1,6 +1,7 @@
 """DFA construction: semantics, minimality, determinism, lifting."""
 
 import hashlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tgr import automata, logic
 from tgr.errors import AutomatonCapError, TgrError
 
+import reference_automata
 from helpers import P, Q, ltlf_corpus, pltlf_corpus, trace_corpus
 
 EMPTY = frozenset()
@@ -95,6 +97,15 @@ def test_state_cap():
         automata.ltlf_to_dfa(f, state_cap=2)
 
 
+def test_state_cap_counts_states_before_minimization():
+    # F(a) reads three values before minimization: the initial one, a
+    # pending F(a) and a fulfilled one.
+    f = logic.parse_formula("F(a)")
+    with pytest.raises(AutomatonCapError, match="exceeded 2 states"):
+        automata.ltlf_to_dfa(f, state_cap=2)
+    assert automata.ltlf_to_dfa(f, state_cap=3).n_states == 2
+
+
 def test_formula_to_dfa_memoizes_results_but_not_cap_errors(monkeypatch):
     built = []
 
@@ -125,11 +136,12 @@ MIXED_OPS = (FUTURE_OPS[0] + PAST_OPS[0], FUTURE_OPS[1] + PAST_OPS[1])
 
 
 @st.composite
-def shape_formulas(draw):
-    """Random LTLf, PLTLf or mixed formulas over 0-5 atoms, atoms repeated."""
+def shape_formulas(draw, dialects=(FUTURE_OPS, PAST_OPS, MIXED_OPS)):
+    """Random formulas over 0-5 atoms, atoms repeated, with the operators
+    of one of `dialects` (by default LTLf, PLTLf or mixed)."""
     atoms = draw(st.lists(st.sampled_from(SHAPE_ATOMS), max_size=5,
                           unique=True))
-    unaries, binaries = draw(st.sampled_from((FUTURE_OPS, PAST_OPS, MIXED_OPS)))
+    unaries, binaries = draw(st.sampled_from(dialects))
     leaves = st.sampled_from([logic.TRUE, logic.FALSE]
                              + [logic.from_atom(a) for a in atoms])
     return draw(st.recursive(leaves, lambda sub: st.one_of(
@@ -284,3 +296,69 @@ def test_bench_shapes_and_wide_probes_are_pinned():
         "a4ae00b1039cd6532f238d9de33d1c30e4b694b7812f5f18755398bf91c2df9c")
     assert _tables_digest(automata.formula_to_dfa, wide_probes(8)) == (
         "188472cc415f2d49717f3233d504562efbd23acd1fea9639633b3227dab8d5e0")
+
+
+@st.composite
+def bfs_automata(draw):
+    """Random complete automata as `_determinize` hands them over:
+    reachable states only, numbered breadth first from state 0 with
+    successors in letter order. Returns (atoms, rows, accepting)."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1 << k,
+                                  max_size=1 << k), min_size=n, max_size=n))
+    accepting = draw(st.sets(st.integers(0, n - 1)))
+    order = {0: 0}
+    queue = [0]
+    for s in queue:
+        for t in rows[s]:
+            if t not in order:
+                order[t] = len(order)
+                queue.append(t)
+    atoms = tuple(logic.Atom(f"a{i}") for i in range(k))
+    return (atoms, [[order[t] for t in rows[s]] for s in queue],
+            {order[s] for s in accepting if s in order})
+
+
+def _check_finish(atoms, rows, accepting):
+    dfa = automata._finish(atoms, rows, accepting)
+    assert dfa.atoms == atoms
+    assert (dfa.accepting, dfa.table) == reference_automata.minimize(
+        rows, accepting)
+
+
+@settings(max_examples=500, deadline=None)
+@given(bfs_automata())
+def test_finish_equals_table_filling_then_bfs_numbering(automaton):
+    _check_finish(*automaton)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape_formulas((FUTURE_OPS, PAST_OPS)))
+def test_finish_equals_the_reference_on_formula_automata(f):
+    handed = []
+    finish = automata._finish
+
+    def recording(atoms, rows, accepting):
+        handed.append((atoms, rows, set(accepting)))
+        return finish(atoms, rows, accepting)
+
+    with mock.patch.object(automata, "_finish", recording):
+        _direct(f, automata.DEFAULT_STATE_CAP)
+    (automaton,) = handed
+    _check_finish(*automaton)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape_formulas((PAST_OPS,)))
+def test_pltlf_to_dfa_equals_the_full_vector_construction(f):
+    assert _outcome(automata.pltlf_to_dfa, f, automata.DEFAULT_STATE_CAP) == \
+        _outcome(reference_automata.pltlf_to_dfa, f,
+                 automata.DEFAULT_STATE_CAP), str(f)
+
+
+def test_wide_pltlf_probe_equals_the_full_vector_construction():
+    _, past = wide_probes(8)
+    assert _outcome(automata.pltlf_to_dfa, past, automata.DEFAULT_STATE_CAP) \
+        == _outcome(reference_automata.pltlf_to_dfa, past,
+                    automata.DEFAULT_STATE_CAP)

@@ -212,8 +212,7 @@ def test_evaluate_problem_matches_per_level_recognize():
         gen = bench.generate_problem(domain, problem, cfg,
                                      "triangle-tireworld", index)
         goals = tuple(logic.parse_formula(g) for g in gen.goals)
-        records = bench.evaluate_problem(domain, problem, gen, cfg,
-                                         canonical=True)
+        records = bench.evaluate_problem(gen, cfg, canonical=True)
         assert [r["level"] for r in records] == list(cfg.levels)
         for rec in records:
             res = recognizer.recognize(
@@ -238,12 +237,12 @@ def test_evaluate_problem_only_scores(monkeypatch):
     domain = fond.parse_domain(TIREWORLD.domain_text)
     problem = fond.parse_problem(TIREWORLD.problem_text)
     gen = bench.generate_problem(domain, problem, cfg, "triangle-tireworld", 0)
-    want = bench.evaluate_problem(domain, problem, gen, cfg, canonical=True)
+    want = bench.evaluate_problem(gen, cfg, canonical=True)
     for module, name in ((planner, "solve_strong_cyclic"), (fond, "ground"),
                          (compilation, "GoalProduct"),
                          (automata, "formula_to_dfa")):
         monkeypatch.setattr(module, name, fail)
-    got = bench.evaluate_problem(domain, problem, gen, cfg, canonical=True)
+    got = bench.evaluate_problem(gen, cfg, canonical=True)
     assert got == want
     assert [r["planner_calls"] for r in got] == [2, 2]
 
