@@ -238,10 +238,13 @@ def pltlf_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     # A state keeps only what the next step reads: the root, the operand
     # of each Y, and each S, O and H itself. Vectors that agree there
     # agree on acceptance and on every successor, so the minimal DFA is
-    # the full vectors' one, without a state per letter before it.
-    read = {root} | {index[g.children[0]] if g.kind == "yesterday" else index[g]
-                     for g in subs
-                     if g.kind in ("yesterday", "since", "once", "historically")}
+    # the one full vectors give, and no state records the last letter.
+    read = {root}
+    for i, g in enumerate(subs):
+        if g.kind == "yesterday":
+            read.add(index[g.children[0]])
+        elif g.kind in ("since", "once", "historically"):
+            read.add(i)
     kept = [i in read for i in range(len(subs))]
 
     def advance(prev: tuple[bool, ...] | None, val: frozenset[Atom]) -> tuple[bool, ...]:

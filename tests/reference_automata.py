@@ -1,4 +1,4 @@
-"""Automaton constructions as first written, kept as test oracles.
+"""Plain automaton constructions, kept as test oracles.
 
 `minimize` is the textbook minimizer: it fills the table of
 distinguishable state pairs (Myhill-Nerode) until nothing changes, then
@@ -6,10 +6,11 @@ numbers the classes breadth first from the initial state, successors in
 letter order. It is quadratic in the states, but plainly faithful to the
 definition, so `tgr.automata._finish` is checked against it.
 
-`pltlf_to_dfa` keeps the truth value of every subformula in its state,
-atoms included, so before minimization it has a state per letter read
-last. `tgr.automata.pltlf_to_dfa` keeps only the values the next step
-reads, and must build the same minimal DFA.
+`pltlf_to_dfa` is the PLTLf construction as first written: it keeps the
+truth value of every subformula in its state, atoms included, so before
+minimization it has a state per letter read last.
+`tgr.automata.pltlf_to_dfa` keeps only the values the next step reads,
+and must build the same minimal DFA.
 """
 
 from tgr import automata, logic
