@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import automata, fond, logic, planner
 from .automata import Dfa
@@ -43,7 +43,19 @@ from .logic import Atom, Formula
 def validate_goal_atoms(domain: Domain, problem: ProblemInstance,
                         formula: Formula) -> None:
     """Every atom of the goal must be a well-typed ground instance of a
-    declared predicate over declared objects."""
+    declared predicate over declared objects.
+
+    The check reads only the domain, the problem's objects and the goal,
+    so the last `automata._DFA_MEMO_SIZE` goals that passed it are kept
+    per domain and goal-free problem, beside the automaton memo. A goal
+    that fails it raises again on every call, never stored.
+    """
+    _memo_validate(domain, problem._goal_free, formula)
+
+
+@lru_cache(maxsize=automata._DFA_MEMO_SIZE)
+def _memo_validate(domain: Domain, problem: ProblemInstance,
+                   formula: Formula) -> None:
     obj_types = dict(problem.objects)
     by_type = fond._type_table(domain, problem)
     for a in sorted(logic.atoms(formula)):
@@ -95,7 +107,8 @@ class GoalProduct:
     Transitions are read from the base's `fond.TransitionTable`, which
     every product over the same base shares, so a base state is
     expanded once however many automaton states and goals pair with it.
-    The product keeps the DFA letter of each base state by table id.
+    So are the DFA letters of the base states, by table id, which the
+    table keeps per tuple of DFA atoms (`TransitionTable.letters`).
     The planner searches it a set of table ids per DFA state at a time
     (see `planner`), so a product holds no per-goal graph, and builds a
     node's state only when the policy maps it. A node whose q is a dead
@@ -111,29 +124,18 @@ class GoalProduct:
         self.actions = base.actions
         self.action_index = base.action_index
         self._table = base.transition_table
-        self._letter_of: list[int] = []  # by table id
+        self._letter_of = self._table.letters(self.dfa.atoms)  # by table id
         self._shift = len(base.fluents)
         self._low = (1 << self._shift) - 1
-        # (fluent bit, minterm bit) per DFA atom: reads a base state's letter.
-        self._letter = tuple((1 << base.fluent_index[a], 1 << i)
-                             for i, a in enumerate(self.dfa.atoms))
-        self.s0 = base.s0 | self.dfa.table[0][self._minterm(base.s0)] \
+        # The table numbers the base's initial state 0.
+        self.s0 = base.s0 | self.dfa.table[0][self._letter_of[0]] \
             << self._shift
-
-    def _minterm(self, state: int) -> int:
-        """The DFA letter of a base state."""
-        m = 0
-        for bit, letter in self._letter:
-            if state & bit:
-                m |= letter
-        return m
 
     def _letters(self) -> list[int]:
         """The DFA letter of each base state, by table id."""
-        states, letters = self._table.states, self._letter_of
-        if len(letters) < len(states):
-            letters.extend(map(self._minterm, states[len(letters):]))
-        return letters
+        if len(self._letter_of) < len(self._table.states):
+            self._letter_of = self._table.letters(self.dfa.atoms)
+        return self._letter_of
 
     def applicable(self, state: int, action: int) -> bool:
         return self.base.applicable(state & self._low, action)

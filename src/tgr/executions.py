@@ -7,11 +7,13 @@ which lets each fairness loop fire at most once. Two paths with the
 same action sequence count as one execution (the first found in DFS
 order is kept as the representative).
 
-Both entry points read the policy's state model once, through
-`_policy_graph`, which numbers the reachable states and records each
-state's action label and outcome ids. `enumerate_executions` then walks
-the paths over those ids depth first, keeping the first path of each
-action sequence with its state trace.
+Both entry points read the policy's graph, from `planner._graph_of`: the
+reachable states numbered depth first, with each state's action label
+and outcome ids. That is the graph `planner.verify_policy` built, while
+the policy still maps its states as verified, and otherwise one built
+afresh from the model. `enumerate_executions` then walks the paths over
+those ids depth first, keeping the first path of each action sequence
+with its state trace.
 
 `goal_model` counts the executions instead, so its work grows with the
 policy rather than with its paths. A configuration is a policy state
@@ -29,14 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 import time
 from dataclasses import dataclass
 
 from .errors import DeadlineExceeded, ExecutionCapError, TgrError
 from .fond import StateModel
 from .logic import Atom
-from .planner import Policy
+from .planner import Policy, _graph_of
 
 DEFAULT_EXECUTION_CAP = 10_000
 ABSENT_DISTANCE = math.e ** 5
@@ -57,7 +58,7 @@ class Execution:
 
 def _walk(g: StateModel, graph: tuple, cap: int,
           deadline: float | None) -> list[Execution]:
-    """The executions of the policy that `graph` (from `_policy_graph`)
+    """The executions of the policy that `graph` (from `_graph_of`)
     numbers on the model `g`, walked depth first over the graph's ids:
     the first path, in DFS order, of each distinct action sequence.
 
@@ -144,8 +145,8 @@ def enumerate_executions(policy: Policy, aug=None, *,
     """
     if aug is not None:
         policy = aug.product_policy(policy)
-    return _walk(policy.grounded, _policy_graph(policy, deadline), cap,
-                 deadline)
+    return _walk(policy.grounded,
+                 _graph_of(policy, deadline, _check_deadline), cap, deadline)
 
 
 def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
@@ -171,7 +172,7 @@ def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
     and every 512 states, configurations or nodes expanded.
     """
     _check_deadline(deadline)
-    graph = _policy_graph(policy, deadline)
+    graph = _graph_of(policy, deadline, _check_deadline)
     names, label_of, outs, comp, _, _ = graph
     if not outs or -1 in label_of:
         # s0 is a goal, which the walk answers, or the policy is open,
@@ -328,94 +329,6 @@ def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
                       for lab, mask in enumerate(before)
                       for x in range(mask.bit_length()) if mask >> x & 1)
     return kept[top], distances, pairs
-
-
-def _policy_graph(policy: Policy, deadline: float | None) -> tuple:
-    """Number the states of `policy` depth first from s0 and find the
-    cycles through them (Tarjan's algorithm, iterative). Nothing else here
-    reads the policy's mapping or the model's successors and goal test:
-    `_walk` and the count in `goal_model` follow these ids.
-
-    Returns (names, label_of, outs, comp, states, goals). `names` are the
-    action names by label. Per state id: its action's label (-1 if the
-    policy maps no action there), its outcomes' ids in order (~j for the
-    j-th goal state met), the id of its strongly connected component if
-    a cycle runs through the state, else -1, and the state itself.
-    `goals` are the goal states by j. When s0 is a goal, only `goals`
-    is non-empty. The deadline is checked every 512 states.
-    """
-    g = policy.grounded
-    names: list[str] = []
-    label_of: list[int] = []
-    outs: list[list[int]] = []
-    comp: list[int] = []
-    states: list[int] = []
-    goals: list[int] = []
-    if g.is_goal(g.s0):
-        goals.append(g.s0)
-        return names, label_of, outs, comp, states, goals
-    ids = {g.s0: 0}
-    labels: dict[int, int] = {}  # action index -> label
-    # Tarjan's low links, ids doubling as visit order; a state whose
-    # component is complete gets `done`, which no comparison picks.
-    low: list[int] = []
-    done = sys.maxsize
-    path: list[int] = []
-    stack: list[tuple] = []
-    state = g.s0
-    while True:
-        if state is not None:  # enter it as state len(outs)
-            i = len(outs)
-            if i and not i % 512:
-                _check_deadline(deadline)
-            ai = policy.mapping.get(state)
-            if ai is None:
-                lab, succs = -1, ()
-            else:
-                lab = labels.get(ai)
-                if lab is None:
-                    lab = labels[ai] = len(names)
-                    names.append(g.actions[ai].name)
-                succs = g.successors(state, ai)
-            label_of.append(lab)
-            outs.append([])
-            comp.append(-1)
-            states.append(state)
-            low.append(i)
-            path.append(i)
-            stack.append((i, iter(succs)))
-            state = None
-        v, pending = stack[-1]
-        row = outs[v]
-        for succ in pending:
-            w = ids.get(succ)
-            if w is None:
-                if not g.is_goal(succ):
-                    ids[succ] = len(outs)
-                    row.append(len(outs))
-                    state = succ
-                    break
-                w = ids[succ] = ~len(goals)
-                goals.append(succ)
-            row.append(w)
-            if w >= 0 and low[w] < low[v]:
-                low[v] = low[w]
-        else:
-            stack.pop()
-            if low[v] == v:
-                w = path.pop()
-                low[w] = done
-                if w != v or v in row:
-                    comp[w] = v
-                while w != v:
-                    w = path.pop()
-                    low[w] = done
-                    comp[w] = v
-            if not stack:
-                return names, label_of, outs, comp, states, goals
-            u = stack[-1][0]
-            if low[v] < low[u]:
-                low[u] = low[v]
 
 
 def _check_deadline(deadline: float | None) -> None:

@@ -45,7 +45,7 @@ import itertools
 import time
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, wraps
 from typing import Protocol
 
@@ -53,7 +53,7 @@ from . import logic
 from .errors import (DeadlineExceeded, GroundingCapError,
                      InapplicableActionError, PddlParseError,
                      PlannerCapError, UnsupportedFeatureError)
-from .logic import Atom, Formula
+from .logic import Atom, Formula, _hash_once, _state_without_hash
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +181,6 @@ class ActionSchema:
     params: tuple[Parameter, ...]
     precondition: tuple[Literal, ...]
     effect: Effect
-
-
-def _hash_once(self) -> int:
-    """The hash of a frozen dataclass's fields, computed on first use and
-    kept on the instance; equality stays the dataclass's own."""
-    h = self.__dict__.get("_hash")
-    if h is None:
-        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
-        self.__dict__["_hash"] = h
-    return h
-
-
-def _state_without_hash(self) -> dict:
-    """Pickled state without the kept hash, which depends on the process's
-    string hash seed."""
-    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 @dataclass(frozen=True)
@@ -787,6 +771,10 @@ class GroundedFond:
                                for i in _bits(state)))
 
 
+# Atom tuples whose letters a transition table keeps.
+_LETTER_MEMO_SIZE = 64
+
+
 class TransitionTable:
     """The transitions of a model's states, each derived at most once.
 
@@ -808,6 +796,10 @@ class TransitionTable:
     that lead to state i; and `_source[p]`, the id of the state that
     pair p applies in. They hold ids in tuples and lists, not sets, to
     keep the table small; the undo covers them too.
+
+    `letters(atoms)` gives each state's letter over a tuple of fluents,
+    kept for the last `_LETTER_MEMO_SIZE` tuples and extended as the
+    table grows, so that goal automata over the same atoms share it.
     """
 
     def __init__(self, model: GroundedFond) -> None:
@@ -824,6 +816,7 @@ class TransitionTable:
         self._succ: list[tuple[int, ...] | None] = []
         self._into: list[list[int]] = []
         self._source: list[int] = []
+        self._letters: dict[tuple[Atom, ...], list[int]] = {}
         self._id(model.s0)
 
     def _id(self, state: int) -> int:
@@ -838,6 +831,29 @@ class TransitionTable:
             self._into.append([])
             self._ids[state] = i
         return i
+
+    def letters(self, atoms: tuple[Atom, ...]) -> list[int]:
+        """Per state id, the letter of `atoms` in that state: bit i is set
+        iff `atoms[i]` holds. Each atom must be a fluent of the model."""
+        letters = self._letters.pop(atoms, None)
+        if letters is None:
+            if len(self._letters) >= _LETTER_MEMO_SIZE:
+                del self._letters[next(iter(self._letters))]
+            letters = []
+        self._letters[atoms] = letters  # now the most recent
+        states = self.states
+        if len(letters) < len(states):
+            index = self._model.fluent_index
+            masks = [(1 << index[a], 1 << i) for i, a in enumerate(atoms)]
+
+            def letter(state: int) -> int:
+                m = 0
+                for bit, atom_bit in masks:
+                    if state & bit:
+                        m |= atom_bit
+                return m
+            letters.extend(map(letter, states[len(letters):]))
+        return letters
 
     def pairs(self, state: int) -> range:
         """The pair indices of `state`, expanding it on first use."""

@@ -11,7 +11,7 @@ formula is read at the first position, a PLTLf formula at the last.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
 from .errors import FormulaParseError, MixedDialectError, TgrError
@@ -43,18 +43,39 @@ KIND_SYMBOL = {
 }
 
 
+def _hash_once(self) -> int:
+    """The hash of a frozen dataclass's fields, computed on first use and
+    kept on the instance; equality stays the dataclass's own."""
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        self.__dict__["_hash"] = h
+    return h
+
+
+def _state_without_hash(self) -> dict:
+    """Pickled state without the kept hash, which depends on the process's
+    string hash seed."""
+    return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class Formula:
     """Immutable formula node.
 
     `kind` is one of: atom, true, false, not, and, or, next, weak_next,
     until, eventually, always, yesterday, since, once, historically.
-    `atom` is set only for kind == "atom".
+    `atom` is set only for kind == "atom". The hash is the dataclass's
+    own, computed once per node, since memo lookups and tree walks hash
+    the same nodes again and again.
     """
 
     kind: str
     children: tuple["Formula", ...] = ()
     atom: Atom | None = field(default=None)
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
     def __str__(self) -> str:
         k = self.kind

@@ -47,15 +47,20 @@ is one more than its nearest live outcome's, so this is the action
 whose best outcome is closest to the goal, ties to the lowest
 ground-action index. The result is deterministic and is checked by
 `verify_policy`, which reads only the policy's own actions, through
-`applicable` and `successors`, before being returned.
+`applicable` and `successors`, before being returned. The check numbers
+the policy's states depth first, and the policy keeps that graph, from
+which `executions` counts its executions without reading the model
+again.
 """
 
 from __future__ import annotations
 
 import re
 import subprocess
+import sys
 import tempfile
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse
 from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Sequence
@@ -76,10 +81,18 @@ _Step = tuple[int, int, Sequence[Hashable]]
 
 @dataclass
 class Policy:
-    """A partial mapping from non-goal states to ground action indices."""
+    """A partial mapping from non-goal states to ground action indices.
+
+    A policy that `verify_policy` passed keeps the graph it verified
+    (see `_policy_graph`), which `executions` reads while the mapping
+    still maps every state of the graph to the action verified there.
+    """
 
     grounded: StateModel
     mapping: dict[int, int] = field(repr=False)
+    # (model, graph, action index per graph state), set by verification.
+    _verified: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __len__(self) -> int:
         return len(self.mapping)
@@ -127,7 +140,7 @@ def solve_strong_cyclic(grounded: StateModel, *,
                 closure.append(t)
 
     policy = Policy(grounded, mapping)
-    report = verify_policy(policy)
+    report = verify_policy(policy, deadline=deadline)
     if not report.ok:  # pragma: no cover - solver internal invariant
         raise UnsolvableError(f"extracted policy failed verification: "
                               f"{report.reason}")
@@ -428,13 +441,30 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
     return (0, q0), choose
 
 
-def verify_policy(policy: Policy) -> PolicyReport:
+def verify_policy(policy: Policy, *,
+                  deadline: float | None = None) -> PolicyReport:
     """Check closure and strong cyclicity by an independent traversal.
 
     Closed: every state reachable from s0 under the policy is a goal
     state or has an applicable mapped action. Strong cyclic: from every
     reachable state, some goal state is reachable along policy edges.
+
+    The traversal reads only the model and `policy.mapping`, through
+    `_policy_graph`, and a policy that passes keeps the graph. A policy
+    that fails is searched again breadth first, and the report names the
+    first counterexample in that order. The deadline is checked every
+    512 states of the graph.
     """
+    found = _policy_graph(policy, deadline, fond._check_deadline, True)
+    if found is None:
+        return _search_report(policy)
+    policy._verified = (policy.grounded, *found)
+    return PolicyReport(True, True, None, "policy is closed and strong cyclic")
+
+
+def _search_report(policy: Policy) -> PolicyReport:
+    """The report of a breadth-first check of `policy`, whose
+    counterexample is the first failing state in breadth-first order."""
     g = policy.grounded
     reached: list[int] = [g.s0]
     seen = {g.s0}
@@ -496,6 +526,133 @@ def verify_policy(policy: Policy) -> PolicyReport:
     if closed and strong_cyclic and not reason:
         reason = "policy is closed and strong cyclic"
     return PolicyReport(closed, strong_cyclic, counterexample, reason)
+
+
+def _graph_of(policy: Policy, deadline: float | None,
+              check_deadline: Callable[[float | None], None]) -> tuple:
+    """The graph of `policy`: the one `verify_policy` kept, while the
+    policy's model is the one verified and its mapping maps every state
+    of the graph to the action verified there; else one built afresh by
+    `_policy_graph`, which checks the deadline with `check_deadline`."""
+    kept = policy._verified
+    if kept is not None:
+        model, graph, actions = kept
+        if (model is policy.grounded
+                and list(map(policy.mapping.get, graph[4])) == actions):
+            return graph
+    return _policy_graph(policy, deadline, check_deadline)[0]
+
+
+def _policy_graph(policy: Policy, deadline: float | None,
+                  check_deadline: Callable[[float | None], None],
+                  verify: bool = False) -> tuple[tuple, list[int]] | None:
+    """Number the states of `policy` depth first from s0 and find the
+    cycles through them (Tarjan's algorithm, iterative). The executions
+    walk and count over these ids; only this reads the policy's mapping
+    and the model's successors and goal test for them.
+
+    Returns the graph (names, label_of, outs, comp, states, goals) and
+    the action index of each state (None where the policy maps none).
+    `names` are the action names by label. Per state id: its action's
+    label (-1 if the policy maps no action there), its outcomes' ids in
+    order (~j for the j-th goal state met), the id of its strongly
+    connected component if a cycle runs through the state, else -1, and
+    the state itself. `goals` are the goal states by j. When s0 is a
+    goal, only `goals` is non-empty. `check_deadline(deadline)` runs
+    every 512 states.
+
+    With `verify`, returns None as soon as the policy is seen not to be
+    closed and strong cyclic: at a state it maps to no action or to an
+    inapplicable one, whose successors it then never asks for, or at a
+    component that reaches no goal. Components complete in reverse
+    topological order, and each earlier one reached a goal, so one
+    reaches a goal exactly when some outcome of its states is a goal or
+    a state outside it.
+    """
+    g = policy.grounded
+    mapping = policy.mapping
+    names: list[str] = []
+    label_of: list[int] = []
+    outs: list[list[int]] = []
+    comp: list[int] = []
+    states: list[int] = []
+    goals: list[int] = []
+    actions: list[int] = []
+    graph = names, label_of, outs, comp, states, goals
+    if g.is_goal(g.s0):
+        goals.append(g.s0)
+        return graph, actions
+    ids = {g.s0: 0}
+    labels: dict[int, int] = {}  # action index -> label
+    # Tarjan's low links, ids doubling as visit order; a state whose
+    # component is complete gets `done`, which no comparison picks. The
+    # path holds ids in ascending order.
+    low: list[int] = []
+    done = sys.maxsize
+    path: list[int] = []
+    stack: list[tuple] = []
+    state = g.s0
+    while True:
+        if state is not None:  # enter it as state len(outs)
+            i = len(outs)
+            if i and not i % 512:
+                check_deadline(deadline)
+            ai = mapping.get(state)
+            if ai is None:
+                if verify:
+                    return None
+                lab, succs = -1, ()
+            else:
+                if verify and not g.applicable(state, ai):
+                    return None
+                lab = labels.get(ai)
+                if lab is None:
+                    lab = labels[ai] = len(names)
+                    names.append(g.actions[ai].name)
+                succs = g.successors(state, ai)
+            label_of.append(lab)
+            outs.append([])
+            comp.append(-1)
+            states.append(state)
+            actions.append(ai)
+            low.append(i)
+            path.append(i)
+            stack.append((i, iter(succs)))
+            state = None
+        v, pending = stack[-1]
+        row = outs[v]
+        for succ in pending:
+            w = ids.get(succ)
+            if w is None:
+                if not g.is_goal(succ):
+                    ids[succ] = len(outs)
+                    row.append(len(outs))
+                    state = succ
+                    break
+                w = ids[succ] = ~len(goals)
+                goals.append(succ)
+            row.append(w)
+            if w >= 0 and low[w] < low[v]:
+                low[v] = low[w]
+        else:
+            stack.pop()
+            if low[v] == v:
+                k = bisect_left(path, v)
+                members = path[k:]
+                del path[k:]
+                if verify and not any(t < 0 or low[t] == done
+                                      for w in members for t in outs[w]):
+                    return None
+                for w in members:
+                    low[w] = done
+                if len(members) > 1 or v in row:
+                    for w in members:
+                        comp[w] = v
+            if not stack:
+                return graph, actions
+            u = stack[-1][0]
+            if low[v] < low[u]:
+                low[u] = low[v]
 
 
 # ---------------------------------------------------------------------------

@@ -162,11 +162,22 @@ def pairwise_score(p: int, o_i: str, goal_index: int,
     table = tables[goal_index]
     if table is None:
         raise TgrError("pairwise_score called for an unsolvable goal")
-    denominator = _left_sum(t.get(o_i, ABSENT_DISTANCE)
-                           for t in tables if t is not None)
+    return _scaled(p, table.get(o_i, ABSENT_DISTANCE),
+                   _denominator(o_i, tables))
+
+
+def _denominator(o_i: str, tables: Sequence[dict[str, float] | None]
+                 ) -> float:
+    """The denominator of `pairwise_score` for `o_i`, the same for every
+    goal."""
+    return _left_sum(t.get(o_i, ABSENT_DISTANCE)
+                     for t in tables if t is not None)
+
+
+def _scaled(p: int, d: float, denominator: float) -> float:
+    """e^p * d / denominator, or 0 when the denominator is zero."""
     if denominator == 0:
         return 0.0
-    d = table.get(o_i, ABSENT_DISTANCE)
     return math.exp(p) * d / denominator
 
 
@@ -308,13 +319,16 @@ def score(analysis: Analysis, obs: Sequence[str]) -> RecognitionResult:
     _check_observations(obs, analysis.actions)
     models = [replace(m) for m in analysis.models]
     tables = [m.distances for m in models]
-    for i, model in enumerate(models):
+    # `pairwise_score`'s denominators, one per observation for all goals.
+    denominators = [_denominator(o, tables) for o in obs]
+    for model in models:
         if not model.solvable:
             continue
         model.penalties = tuple(penalty(prev, o, model.pairs)
                                 for prev, o in zip((None, *obs), obs))
-        model.scores = tuple(pairwise_score(p, o, i, tables)
-                             for p, o in zip(model.penalties, obs))
+        model.scores = tuple(
+            _scaled(p, model.distances.get(o, ABSENT_DISTANCE), den)
+            for p, o, den in zip(model.penalties, obs, denominators))
         # Nothing observed: every solvable goal explains equally well.
         model.avg_score = _left_sum(model.scores) / len(obs) if obs else 0.0
         model.likelihood = likelihood(model.avg_score)

@@ -1,14 +1,19 @@
-"""The strong-cyclic solver as first written, kept as a test oracle.
+"""The strong-cyclic solver and the policy verifier as first written,
+kept as test oracles.
 
-It expands every state by testing every ground action, then prunes by
-rescanning all states until nothing changes. That is quadratic, but it
-is short and obviously faithful to the definition, so `tgr.planner`'s
-linear solver is checked against it: both must raise the same errors
-and return equal policies.
+The solver expands every state by testing every ground action, then
+prunes by rescanning all states until nothing changes. That is
+quadratic, but it is short and obviously faithful to the definition, so
+`tgr.planner`'s linear solver is checked against it: both must raise the
+same errors and return equal policies.
+
+The verifier searches the policy breadth first, then searches back from
+the goals. `tgr.planner.verify_policy` must give the same report, reason
+text included.
 """
 
 from tgr.errors import PlannerCapError, UnsolvableError
-from tgr.planner import DEFAULT_STATE_CAP, Policy
+from tgr.planner import DEFAULT_STATE_CAP, Policy, PolicyReport
 
 
 def solve_strong_cyclic(grounded, *, state_cap=DEFAULT_STATE_CAP):
@@ -138,3 +143,74 @@ def solve_strong_cyclic(grounded, *, state_cap=DEFAULT_STATE_CAP):
                 seen.add(succ)
                 closure.append(succ)
     return Policy(grounded, mapping)
+
+
+def verify_policy(policy):
+    """Check closure and strong cyclicity by breadth-first search.
+
+    Closed: every state reachable from s0 under the policy is a goal
+    state or has an applicable mapped action. Strong cyclic: from every
+    reachable state, some goal state is reachable along policy edges.
+    The counterexample is the first failing state in breadth-first order.
+    """
+    g = policy.grounded
+    reached = [g.s0]
+    seen = {g.s0}
+    preds = {}
+    goals = []
+    closed = True
+    counterexample = None
+    reason = ""
+
+    i = 0
+    while i < len(reached):
+        state = reached[i]
+        i += 1
+        if g.is_goal(state):
+            goals.append(state)
+            continue
+        ai = policy.mapping.get(state)
+        if ai is None:
+            closed = False
+            if counterexample is None:
+                counterexample = state
+                reason = (f"non-goal state {g.state_str(state)} reachable "
+                          "under the policy has no mapped action")
+            continue
+        if not g.applicable(state, ai):
+            closed = False
+            if counterexample is None:
+                counterexample = state
+                reason = (f"mapped action {g.actions[ai].name} is not "
+                          f"applicable in {g.state_str(state)}")
+            continue
+        for succ in g.successors(state, ai):
+            preds.setdefault(succ, []).append(state)
+            if succ not in seen:
+                seen.add(succ)
+                reached.append(succ)
+
+    # Backward BFS from the goals along reversed policy edges.
+    can_reach = set(goals)
+    queue = list(goals)
+    qi = 0
+    while qi < len(queue):
+        for state in preds.get(queue[qi], ()):
+            if state not in can_reach:
+                can_reach.add(state)
+                queue.append(state)
+        qi += 1
+
+    strong_cyclic = closed
+    for state in reached:
+        if state not in can_reach:
+            strong_cyclic = False
+            if counterexample is None:
+                counterexample = state
+                reason = (f"no goal state is reachable from "
+                          f"{g.state_str(state)} along policy edges")
+            break
+
+    if closed and strong_cyclic and not reason:
+        reason = "policy is closed and strong cyclic"
+    return PolicyReport(closed, strong_cyclic, counterexample, reason)

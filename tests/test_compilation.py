@@ -101,6 +101,44 @@ def test_goal_atoms_follow_the_type_hierarchy():
                                  logic.parse_formula("F((at l1 l1))"))
 
 
+def test_goal_atoms_are_checked_once_per_problem_and_goal(monkeypatch):
+    dom, prob = tireworld()
+    tables = []
+    real = fond._type_table
+    monkeypatch.setattr(fond, "_type_table",
+                        lambda *args: tables.append(args) or real(*args))
+    good = logic.parse_formula("F((vAt 22))")
+    for problem in (prob, prob._goal_free, tireworld()[1]):
+        compilation.validate_goal_atoms(dom, problem, good)
+    assert len(tables) == 1
+    # A failed check is never kept: it raises, with its text, every time.
+    bad = logic.parse_formula("F((vAt 99))")
+    for _ in range(2):
+        with pytest.raises(CompileError,
+                           match=r"^goal atom \(vAt 99\): '99' is not a "
+                                 "declared object$"):
+            compilation.validate_goal_atoms(dom, prob, bad)
+    assert len(tables) == 3
+
+
+def test_goals_over_the_same_atoms_share_their_letters():
+    dom, prob = tireworld()
+    base = fond.goal_free_grounding(dom, prob)
+    first = compilation.GoalProduct(base, logic.parse_formula(
+        "F((vAt 21) & X(F((vAt 22))))"))
+    planner.solve_strong_cyclic(first)
+    second = compilation.GoalProduct(base, logic.parse_formula(
+        "((vAt 22) & O((vAt 21)))"))
+    letters = second._letters()
+    assert letters is first._letters()
+    table = base.transition_table
+    assert len(letters) == len(table.states) > 1
+    atoms = second.dfa.atoms
+    assert letters == [sum(1 << i for i, a in enumerate(atoms)
+                           if a in base.atoms_of(state))
+                       for state in table.states]
+
+
 def test_unsatisfiable_goal_is_a_compile_error():
     dom, prob = tireworld()
     with pytest.raises(CompileError):

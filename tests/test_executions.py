@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_executions
+import reference_planner
 from tgr import bench, compilation, executions, fond, logic, planner
 from tgr.errors import DeadlineExceeded, ExecutionCapError, TgrError
 
@@ -322,3 +323,84 @@ def test_goal_model_stops_at_the_cap_no_later_than_the_walk(monkeypatch):
     with pytest.raises(ExecutionCapError, match="more than 10000"):
         executions.goal_model(policy, deadline=1.0)
     assert len(readings) <= walked
+
+
+class ArbitraryModel(GoalSetModel):
+    """`GoalSetModel` whose actions have their own outcomes, given by
+    `outcomes((state, action))`, and apply only where `usable[state]`
+    holds them."""
+
+    def __init__(self, names, outcomes, goal, usable):
+        super().__init__(names, outcomes, goal)
+        self.usable = usable
+
+    def applicable(self, state, action):
+        return action in self.usable[state]
+
+    def successors(self, state, action):
+        assert self.applicable(state, action), "asked past applicability"
+        return self.outcomes((state, action))
+
+
+@st.composite
+def arbitrary_policies(draw):
+    """A policy of a random `ArbitraryModel` of up to nine states. Half
+    the policies map every non-goal state to an action it can apply; the
+    rest map any states, goals included, to any actions, so they may be
+    open or map inapplicable actions."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 3))
+    names = [f"(a{j})" for j in range(k)]
+    goals = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=3)))
+    state = st.integers(0, n - 1)
+    outcomes = {(s, a): tuple(draw(st.lists(state, min_size=1, max_size=3,
+                                            unique=True)))
+                for s in range(n) for a in range(k)}
+    usable = [draw(st.sets(st.integers(0, k - 1))) for _ in range(n)]
+    if draw(st.booleans()):
+        mapping = {}
+        for s in range(n):
+            if s not in goals:
+                mapping[s] = draw(st.integers(0, k - 1))
+                usable[s].add(mapping[s])
+    else:
+        mapping = draw(st.dictionaries(state, st.integers(0, k - 1)))
+    return planner.Policy(ArbitraryModel(names, outcomes.__getitem__, goals,
+                                         usable), mapping)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arbitrary_policies())
+def test_verify_policy_reports_as_the_breadth_first_reference(policy):
+    expected = reference_planner.verify_policy(policy)
+    assert planner.verify_policy(policy) == expected
+    if expected.ok:
+        # The graph the check kept counts as one built afresh.
+        fresh = planner.Policy(policy.grounded, dict(policy.mapping))
+        assert model_or_error(lambda: executions.goal_model(policy)) == \
+            model_or_error(lambda: executions.goal_model(fresh))
+
+
+def test_a_verified_graph_is_not_read_once_the_mapping_changes():
+    dom = fond.parse_domain(TIREWORLD.domain_text)
+    prob = fond.parse_problem(TIREWORLD.problem_text)
+    product = compilation.GoalProduct(fond.goal_free_grounding(dom, prob),
+                                      logic.parse_formula("F((vAt 22))"))
+    policy = planner.solve_strong_cyclic(product)
+    verified = executions.goal_model(policy)
+    state = next(s for s in policy.mapping if s != product.s0)
+    other = next(a for a in range(len(product.actions))
+                 if a != policy.mapping[state] and product.applicable(state, a))
+
+    def answers(pol):
+        return (model_or_error(lambda: executions.goal_model(pol)),
+                model_or_error(lambda: executions.enumerate_executions(pol)))
+
+    policy.mapping[state] = other  # another action
+    changed = answers(policy)
+    assert changed == answers(planner.Policy(product, dict(policy.mapping)))
+    del policy.mapping[state]  # no action: the policy is open
+    opened = answers(policy)
+    assert opened == answers(planner.Policy(product, dict(policy.mapping)))
+    assert opened[0][0] is TgrError
+    assert verified not in (changed[0], opened[0])

@@ -1,5 +1,7 @@
 """Formula syntax and finite-trace semantics."""
 
+import pickle
+
 import pytest
 
 from tgr import logic
@@ -159,3 +161,18 @@ def test_nnf_structure_and_equivalence():
 def test_nnf_rejects_past():
     with pytest.raises(TgrError):
         logic.to_nnf(logic.parse_formula("O(p)"))
+
+
+def test_a_formula_hashes_as_its_fields_and_pickles_without_the_hash():
+    f = logic.parse_formula("F((at a) & X(F((at b) U !(c))))")
+    assert hash(f) == hash((f.kind, f.children, f.atom))
+    assert "_hash" in f.__dict__
+    copy = pickle.loads(pickle.dumps(f))
+    # The kept hash depends on the string hash seed, so it is not shipped.
+    nodes = [copy]
+    for node in nodes:  # walked without hashing
+        assert "_hash" not in node.__dict__
+        nodes.extend(node.children)
+    assert len(nodes) == 9
+    assert copy == f and hash(copy) == hash(f)
+    assert {copy: 1}[f] == 1

@@ -195,6 +195,26 @@ def test_goals_expand_each_base_state_once(monkeypatch):
     assert expanded and max(expanded.values()) == 1
 
 
+def test_each_policy_state_is_expanded_once_per_solved_goal(monkeypatch):
+    # The check of a policy builds the graph its goal model is counted
+    # from, so the model's successors are read once per policy state.
+    calls = []
+    real = compilation.GoalProduct.successors
+
+    def counting(self, state, action):
+        calls.append(state)
+        return real(self, state, action)
+
+    monkeypatch.setattr(compilation.GoalProduct, "successors", counting)
+    rp = recognizer.load_bundle(EX1)
+    base = fond.goal_free_grounding(rp.domain, rp.problem)
+    for goal in rp.goals:
+        calls.clear()
+        model, policy, _ = recognizer.analyze_goal(base, goal)
+        assert model.solvable
+        assert sorted(calls) == sorted(policy.mapping)
+
+
 def test_recognizing_a_problem_again_grounds_and_expands_nothing(
         monkeypatch):
     first = recognizer.analyze(tireworld_problem(TEMPORAL_TIREWORLD_GOALS, []))
@@ -428,6 +448,20 @@ def test_scoring_functions_directly():
     assert recognizer.likelihood(1.0) == 0.5
     assert recognizer.posteriors([0.5, 0.5], [0.5, 0.5]) == \
         pytest.approx([0.5, 0.5])
+
+
+def test_scores_use_pairwise_score_for_every_goal():
+    # `score` shares each observation's denominator among the goals; the
+    # scores are still those of `pairwise_score`, bit for bit.
+    rp = recognizer.load_bundle(EX1)
+    obs = ("(move 11 21)", "(changetire 22)", "(move 21 22)",
+           "(move 11 12)")
+    res = recognizer.score(recognizer.analyze(rp), obs)
+    tables = [a.distances for a in res.analyses]
+    for i, a in enumerate(res.analyses):
+        assert a.scores == tuple(
+            recognizer.pairwise_score(p, o, i, tables)
+            for p, o in zip(a.penalties, obs))
 
 
 ACTIONS = st.sampled_from("abcd")
