@@ -45,11 +45,13 @@ KIND_SYMBOL = {
 
 def _hash_once(self) -> int:
     """The hash of a frozen dataclass's fields, computed on first use and
-    kept on the instance; equality stays the dataclass's own."""
-    h = self.__dict__.get("_hash")
+    kept on the instance; equality stays the dataclass's own. The hash is
+    set as an attribute, not through `__dict__`, which would give every
+    instance a dict of its own."""
+    h = getattr(self, "_hash", None)
     if h is None:
         h = hash(tuple(getattr(self, f.name) for f in fields(self)))
-        self.__dict__["_hash"] = h
+        object.__setattr__(self, "_hash", h)
     return h
 
 
