@@ -450,15 +450,17 @@ def verify_policy(policy: Policy, *,
     reachable state, some goal state is reachable along policy edges.
 
     The traversal reads only the model and `policy.mapping`, through
-    `_policy_graph`, and a policy that passes keeps the graph. A policy
-    that fails is searched again breadth first, and the report names the
-    first counterexample in that order. The deadline is checked every
-    512 states of the graph.
+    `_policy_graph`, and a policy that passes keeps the graph, so that
+    it passes again without a traversal while the graph is current (see
+    `_kept_graph`). A policy that fails is searched again breadth first,
+    and the report names the first counterexample in that order. The
+    deadline is checked every 512 states of the graph.
     """
-    found = _policy_graph(policy, deadline, fond._check_deadline, True)
-    if found is None:
-        return _search_report(policy)
-    policy._verified = (policy.grounded, *found)
+    if _kept_graph(policy) is None:
+        found = _policy_graph(policy, deadline, fond._check_deadline, True)
+        if found is None:
+            return _search_report(policy)
+        policy._verified = (policy.grounded, *found)
     return PolicyReport(True, True, None, "policy is closed and strong cyclic")
 
 
@@ -528,19 +530,27 @@ def _search_report(policy: Policy) -> PolicyReport:
     return PolicyReport(closed, strong_cyclic, counterexample, reason)
 
 
-def _graph_of(policy: Policy, deadline: float | None,
-              check_deadline: Callable[[float | None], None]) -> tuple:
-    """The graph of `policy`: the one `verify_policy` kept, while the
-    policy's model is the one verified and its mapping maps every state
-    of the graph to the action verified there; else one built afresh by
-    `_policy_graph`, which checks the deadline with `check_deadline`."""
+def _kept_graph(policy: Policy) -> tuple | None:
+    """The graph `verify_policy` kept for `policy`, if the policy's model
+    is the one verified and its mapping still maps every state of the
+    graph to the action verified there; else None."""
     kept = policy._verified
     if kept is not None:
         model, graph, actions = kept
         if (model is policy.grounded
                 and list(map(policy.mapping.get, graph[4])) == actions):
             return graph
-    return _policy_graph(policy, deadline, check_deadline)[0]
+    return None
+
+
+def _graph_of(policy: Policy, deadline: float | None,
+              check_deadline: Callable[[float | None], None]) -> tuple:
+    """The graph of `policy`: `_kept_graph`'s, else one built afresh by
+    `_policy_graph`, which checks the deadline with `check_deadline`."""
+    graph = _kept_graph(policy)
+    if graph is None:
+        graph = _policy_graph(policy, deadline, check_deadline)[0]
+    return graph
 
 
 def _policy_graph(policy: Policy, deadline: float | None,

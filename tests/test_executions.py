@@ -374,6 +374,7 @@ def arbitrary_policies(draw):
 def test_verify_policy_reports_as_the_breadth_first_reference(policy):
     expected = reference_planner.verify_policy(policy)
     assert planner.verify_policy(policy) == expected
+    assert planner.verify_policy(policy) == expected  # with the kept graph
     if expected.ok:
         # The graph the check kept counts as one built afresh.
         fresh = planner.Policy(policy.grounded, dict(policy.mapping))
@@ -399,8 +400,12 @@ def test_a_verified_graph_is_not_read_once_the_mapping_changes():
     policy.mapping[state] = other  # another action
     changed = answers(policy)
     assert changed == answers(planner.Policy(product, dict(policy.mapping)))
+    assert planner.verify_policy(policy) == \
+        reference_planner.verify_policy(policy)
     del policy.mapping[state]  # no action: the policy is open
     opened = answers(policy)
     assert opened == answers(planner.Policy(product, dict(policy.mapping)))
+    assert planner.verify_policy(policy) == \
+        reference_planner.verify_policy(policy)
     assert opened[0][0] is TgrError
     assert verified not in (changed[0], opened[0])
