@@ -771,8 +771,9 @@ class GroundedFond:
                                for i in _bits(state)))
 
 
-# Atom tuples whose letters a transition table keeps.
-_LETTER_MEMO_SIZE = 64
+# Atom tuples whose letters a transition table keeps: as many as the
+# goal automata `automata` keeps, since each of those has one tuple.
+_LETTER_MEMO_SIZE = 256
 
 
 class TransitionTable:
