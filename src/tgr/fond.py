@@ -791,12 +791,15 @@ class TransitionTable:
     expansion, such as a KeyboardInterrupt, undoes that expansion, since
     the table outlives the search (see `goal_free_grounding`).
 
-    An expansion also fills three links that the planner's set-at-a-time
+    An expansion also fills four links that the planner's set-at-a-time
     search over goal products reads: `_succ[i]`, the distinct successor
     ids of state i (None until i is expanded); `_into[i]`, the pairs
-    that lead to state i; and `_source[p]`, the id of the state that
-    pair p applies in. They hold ids in tuples and lists, not sets, to
-    keep the table small; the undo covers them too.
+    that lead to state i; `_pred[i]`, the distinct ids of the states
+    that have a pair into state i, in `_into` order; and `_source[p]`,
+    the id of the state that pair p applies in. They hold ids in tuples
+    and lists, not sets, to keep the table small. The undo covers them
+    too: it drops the pairs and the predecessor id that the interrupted
+    expansion appended to a known state's `_into` and `_pred`.
 
     `letters(atoms)` gives each state's letter over a tuple of fluents,
     kept for the last `_LETTER_MEMO_SIZE` tuples and extended as the
@@ -816,6 +819,7 @@ class TransitionTable:
         self.target = array("i")
         self._succ: list[tuple[int, ...] | None] = []
         self._into: list[list[int]] = []
+        self._pred: list[list[int]] = []
         self._source: list[int] = []
         self._letters: dict[tuple[Atom, ...], list[int]] = {}
         self._id(model.s0)
@@ -830,6 +834,7 @@ class TransitionTable:
             self._stop.append(-1)
             self._succ.append(None)
             self._into.append([])
+            self._pred.append([])
             self._ids[state] = i
         return i
 
@@ -873,9 +878,9 @@ class TransitionTable:
 
     def _expand(self, state: int, i: int | None) -> range:
         found = self._model.transitions(state)
-        states, action, out, target, into, source = (
+        states, action, out, target, into, pred, source = (
             self.states, self.action, self.out, self.target, self._into,
-            self._source)
+            self._pred, self._source)
         n_states, first, n_targets = len(states), len(action), len(target)
         try:
             if i is None:
@@ -889,7 +894,9 @@ class TransitionTable:
                     t = self._id(t)
                     target.append(t)
                     into[t].append(p)
-                    succ.add(t)
+                    if t not in succ:
+                        succ.add(t)
+                        pred[t].append(i)
                 out.append(len(target))
             self._first[i] = first
             self._stop[i] = len(action)
@@ -898,18 +905,21 @@ class TransitionTable:
             if i is not None and i < n_states:
                 self._first[i] = -1
                 self._succ[i] = None
-            # A pair of this expansion is numbered `first` or above; the
-            # ids met first here are dropped whole below.
+            # A pair of this expansion is numbered `first` or above, and i
+            # is the last predecessor it gave a known id; the ids met
+            # first here are dropped whole below.
             for t in set(target[n_targets:]):
                 if t < n_states:
                     pairs = into[t]
                     while pairs and pairs[-1] >= first:
                         pairs.pop()
+                    if pred[t] and pred[t][-1] == i:
+                        pred[t].pop()
             for s in states[n_states:]:
                 self._ids.pop(s, None)
             del states[n_states:], self._first[n_states:], \
                 self._stop[n_states:], self._succ[n_states:], \
-                into[n_states:]
+                into[n_states:], pred[n_states:]
             del action[first:], out[first + 1:], target[n_targets:], \
                 source[first:]
             raise

@@ -30,14 +30,17 @@ Two bodies compute it, one per model, because their costs differ:
   the fixpoint over sets). A node is a table id t with an automaton
   state q. Per q, the solver keeps the ids reached with q and the dead
   pairs of q. Forward reachability unions the table's successor ids and
-  splits them by the automaton step; the dead-pair propagation and the
-  distance search union the table's incoming pairs, less q's dead pairs,
-  one level at a time. The table builds those links once, so a goal
-  pays only for set operations, which run in C. A node whose q accepts
-  is a goal and one whose q can no longer accept (`Dfa.dead`) is dead:
-  both are numbered but not expanded. The deadline is checked once per
-  level and once per round. A grounding has no shared table to amortise
-  the links over, and there exploring state by state is cheaper.
+  splits them by the automaton step. The dead-pair propagation unions
+  the table's incoming pairs, less q's dead pairs. The distance search
+  unions, one level at a time, the table's predecessor ids of the level,
+  or, for a q that has dead pairs, the level's incoming pairs less those,
+  and keeps the levels of each q as sets of ids. The table builds those
+  links once, so a goal pays only for set operations, which run in C.
+  A node whose q accepts is a goal and one whose q can no longer accept
+  (`Dfa.dead`) is dead: both are numbered but not expanded. The
+  deadline is checked once per level and once per round. A grounding
+  has no shared table to amortise the links over, and there exploring
+  state by state is cheaper.
 
 Both bodies extract the policy by one rule. From the initial state, the
 policy maps each reachable non-goal state to its first live pair, in
@@ -267,8 +270,9 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
     (table id t, automaton state q). Returns what `_graph_rounds` does."""
     table, dfa = product.base.transition_table, product.dfa
     rows, accepting, nq = dfa.table, dfa.accepting, dfa.n_states
-    states, succ, into, source = (table.states, table._succ, table._into,
-                                  table._source)
+    states, succ, into, pred, source = (table.states, table._succ,
+                                        table._into, table._pred,
+                                        table._source)
     first, stop = table._first, table._stop
 
     def spans(ids: tuple[int, ...]) -> Iterator[range]:
@@ -382,31 +386,40 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
                 if died:
                     dead_ids[q] |= died
                     work.append((q, died))
-        # Goal distances through live pairs, one level at a time: dist[q]
-        # maps the ids of the nodes of q that have one, goals aside. A live
-        # node that gets none reaches no goal and dies.
+        # Goal distances through live pairs, one level at a time:
+        # shells[q][d] holds the ids of the nodes of q at distance d,
+        # goals aside. While q has no dead pair, a node of q has a live
+        # pair into the level exactly when its id is a predecessor of one
+        # there; otherwise the level's incoming pairs, less the dead ones,
+        # give the sources. A live node that gets none reaches no goal and
+        # dies.
         todo = [reached[q] - dead_ids[q] if q in expanded else set()
                 for q in range(nq)]
-        dist: list[dict[int, int]] = [{} for _ in rows]
+        shells: list[dict[int, set[int]]] = [{} for _ in rows]
         level, d = goals, 0
         while level:
             d += 1
-            nxt = {}
+            nxt: dict[int, set[int]] = {}
             for q2, ids in level.items():
                 for q, cls, keep in entering[q2]:
                     if not todo[q]:
                         continue
                     hit = (ids if cls is None else ids & cls if keep
                            else ids - cls)
-                    live = chain.from_iterable(map(into.__getitem__, hit))
                     if dead_pairs[q]:
-                        live = filterfalse(dead_pairs[q].__contains__, live)
-                    found = todo[q].intersection(map(source.__getitem__,
-                                                     live))
+                        found = todo[q].intersection(map(
+                            source.__getitem__,
+                            filterfalse(dead_pairs[q].__contains__,
+                                        chain.from_iterable(
+                                            map(into.__getitem__, hit)))))
+                    else:
+                        found = todo[q].intersection(chain.from_iterable(
+                            map(pred.__getitem__, hit)))
                     if found:
                         todo[q] -= found
-                        dist[q].update(dict.fromkeys(found, d))
                         nxt.setdefault(q, set()).update(found)
+            for q, ids in nxt.items():
+                shells[q][d] = ids
             level = nxt
         for q in expanded:
             lost = todo[q]
@@ -427,12 +440,14 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
         t, q = node
         if q in accepting:
             return None
-        nearer, row, gone = dist[q][t] - 1, rows[q], dead_pairs[q]
+        nearer = next(d for d, ids in shells[q].items() if t in ids) - 1
+        row, gone = rows[q], dead_pairs[q]
         for p in range(first[t], stop[t]):
             if p not in gone:
                 for u in target[out[p]:out[p + 1]]:
                     q2 = row[letters[u]]
-                    if (0 if q2 in accepting else dist[q2].get(u)) == nearer:
+                    if (nearer == 0 if q2 in accepting
+                            else u in shells[q2].get(nearer, ())):
                         return (states[t] | q << shift, action[p],
                                 [(u, row[letters[u]])
                                  for u in target[out[p]:out[p + 1]]])

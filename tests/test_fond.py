@@ -227,7 +227,7 @@ def filled(table):
         table.pairs_at(i)
         i += 1
     return (table.states, table.action, table.out, table.target,
-            table._succ, table._into, table._source)
+            table._succ, table._into, table._pred, table._source)
 
 
 def test_an_interrupted_expansion_is_undone_links_included(monkeypatch):

@@ -280,7 +280,7 @@ def assert_links_match_the_pairs(table):
     """The links the planner's product search reads are the ones the
     table's pairs imply, as after an uninterrupted fill."""
     n, pairs = len(table.states), len(table.action)
-    assert len(table._succ) == len(table._into) == n
+    assert len(table._succ) == len(table._into) == len(table._pred) == n
     assert len(table._source) == pairs == len(table.out) - 1
     into = [[] for _ in range(n)]
     for i in range(n):
@@ -295,6 +295,9 @@ def assert_links_match_the_pairs(table):
                 targets.add(t)
         assert sorted(table._succ[i]) == sorted(targets)
     assert table._into == [sorted(leading) for leading in into]
+    assert table._pred == [list(dict.fromkeys(map(table._source.__getitem__,
+                                                  leading)))
+                           for leading in table._into]
 
 
 def test_a_warm_recognition_leaves_no_reference_cycles():
