@@ -14,7 +14,8 @@ numbers the states it reaches. Only the step and the acceptance test
 differ. For LTLf, a state
 is a set of states of a syntax-driven NFA over the negation normal form
 (NFA states are sets of pending obligations), so the driver performs
-subset construction. For PLTLf, a state is the truth value of every
+subset construction, dropping each obligation set that contains another
+of the same state. For PLTLf, a state is the truth value of every
 subformula after reading a prefix (the standard truth-vector
 construction), kept only where the next step reads it. The result is
 complete and minimized by Moore's signature refinement, each block
@@ -200,6 +201,17 @@ def _nfa_accepting(state: frozenset) -> bool:
     return all(not strong for strong, _ in state)
 
 
+def _least_sets(targets: frozenset[frozenset]) -> frozenset[frozenset]:
+    """`targets` less every obligation set that strictly contains another.
+
+    A DFA state is a disjunction of its obligation sets, and a superset
+    asks for more than the set it contains, so dropping it keeps the
+    state's language; it keeps acceptance too, since a superset with no
+    strong obligation contains a set with none.
+    """
+    return frozenset(t for t in targets if not any(o < t for o in targets))
+
+
 def ltlf_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """Minimal DFA accepting exactly the finite traces satisfying `f`."""
     if logic.dialect(f) != "LTLf":
@@ -211,11 +223,11 @@ def ltlf_to_dfa(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     # from expanding the formula itself.
     def step(value: frozenset | None, letter: frozenset[Atom]) -> frozenset:
         if value is None:
-            return _expand(nnf, letter, memo)
+            return _least_sets(_expand(nnf, letter, memo))
         targets: frozenset = frozenset()
         for nfa_state in value:
             targets |= _nfa_step(nfa_state, letter, memo)
-        return targets
+        return _least_sets(targets)
 
     return _determinize(
         f, tuple(sorted(logic.atoms(f) | logic.atoms(nnf))), step,

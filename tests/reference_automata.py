@@ -11,6 +11,13 @@ truth value of every subformula in its state, atoms included, so before
 minimization it has a state per letter read last.
 `tgr.automata.pltlf_to_dfa` keeps only the values the next step reads,
 and must build the same minimal DFA.
+
+`ltlf_to_dfa` is the LTLf subset construction as first written: a state
+keeps every obligation set its NFA states step to, including those that
+contain another set of the same state. `tgr.automata.ltlf_to_dfa` drops
+those, and must build the same minimal DFA. The oracle can need
+thousands of states where the pruned step needs dozens, so call it under
+a small state cap.
 """
 
 from tgr import automata, logic
@@ -88,3 +95,21 @@ def pltlf_to_dfa(f, state_cap=automata.DEFAULT_STATE_CAP):
 
     return automata._determinize(f, tuple(sorted(logic.atoms(f))), advance,
                                  lambda vec: vec[root], state_cap)
+
+
+def ltlf_to_dfa(f, state_cap=automata.DEFAULT_STATE_CAP):
+    """The obligation-set subset construction without pruning."""
+    nnf = logic.to_nnf(f)
+    memo = {}
+
+    def step(value, letter):
+        if value is None:
+            return automata._expand(nnf, letter, memo)
+        targets = frozenset()
+        for nfa_state in value:
+            targets |= automata._nfa_step(nfa_state, letter, memo)
+        return targets
+
+    return automata._determinize(
+        f, tuple(sorted(logic.atoms(f) | logic.atoms(nnf))), step,
+        lambda value: any(map(automata._nfa_accepting, value)), state_cap)

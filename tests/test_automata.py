@@ -4,7 +4,7 @@ import hashlib
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tgr import automata, logic
 from tgr.errors import AutomatonCapError, TgrError
@@ -355,6 +355,29 @@ def test_pltlf_to_dfa_equals_the_full_vector_construction(f):
     assert _outcome(automata.pltlf_to_dfa, f, automata.DEFAULT_STATE_CAP) == \
         _outcome(reference_automata.pltlf_to_dfa, f,
                  automata.DEFAULT_STATE_CAP), str(f)
+
+
+# The unpruned LTLf oracle's cap. Unpruned, some small formulas reach
+# hundreds or thousands of states; an example whose oracle reaches the
+# cap is skipped, not compared.
+ORACLE_STATE_CAP = 2_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape_formulas((FUTURE_OPS,)))
+def test_ltlf_to_dfa_equals_the_unpruned_subset_construction(f):
+    want = _outcome(reference_automata.ltlf_to_dfa, f, ORACLE_STATE_CAP)
+    assume(want != (AutomatonCapError,
+                    f"DFA exceeded {ORACLE_STATE_CAP} states"))
+    assert _outcome(automata.ltlf_to_dfa, f, automata.DEFAULT_STATE_CAP) \
+        == want, str(f)
+
+
+def test_subsumed_obligation_sets_are_dropped_before_the_cap():
+    # Unpruned, this formula reaches 668 states before minimization.
+    f = logic.parse_formula("(((F(((true U a2) U (a2 U a0))) U a3) U "
+                            "N((X((a1 | a2)) & G(X(a1))))) U a3)")
+    assert automata.ltlf_to_dfa(f, state_cap=60).n_states == 8
 
 
 def test_wide_pltlf_probe_equals_the_full_vector_construction():
