@@ -226,8 +226,19 @@ def dialect(f: Formula) -> str:
 
 
 def is_propositional(f: Formula) -> bool:
-    return all(g.kind not in FUTURE_KINDS and g.kind not in PAST_KINDS
-               for g in subformulas(f))
+    """Whether `f` has no temporal operator. The walk starts at the root
+    and stops at the first temporal node, so `F(...)` is answered at
+    once."""
+    stack, seen = [f], {f}
+    while stack:
+        g = stack.pop()
+        if g.kind in FUTURE_KINDS or g.kind in PAST_KINDS:
+            return False
+        for c in g.children:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,8 @@ def test_dialect_classification():
     assert logic.dialect(logic.parse_formula("O(p)")) == "PLTLf"
     assert logic.is_propositional(logic.parse_formula("p | q"))
     assert not logic.is_propositional(logic.parse_formula("X(p)"))
+    assert logic.is_propositional(logic.parse_formula("!(p) & (q | true)"))
+    assert not logic.is_propositional(logic.parse_formula("p & (q | Y(p))"))
 
 
 def test_empty_trace_semantics():
