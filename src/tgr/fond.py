@@ -30,9 +30,9 @@ state on its own, deriving each state's transitions afresh
 them. A goal-free grounding that several goal products search also owns
 a `TransitionTable`, which derives each state's transitions once and
 keeps them, by state id, for every later reader: flat integer arrays of
-state-action pairs, and the links (successors, incoming pairs, pair
-sources) over which the planner searches a product a set of states at a
-time. `goal_free_grounding` keeps the last few goal-free groundings of
+state-action pairs, and the links (successors, incoming pairs,
+predecessors, pair sources) over which the planner searches a product a
+set of states at a time. `goal_free_grounding` keeps the last few goal-free groundings of
 the process, so every recognition of the same problem shares one
 grounding and its table; `ground` itself always builds a fresh model.
 `Domain` and `ProblemInstance` compute their hash once, so a memo hit
