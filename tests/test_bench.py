@@ -89,6 +89,46 @@ def test_config_rejects_booleans_and_non_finite_timeouts(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"datasets": []}, "datasets must be a non-empty list"),
+    ({"datasets": "blocks-world"}, "datasets must be a non-empty list"),
+    ({"levels": (10, 50)}, "levels must be a non-empty list of percentages"),
+    ({"levels": "10"}, "levels must be a non-empty list of percentages"),
+    ({"timeout_s": "600"}, "timeout_s must be a finite positive number"),
+    ({"timeout_s": -1.5}, "timeout_s must be a finite positive number"),
+    ({"seed": 1.0}, "seed must be an integer"),
+    ({"state_cap": 2.0}, "state_cap must be a positive integer"),
+])
+def test_config_field_messages_are_pinned(raw, message):
+    with pytest.raises(BundleError) as err:
+        bench.config_from_dict(raw)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"speed": 3, "levels": []}, "unknown bench config keys: speed"),
+    ({"levels": [], "timeout_s": 0},
+     "levels must be a non-empty list of percentages"),
+    ({"levels": [10, 0, 200]}, "level 0 is not an integer in 1..100"),
+    ({"timeout_s": 0, "datasets": []},
+     "timeout_s must be a finite positive number"),
+    ({"datasets": [], "seed": "x"}, "datasets must be a non-empty list"),
+    ({"seed": "x", "goals_per_problem": 0}, "seed must be an integer"),
+    ({"goals_per_problem": 0, "problems_per_dataset": 0},
+     "goals_per_problem must be a positive integer"),
+    ({"problems_per_dataset": 0, "state_cap": 0},
+     "problems_per_dataset must be a positive integer"),
+    ({"state_cap": 0, "execution_cap": 0},
+     "state_cap must be a positive integer"),
+])
+def test_config_names_the_first_bad_field_in_a_fixed_order(raw, message):
+    # Keys are checked in this order whatever order the file lists them.
+    for ordered in (raw, dict(reversed(list(raw.items())))):
+        with pytest.raises(BundleError) as err:
+            bench.config_from_dict(ordered)
+        assert str(err.value) == message
+
+
 def test_config_levels_are_deduplicated_and_sorted():
     cfg = bench.config_from_dict({"levels": [100, 10, 10, 50]})
     assert cfg.levels == (10, 50, 100)

@@ -188,6 +188,17 @@ def test_plan_rejects_unknown_planner_spec(tireworld_files, capsys):
     assert "unknown planner" in capsys.readouterr().err
 
 
+def test_plan_without_any_goal_exits_1(tireworld_files, tmp_path, capsys):
+    domain, _ = tireworld_files
+    goalless = tmp_path / "goalless.pddl"
+    goalless.write_text(
+        TIREWORLD.problem_text.replace("(:goal (vAt 22))", ""))
+    rc = cli.main(["plan", "--domain", domain, "--problem", str(goalless)])
+    assert rc == 1
+    assert capsys.readouterr() == (
+        "", "error: the problem has no goal; pass one with --goal\n")
+
+
 def test_missing_input_file_exits_1(tireworld_files, capsys):
     domain, _ = tireworld_files
     rc = cli.main(["plan", "--domain", domain, "--problem", "/nope.pddl"])
@@ -247,6 +258,49 @@ def test_bench_quiet_suppresses_progress(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "[1/1]" not in captured.err
+
+
+def test_bench_timeout_overrides_the_config(tmp_path, capsys):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({
+        "datasets": ["triangle-tireworld"],
+        "levels": [100],
+        "goals_per_problem": 2,
+        "problems_per_dataset": 1,
+        "timeout_s": 600,
+    }))
+    out = tmp_path / "results"
+    rc = cli.main(["bench", "--config", str(cfg), "--canonical", "--quiet",
+                   "--out", str(out), "--timeout", "1e-9"])
+    capsys.readouterr()
+    assert rc == 0
+    payload = json.loads((out / "records.json").read_text())
+    assert payload["config"]["timeout_s"] == 1e-9
+    assert [r["error"] for r in payload["records"]] == ["timeout"]
+
+
+@pytest.mark.parametrize("case", ["recognize", "bench"])
+def test_unwritable_out_exits_1(case, tmp_path, capsys):
+    # A directory where recognize writes a file, a file where bench
+    # makes its output directory: either way the OS refuses.
+    taken = tmp_path / "taken"
+    if case == "recognize":
+        taken.mkdir()
+        argv = ["recognize", "--bundle", EXAMPLE1, "--out", str(taken)]
+    else:
+        taken.write_text("")
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({
+            "datasets": ["triangle-tireworld"], "levels": [100],
+            "goals_per_problem": 2, "problems_per_dataset": 1}))
+        argv = ["bench", "--config", str(cfg), "--quiet", "--canonical",
+                "--out", str(taken)]
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: [Errno ")
+    assert str(taken) in err
+    assert "Traceback" not in err
 
 
 def test_bench_rejects_bad_timeout(capsys):
@@ -334,6 +388,31 @@ def test_malformed_bundle_field_exits_1(tmp_path, capsys, field, value):
     err = capsys.readouterr().err.replace(str(tmp_path), "")
     assert err.startswith("error:")
     assert field in err
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"goals": []}, "bundle has an empty goal list"),
+    ({"priors": [10 ** 400, 1, 1]}, "priors must be finite numbers"),
+    ({"priors": [1, True, 1]}, "priors must be a list of numbers"),
+    ({"goals": ["F(vAt_51)", 5]}, "goals must be a list of formula strings"),
+    ({"obs": "(move 11 21)"}, "obs must be a list of action strings"),
+    ({"real_goal_index": True}, "real_goal_index must be an integer"),
+    ({"real_goal_index": 1.0}, "real_goal_index must be an integer"),
+    ({"real_goal_index": 3}, "real_goal_index 3 out of range"),
+])
+def test_bundle_field_messages_are_pinned(tmp_path, capsys, fields, message):
+    rc = cli.main(["recognize", "--bundle", example1_with(tmp_path, **fields)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text", ["[]", '"bundle"', "null"])
+def test_bundle_that_is_not_an_object_exits_1(tmp_path, capsys, text):
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(text)
+    rc = cli.main(["recognize", "--bundle", str(bundle)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: bundle must be a JSON object\n")
 
 
 NOT_UTF8 = b"\xff\xfe(define"
@@ -430,3 +509,4 @@ def test_deeply_nested_goal_exits_1_not_3(tireworld_files, tmp_path, goal,
     if rc:
         assert proc.stderr.startswith("error:")
         assert "nested too deeply" in proc.stderr
+
