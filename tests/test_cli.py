@@ -1,12 +1,15 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tgr
 from tgr import bench, cli, fond, planner
@@ -510,3 +513,60 @@ def test_deeply_nested_goal_exits_1_not_3(tireworld_files, tmp_path, goal,
         assert proc.stderr.startswith("error:")
         assert "nested too deeply" in proc.stderr
 
+
+# Characters a fuzzed edit inserts or writes: PDDL and formula syntax,
+# JSON syntax, digits, letters of the example's names, and a few that no
+# parser expects.
+FUZZ_CHARS = st.sampled_from(list(
+    "()[]{}\",:;-_ ?!&|~XFGUWRSYOH0123456789aehtvAt\n\t\\\x00\u00e9"))
+EDITS = st.lists(st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                           st.integers(min_value=0), FUZZ_CHARS),
+                 min_size=1, max_size=4)
+
+
+def edited(text, edits):
+    """`text` after each (operation, position, character) edit in turn;
+    positions wrap around the text's current length."""
+    chars = list(text)
+    for op, at, char in edits:
+        if op == "insert":
+            chars.insert(at % (len(chars) + 1), char)
+        elif chars and op == "delete":
+            del chars[at % len(chars)]
+        elif chars:
+            chars[at % len(chars)] = char
+    return "".join(chars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.sampled_from(("bundle", "goal", "obs", "domain", "problem")),
+       which=st.integers(min_value=0, max_value=2), edits=EDITS)
+def test_mutated_recognize_input_never_exits_3(tmp_path_factory, target,
+                                               which, edits):
+    """A few character edits to example1's bundle JSON, one of its goal or
+    observation strings, or the tireworld domain or problem text give an
+    answer or an error, never an internal error."""
+    bundle = json.loads(open(os.path.join(EXAMPLE1, "bundle.json")).read())
+    bundle.update(domain="domain.pddl", problem="p01.pddl")
+    texts = {"domain": TIREWORLD.domain_text,
+             "problem": TIREWORLD.problem_text}
+    if target in ("goal", "obs"):
+        strings = bundle[target + "s" if target == "goal" else target]
+        i = which % len(strings)
+        strings[i] = edited(strings[i], edits)
+    bundle_text = json.dumps(bundle)
+    if target == "bundle":
+        bundle_text = edited(bundle_text, edits)
+    elif target in texts:
+        texts[target] = edited(texts[target], edits)
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "domain.pddl").write_text(texts["domain"], encoding="utf-8")
+    (folder / "p01.pddl").write_text(texts["problem"], encoding="utf-8")
+    (folder / "bundle.json").write_text(bundle_text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = cli.main(["recognize", "--bundle", str(folder / "bundle.json"),
+                       "--deadline", "10"])
+    assert rc in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
