@@ -24,10 +24,9 @@ import json
 import math
 import os
 import random
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Callable
 
@@ -42,10 +41,6 @@ TEMPLATES = ("eventually", "conj", "ordered", "until", "once", "since")
 SUMMARY_HEADER = "dataset,level,|G|,|Obs|,time_s,tpr,fpr,fnr"
 
 _GOAL_ATTEMPTS = 60
-_CONFIG_KEYS = {
-    "seed", "levels", "goals_per_problem", "problems_per_dataset",
-    "timeout_s", "state_cap", "execution_cap", "datasets",
-}
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,10 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    datasets: tuple[DatasetSpec, ...]
+    """The bench settings; a config file sets any of them by name."""
+
+    datasets: tuple[DatasetSpec, ...] = field(default_factory=lambda: tuple(
+        map(bundled_dataset, BUNDLED_DATASETS)))
     seed: int = 0
     levels: tuple[int, ...] = DEFAULT_LEVELS
     goals_per_problem: int = 4
@@ -70,16 +68,10 @@ class BenchConfig:
 
     def describe(self) -> dict:
         """JSON-able view of the config, embedded in the records file."""
-        return {
-            "datasets": [d.name for d in self.datasets],
-            "execution_cap": self.execution_cap,
-            "goals_per_problem": self.goals_per_problem,
-            "levels": list(self.levels),
-            "problems_per_dataset": self.problems_per_dataset,
-            "seed": self.seed,
-            "state_cap": self.state_cap,
-            "timeout_s": self.timeout_s,
-        }
+        view = {f.name: getattr(self, f.name) for f in fields(self)}
+        view.update(datasets=[d.name for d in self.datasets],
+                    levels=list(self.levels))
+        return view
 
 
 def bundled_text(*parts: str) -> str:
@@ -118,64 +110,48 @@ def _dataset_entry(entry, base_dir: str | None) -> DatasetSpec:
         "{name, domain, problem} objects")
 
 
-def _is_int(value) -> bool:
-    """True for a JSON integer; booleans are not integers here, as in
-    `recognizer.load_bundle`."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def config_from_dict(raw: dict, *, base_dir: str | None = None) -> BenchConfig:
+    """The config that `raw` describes. Only the settings it names are
+    checked, always in this order; the rest keep `BenchConfig`'s
+    defaults."""
     if not isinstance(raw, dict):
         raise BundleError("bench config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - {f.name for f in fields(BenchConfig)}
     if unknown:
         raise BundleError(
             f"unknown bench config keys: {', '.join(sorted(unknown))}")
-
-    levels_raw = raw.get("levels", list(DEFAULT_LEVELS))
-    if not isinstance(levels_raw, list) or not levels_raw:
-        raise BundleError("levels must be a non-empty list of percentages")
-    levels = []
-    for lvl in levels_raw:
-        if not _is_int(lvl) or not 1 <= lvl <= 100:
-            raise BundleError(f"level {lvl!r} is not an integer in 1..100")
-        levels.append(lvl)
-
-    def positive_int(key: str, default: int) -> int:
-        value = raw.get(key, default)
-        if not _is_int(value) or value < 1:
-            raise BundleError(f"{key} must be a positive integer")
-        return value
-
-    timeout_s = raw.get("timeout_s", 600.0)
-    # The upper bound rejects infinity, and integers no float can hold.
-    if (isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float))
-            or not 0 < timeout_s <= sys.float_info.max):
-        raise BundleError("timeout_s must be a finite positive number")
-
-    entries = raw.get("datasets", list(BUNDLED_DATASETS))
-    if not isinstance(entries, list) or not entries:
-        raise BundleError("datasets must be a non-empty list")
-    datasets = tuple(_dataset_entry(e, base_dir) for e in entries)
-    names = [d.name for d in datasets]
-    if len(set(names)) != len(names):
-        raise BundleError("dataset names must be unique")
-
-    seed = raw.get("seed", 0)
-    if not _is_int(seed):
-        raise BundleError("seed must be an integer")
-
-    return BenchConfig(
-        datasets=datasets,
-        seed=seed,
-        levels=tuple(sorted(set(levels))),
-        goals_per_problem=positive_int("goals_per_problem", 4),
-        problems_per_dataset=positive_int("problems_per_dataset", 30),
-        timeout_s=float(timeout_s),
-        state_cap=positive_int("state_cap", planner.DEFAULT_STATE_CAP),
-        execution_cap=positive_int("execution_cap",
-                                   executions.DEFAULT_EXECUTION_CAP),
-    )
+    given = {}
+    if "levels" in raw:
+        levels = raw["levels"]
+        if not isinstance(levels, list) or not levels:
+            raise BundleError("levels must be a non-empty list of percentages")
+        for lvl in levels:
+            if not recognizer._json_kind(lvl, int) or not 1 <= lvl <= 100:
+                raise BundleError(f"level {lvl!r} is not an integer in 1..100")
+        given["levels"] = tuple(sorted(set(levels)))
+    if "timeout_s" in raw:
+        if not recognizer._finite_positive(raw["timeout_s"]):
+            raise BundleError("timeout_s must be a finite positive number")
+        given["timeout_s"] = float(raw["timeout_s"])
+    if "datasets" in raw:
+        entries = raw["datasets"]
+        if not isinstance(entries, list) or not entries:
+            raise BundleError("datasets must be a non-empty list")
+        given["datasets"] = tuple(_dataset_entry(e, base_dir) for e in entries)
+        names = [d.name for d in given["datasets"]]
+        if len(set(names)) != len(names):
+            raise BundleError("dataset names must be unique")
+    if "seed" in raw:
+        if not recognizer._json_kind(raw["seed"], int):
+            raise BundleError("seed must be an integer")
+        given["seed"] = raw["seed"]
+    for key in ("goals_per_problem", "problems_per_dataset", "state_cap",
+                "execution_cap"):
+        if key in raw:
+            if not recognizer._json_kind(raw[key], int) or raw[key] < 1:
+                raise BundleError(f"{key} must be a positive integer")
+            given[key] = raw[key]
+    return BenchConfig(**given)
 
 
 def load_config(path: str | None = None) -> BenchConfig:

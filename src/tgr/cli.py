@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import time
 import traceback
@@ -53,7 +52,7 @@ def _check_options(args: argparse.Namespace) -> None:
                            "integer")
     for dest in _POSITIVE_SECONDS:
         value = getattr(args, dest, None)
-        if value is not None and not 0 < value < math.inf:
+        if value is not None and not recognizer._finite_positive(value):
             raise TgrError(f"--{dest} must be positive and finite")
 
 

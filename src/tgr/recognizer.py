@@ -18,6 +18,7 @@ import logging
 import math
 import operator
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
@@ -389,6 +390,18 @@ def read_text(path: object, role: str, base_dir: str | None = None) -> str:
         raise BundleError(f"cannot read the {role} file: {exc}") from exc
 
 
+def _json_kind(value, *kinds: type) -> bool:
+    """True when the JSON value is of one of `kinds`. A boolean never
+    is, although Python counts it as an int."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _finite_positive(value) -> bool:
+    """True for a finite positive number. The upper bound rejects
+    infinity and NaN, and integers no float can hold."""
+    return _json_kind(value, int, float) and 0 < value <= sys.float_info.max
+
+
 def read_json(path: str, role: str):
     """The JSON value of the `role` file at `path`, read by `read_text`."""
     try:
@@ -414,8 +427,8 @@ def load_bundle(path: str) -> RecognitionProblem:
 
     def listed(key: str, kinds: tuple[type, ...], what: str) -> list:
         items = data.get(key, [])
-        if not isinstance(items, list) or any(
-                isinstance(x, bool) or not isinstance(x, kinds) for x in items):
+        if not isinstance(items, list) or not all(
+                _json_kind(x, *kinds) for x in items):
             raise BundleError(f"{key} must be a list of {what}")
         return items
 
@@ -435,7 +448,7 @@ def load_bundle(path: str) -> RecognitionProblem:
         raise BundleError("priors must be finite numbers") from None
     real = data.get("real_goal_index")
     if real is not None:
-        if isinstance(real, bool) or not isinstance(real, int):
+        if not _json_kind(real, int):
             raise BundleError("real_goal_index must be an integer")
         if not 0 <= real < len(goals):
             raise BundleError(f"real_goal_index {real} out of range")
