@@ -773,7 +773,7 @@ class GroundedFond:
 
 # Atom tuples whose letters a transition table keeps: as many as the
 # goal automata `automata` keeps, since each of those has one tuple.
-_LETTER_MEMO_SIZE = 256
+_LETTER_MEMO_SIZE = 512
 
 
 class TransitionTable:

@@ -139,6 +139,38 @@ def test_goals_over_the_same_atoms_share_their_letters():
                        for state in table.states]
 
 
+def test_evicted_letters_are_rebuilt_as_a_cold_run_builds_them(monkeypatch):
+    dom, prob = tireworld()
+    goals = [logic.parse_formula(g) for g in (
+        "F((vAt 21) & X(F((vAt 22))))", "F((vAt 33))")]
+
+    def solved(base, goal):
+        product = compilation.GoalProduct(base, goal)
+        return product, planner.solve_strong_cyclic(product).mapping
+
+    def cold_letters(base, product):
+        return [sum(1 << i for i, a in enumerate(product.dfa.atoms)
+                    if a in base.atoms_of(state))
+                for state in base.transition_table.states]
+
+    cold = []
+    for goal in goals:
+        fond._memo_ground.cache_clear()
+        cold.append(solved(fond.goal_free_grounding(dom, prob), goal)[1])
+    fond._memo_ground.cache_clear()
+    monkeypatch.setattr(fond, "_LETTER_MEMO_SIZE", 1)
+    base = fond.goal_free_grounding(dom, prob)
+    first = compilation.GoalProduct(base, goals[0])
+    for turn in range(4):
+        product, mapping = solved(base, goals[turn % 2])
+        assert mapping == cold[turn % 2]
+        assert product._letters() == cold_letters(base, product)
+        # The table keeps the letters of the last goal's atoms only.
+        assert list(base.transition_table._letters) == [product.dfa.atoms]
+    # A product made before its letters were evicted reads them afresh.
+    assert first._letters() == cold_letters(base, first)
+
+
 def test_unsatisfiable_goal_is_a_compile_error():
     dom, prob = tireworld()
     with pytest.raises(CompileError):
