@@ -183,6 +183,37 @@ def test_plan_unsolvable_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+PRUNED = "no strong-cyclic policy: the initial state was pruned"
+# No blocks-world p01 state has b1 on b2 and b2 on b1.
+IMPOSSIBLE = "F(on_b1_b2 & on_b2_b1)"
+
+
+def test_plan_goal_that_no_state_meets_exits_2(capsys):
+    rc = cli.main(plan_argv("blocks-world", "--goal", IMPOSSIBLE))
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {PRUNED}\n")
+
+
+def test_recognize_drops_only_a_goal_that_no_state_meets(tmp_path, capsys):
+    def recognize(goals):
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps({
+            "domain": os.path.join(DATA, "blocks-world", "domain.pddl"),
+            "problem": os.path.join(DATA, "blocks-world", "p01.pddl"),
+            "goals": goals, "obs": ["(pick-up-from-table b1)"]}))
+        assert cli.main(["recognize", "--bundle", str(bundle)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    goals = ["F(on_b1_b2)", "F(on_b3_b4)"]
+    alone = recognize(goals)
+    payload = recognize(goals + [IMPOSSIBLE])
+    assert payload["gstar"] == alone["gstar"]
+    assert payload["likelihoods"] == alone["likelihoods"] + [0.0]
+    assert payload["posteriors"] == pytest.approx(alone["posteriors"] + [0.0])
+    assert [g["error"] for g in payload["per_goal"]] == [None, None, PRUNED]
+    assert not payload["per_goal"][2]["solvable"]
+
+
 def test_plan_rejects_unknown_planner_spec(tireworld_files, capsys):
     domain, problem = tireworld_files
     rc = cli.main(["plan", "--domain", domain, "--problem", problem,

@@ -45,6 +45,26 @@ def test_state_cap():
         planner.solve_strong_cyclic(g, state_cap=2)
 
 
+def test_a_search_that_numbers_no_goal_is_capped_before_it_is_unsolvable():
+    # Blocks-world p01 without its goal: no state has b1 on b2 and b2 on
+    # b1, and both searches number all 125 reachable states.
+    base = fond.ground(fond.parse_domain(BLOCKS.domain_text),
+                       dataclasses.replace(
+                           fond.parse_problem(BLOCKS.problem_text),
+                           goal=None))
+    goal = "on_b1_b2 & on_b2_b1"
+    models = (lambda: compilation.GoalProduct(
+                  base, logic.parse_formula(f"F({goal})")),
+              lambda: base.with_goal(logic.parse_formula(goal)))
+    for model in models:
+        with pytest.raises(PlannerCapError,
+                           match="^reachable state space exceeded 124 states$"):
+            planner.solve_strong_cyclic(model(), state_cap=124)
+        with pytest.raises(UnsolvableError, match=(
+                "^no strong-cyclic policy: the initial state was pruned$")):
+            planner.solve_strong_cyclic(model(), state_cap=125)
+
+
 def test_deadline_checked_during_search():
     g = grounded_tireworld()
     with pytest.raises(DeadlineExceeded):

@@ -285,6 +285,40 @@ def test_goal_product_solver_agrees_with_reference(task, data):
         assert_agrees_with_reference(product, planner.DEFAULT_STATE_CAP)
 
 
+def failure(solve, g, state_cap):
+    """The type and message of the error a solver raises, or None."""
+    try:
+        solve(g, state_cap=state_cap)
+    except (UnsolvableError, PlannerCapError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.integers(1, 12), st.data())
+def test_solver_errors_match_the_reference_word_for_word(task, small_cap,
+                                                          data):
+    # The goal products at the default cap only, as in
+    # test_goal_product_solver_agrees_with_reference.
+    g = ground(task)
+    for cap in (planner.DEFAULT_STATE_CAP, small_cap):
+        assert (failure(planner.solve_strong_cyclic, g, cap)
+                == failure(reference_planner.solve_strong_cyclic, g, cap))
+    domain, problem = (fond.parse_domain(task[0]),
+                       fond.parse_problem(task[1]))
+    a, b = draw_goal_atoms(domain, data)
+    for template in TEMPORAL_GOALS:
+        base = fond.ground(domain, dataclasses.replace(problem, goal=None))
+        try:
+            product = compilation.GoalProduct(base, template(a, b))
+        except CompileError:
+            continue
+        cap = planner.DEFAULT_STATE_CAP
+        assert (failure(planner.solve_strong_cyclic, product, cap)
+                == failure(reference_planner.solve_strong_cyclic, product,
+                           cap))
+
+
 def numbered_nodes(product):
     """The product states a breadth-first search from s0 numbers: goal
     states and dead-automaton states are numbered but not expanded."""
