@@ -13,7 +13,10 @@ outcome), and the live states that get none die. The rounds repeat until
 one kills nothing. Surviving pairs reach the goal under the usual
 fairness assumption: every outcome of an action that is tried infinitely
 often occurs infinitely often. The states counted toward `state_cap`
-are every state numbered, goals and dead ends included.
+are every state numbered, goals and dead ends included. A search that
+numbers no goal state stops there, once numbering has passed the cap
+check, with the verdict the rounds would reach: every state dies, the
+initial one too, so the task is unsolvable, not capped.
 
 Two bodies compute it, one per model, because their costs differ:
 
@@ -194,6 +197,8 @@ def _graph_rounds(grounded: GroundedFond, state_cap: int,
             pair_action.append(ai)
             pair_outcomes.append(tuple(outcomes))
     first_pair.append(len(pair_action))
+    if not goal_ids:  # the rounds would kill every node
+        raise UnsolvableError(_PRUNED)
     del order  # the rounds look no state up; free it before they run
 
     n = len(states)
@@ -340,6 +345,10 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
                 level[q2] = ids
         if level and total > state_cap:
             raise fond._state_cap_error(state_cap)
+    # No goal node reached: the rounds would kill every node.
+    goals = {q: reached[q] for q in accepting if reached[q]}
+    if not goals:
+        raise UnsolvableError(_PRUNED)
 
     # entering[q2] lists (q, cls, keep) per q whose nodes have pairs into
     # nodes of q2: into those whose ids are in cls (keep) or not in it
@@ -362,7 +371,6 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
     for q in expanded:
         dead_ids[q] = set(filterfalse(succ.__getitem__, reached[q]))
     work = [(q, ids) for q, ids in enumerate(dead_ids) if ids]
-    goals = {q: reached[q] for q in accepting if reached[q]}
 
     while True:
         fond._check_deadline(deadline)
@@ -759,10 +767,10 @@ def solve_with_external(command: str, grounded: GroundedFond,
             raise ExternalPlannerError(f"cannot run {argv[0]!r}: {exc}") from exc
         except subprocess.TimeoutExpired as exc:
             raise DeadlineExceeded(
-                f"external planner exceeded its deadline") from exc
+                "external planner exceeded its deadline") from exc
     if proc.returncode == 2:
         raise UnsolvableError(
-            f"external planner reports the task unsolvable")
+            "external planner reports the task unsolvable")
     if proc.returncode != 0:
         raise ExternalPlannerError(
             f"external planner exited with {proc.returncode}: "
