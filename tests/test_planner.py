@@ -1,6 +1,7 @@
 """Strong-cyclic policy synthesis, verification, and the external protocol."""
 
 import dataclasses
+import hashlib
 import sys
 import textwrap
 import time
@@ -311,3 +312,34 @@ def test_external_planner_deadline(tmp_path):
             slow, g, fond.domain_to_pddl(g.domain),
             fond.problem_to_pddl(g.problem),
             deadline=time.monotonic() + 0.2)
+
+
+def blocks_problem_text(n):
+    """n blocks, all on the table, hand empty."""
+    names = " ".join(f"b{i}" for i in range(1, n + 1))
+    init = " ".join(f"(ontable b{i}) (clear b{i})" for i in range(1, n + 1))
+    return (f"(define (problem bw-{n}) (:domain blocks-world) "
+            f"(:objects {names} - block) (:init (emptyhand) {init}))")
+
+
+# sha256 of `policy_to_text` of the compiled task's policy, and its
+# number of entries, by block count and goal. perfbench's blocks-scale
+# workload draws its observations from such policies.
+COMPILED_POLICY_GOLDENS = {
+    (6, "F(on_b5_b6 & X(F(on_b4_b5)))"): (
+        10, "551f013be5aa930d103a3111afbcfea65b44a258dedd3c0e647eabe01abb7f9b"),
+    (6, "on_b1_b2 & (!(on_b3_b6) S holding_b2)"): (
+        12, "dc14fb5f34cdbf98e0c78cfcdb01fa60e0770f78f02519cfa430fc9918bd0905"),
+    (5, "F(on_b1_b2 & X(F(on_b3_b1)))"): (
+        10, "e57340220b359c3f0b5f90acd2b6c9499b9483377e7bfaa8b1a14ba3ab9fd2ab"),
+}
+
+
+@pytest.mark.parametrize("n, goal", sorted(COMPILED_POLICY_GOLDENS))
+def test_compiled_blocks_policy_golden(n, goal):
+    domain = fond.parse_domain(BLOCKS.domain_text)
+    problem = fond.parse_problem(blocks_problem_text(n))
+    aug = compilation.compile_goal(domain, problem, logic.parse_formula(goal))
+    text = planner.policy_to_text(planner.solve_strong_cyclic(aug.grounded))
+    assert (text.count("\n"), hashlib.sha256(text.encode()).hexdigest()) \
+        == COMPILED_POLICY_GOLDENS[n, goal]
