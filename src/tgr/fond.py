@@ -46,7 +46,8 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache, reduce, wraps
+from operator import and_
 from typing import Protocol
 
 from . import logic
@@ -517,60 +518,48 @@ def effect_branches(effect: Effect) -> list[tuple[tuple[Formula, Literal], ...]]
 # Grounding
 
 # Compiled conditions are nested tuples evaluated against a state mask.
-# An atom is ("atom", bit mask); a conjunction of literals is flattened
-# to ("lits", positive mask, negative mask); the tree remains only above
-# disjunctions.
+# A disjunction of literal conjunctions is flat: ("any", cubes), where
+# each cube is a (positive mask, negative mask) pair, so an atom is one
+# cube, true is the empty cube and false has none. A conjunction with a
+# single cube on one side distributes that cube over the other side's
+# cubes, so the flat form grows linearly; the ("not", c), ("and", l, r)
+# and ("or", l, r) tree remains only above what does not flatten.
 def _compile_condition(f: Formula, index: dict[Atom, int], what: str):
     k = f.kind
-    if k == "atom":
-        assert f.atom is not None
-        i = index.get(f.atom)
+    if k == "atom" or k == "not" and f.children[0].kind == "atom":
+        atom = f.atom if k == "atom" else f.children[0].atom
+        assert atom is not None
+        i = index.get(atom)
         if i is None:
-            raise PddlParseError(f"unknown atom {f.atom} in {what}")
-        return ("atom", 1 << i)
+            raise PddlParseError(f"unknown atom {atom} in {what}")
+        return ("any", ((1 << i, 0) if k == "atom" else (0, 1 << i),))
     if k == "true":
-        return ("true",)
+        return ("any", ((0, 0),))
     if k == "false":
-        return ("false",)
+        return ("any", ())
     if k == "not":
         return ("not", _compile_condition(f.children[0], index, what))
-    if k == "and":
+    if k in ("and", "or"):
         left = _compile_condition(f.children[0], index, what)
         right = _compile_condition(f.children[1], index, what)
-        lits, more = _literals(left), _literals(right)
-        if lits is None or more is None:
-            return ("and", left, right)
-        return ("lits", lits[0] | more[0], lits[1] | more[1])
-    if k == "or":
-        return ("or", _compile_condition(f.children[0], index, what),
-                _compile_condition(f.children[1], index, what))
+        if left[0] == right[0] == "any":
+            if k == "or":
+                return ("any", left[1] + right[1])
+            if len(right[1]) == 1:
+                left, right = right, left
+            if len(left[1]) == 1:
+                (pos, neg), = left[1]
+                return ("any", tuple((pos | p, neg | n) for p, n in right[1]))
+        return (k, left, right)
     raise UnsupportedFeatureError(f"temporal operator inside {what}")
-
-
-def _literals(cond) -> tuple[int, int] | None:
-    """The positive and negative masks of a compiled conjunction of
-    literals, or None for any other condition."""
-    tag = cond[0]
-    if tag == "lits":
-        return cond[1], cond[2]
-    if tag == "atom":
-        return cond[1], 0
-    if tag == "not" and cond[1][0] == "atom":
-        return 0, cond[1][1]
-    if tag == "true":
-        return 0, 0
-    return None
 
 
 def _eval_compiled(cond, state: int) -> bool:
     tag = cond[0]
-    if tag == "lits":
-        return state & cond[1] == cond[1] and not state & cond[2]
-    if tag == "atom":
-        return state & cond[1] != 0
-    if tag == "true":
-        return True
-    if tag == "false":
+    if tag == "any":
+        for pos, neg in cond[1]:
+            if state & pos == pos and not state & neg:
+                return True
         return False
     if tag == "not":
         return not _eval_compiled(cond[1], state)
@@ -596,10 +585,14 @@ class GroundAction:
     # Fluent masks that must hold and must not hold.
     pre_pos: int
     pre_neg: int
-    # The distinct compiled effect conditions of the action.
-    conditions: tuple[object, ...] = field(repr=False)
+    # Distinct effect condition i of the action is named by the bit 1 << i:
+    # cubes holds (bit, positive mask, negative mask) for every cube of the
+    # flat conditions, and trees holds (bit, compiled condition) for the
+    # others.
+    cubes: tuple[tuple[int, int, int], ...] = field(repr=False)
+    trees: tuple[tuple[int, object], ...] = field(repr=False)
     # branches[b] = (adds, deletes, guarded): the unconditional fluent
-    # masks, and (condition index, adds, deletes) per distinct condition.
+    # masks, and (condition bit, adds, deletes) per distinct condition.
     branches: tuple[tuple[int, int, tuple[tuple[int, int, int], ...]],
                     ...] = field(repr=False)
 
@@ -662,11 +655,14 @@ class GroundedFond:
     # Precondition index: _watch[f] holds (index, pre_pos, pre_neg) of the
     # actions watched under fluent f, and _watched is the mask of the
     # fluents that watch some action (static fluents, set in every state,
-    # watch none); _always holds the actions with no positive precondition.
+    # watch none); _always holds the actions with no positive precondition,
+    # and _shared is the mask of the positive preconditions that every
+    # watched action shares (in a compiled task, the turn fluent).
     _watch: list[tuple[tuple[int, int, int], ...]] = field(
         init=False, repr=False)
     _watched: int = field(init=False, repr=False)
     _always: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+    _shared: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         uses = Counter(f for a in self.actions for f in _bits(a.pre_pos))
@@ -683,6 +679,8 @@ class GroundedFond:
         self._watched = sum(1 << f for f, entries in enumerate(watch)
                             if entries)
         self._always = tuple(always)
+        pres = [a.pre_pos for a in self.actions if a.pre_pos]
+        self._shared = reduce(and_, pres) if pres else 0
 
     def with_goal(self, goal: Formula) -> GroundedFond:
         """This model with the classical goal `goal`, whose atoms must be
@@ -698,6 +696,8 @@ class GroundedFond:
     def applicable_actions(self, state: int) -> list[int]:
         """Indices of the actions applicable in `state`, ascending."""
         found = [i for i, _, neg in self._always if not state & neg]
+        if state & self._shared != self._shared:
+            return found  # no watched action applies
         watch = self._watch
         rest = state & self._watched
         while rest:
@@ -736,12 +736,17 @@ class GroundedFond:
     @staticmethod
     def _outcomes(state: int, a: GroundAction) -> tuple[int, ...]:
         """The successors of applying `a`, known applicable, in `state`."""
-        if a.conditions:
-            holds = [_eval_compiled(cond, state) for cond in a.conditions]
+        holds = 0  # the bits of the conditions that hold
+        for bit, pos, neg in a.cubes:
+            if state & pos == pos and not state & neg:
+                holds |= bit
+        for bit, cond in a.trees:
+            if _eval_compiled(cond, state):
+                holds |= bit
         out: list[int] = []
         for adds, dels, guarded in a.branches:
-            for ci, cond_adds, cond_dels in guarded:
-                if holds[ci]:
+            for bit, cond_adds, cond_dels in guarded:
+                if holds & bit:
                     adds |= cond_adds
                     dels |= cond_dels
             succ = (state & ~dels) | adds
@@ -1040,18 +1045,23 @@ def ground(domain: Domain, problem: ProblemInstance, *,
                         compiled = _compile_condition(
                             ground_cond, fluent_index,
                             f"effect condition of {schema.name}")
-                        ci = conditions.setdefault(compiled, len(conditions))
-                        masks = guarded.setdefault(ci, [0, 0])
+                        bit = conditions.setdefault(
+                            compiled, 1 << len(conditions))
+                        masks = guarded.setdefault(bit, [0, 0])
                     masks[0 if lit.positive else 1] |= 1 << fluent_index[ga]
                 ground_branches.append((*unconditional, tuple(
-                    (ci, a, d) for ci, (a, d) in guarded.items())))
+                    (bit, a, d) for bit, (a, d) in guarded.items())))
 
             name = ground_action_name(schema.name, tuple(combo))
             action_index[name] = len(actions)
             actions.append(GroundAction(
                 name=name, index=len(actions),
                 pre_pos=pre[0], pre_neg=pre[1],
-                conditions=tuple(conditions),
+                cubes=tuple((bit, pos, neg)
+                            for cond, bit in conditions.items()
+                            if cond[0] == "any" for pos, neg in cond[1]),
+                trees=tuple((bit, cond) for cond, bit in conditions.items()
+                            if cond[0] != "any"),
                 branches=tuple(ground_branches)))
             if len(actions) > action_cap:
                 raise GroundingCapError(

@@ -4,6 +4,7 @@ import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tgr import bench, fond, logic
 from tgr.errors import (GroundingCapError, InapplicableActionError,
@@ -168,6 +169,59 @@ def test_problem_domain_name_mismatch():
         "(define (problem x) (:domain elsewhere) (:init) (:goal (flat)))")
     with pytest.raises(PddlParseError):
         fond.ground(dom, other)
+
+
+CONDITION_ATOMS = [logic.atom(f"p{i}") for i in range(8)]
+CONDITION_INDEX = {f.atom: i for i, f in enumerate(CONDITION_ATOMS)}
+
+
+def assert_compiled_agrees_on_every_state(f):
+    compiled = fond._compile_condition(f, CONDITION_INDEX, "test")
+    for state in range(1 << len(CONDITION_ATOMS)):
+        atoms = {a.atom for i, a in enumerate(CONDITION_ATOMS)
+                 if state >> i & 1}
+        assert fond._eval_compiled(compiled, state) == \
+            logic.evaluate(f, [atoms]), (str(f), state)
+    return compiled
+
+
+@pytest.mark.parametrize("text, tag, cubes", [
+    ("p0", "any", 1),
+    ("!p0", "any", 1),
+    ("p0 & !p1 & p2", "any", 1),
+    ("p0 | !p1 | (p2 & p3)", "any", 3),
+    # a literal conjunction and-ed with a disjunction: a sync guard's form
+    ("(p0 & !p1) & ((p2 & p3) | !p4 | p5)", "any", 3),
+    ("((p2 & p3) | !p4) & p0 & !p1", "any", 2),
+    ("(p0 | p1) & (p2 | p3)", "and", None),
+    ("!(p0 & p1)", "not", None),
+    ("!(p0 | p1) | (p2 & p3)", "or", None),
+    ("(p0 & (p1 | p2)) | ((p3 | p4) & (p5 | !p6 | p7))", "or", None),
+    ("true & (p0 | false)", "any", 1),
+    ("false & p0", "any", 0),
+])
+def test_compiled_conditions_flatten_what_distributes_linearly(text, tag,
+                                                               cubes):
+    compiled = assert_compiled_agrees_on_every_state(
+        logic.parse_formula(text))
+    assert compiled[0] == tag
+    if tag == "any":
+        assert len(compiled[1]) == cubes
+
+
+def conditions():
+    """Random and/or/not conditions over up to eight atoms."""
+    leaves = st.sampled_from(CONDITION_ATOMS + [logic.TRUE, logic.FALSE])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(logic.lnot),
+        st.tuples(sub, sub).map(lambda lr: logic.land(*lr)),
+        st.tuples(sub, sub).map(lambda lr: logic.lor(*lr))), max_leaves=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(conditions())
+def test_compiled_conditions_agree_with_the_formula(f):
+    assert_compiled_agrees_on_every_state(f)
 
 
 def test_goal_free_groundings_are_shared_but_errors_are_not(monkeypatch):

@@ -285,6 +285,31 @@ def test_goal_product_solver_agrees_with_reference(task, data):
         assert_agrees_with_reference(product, planner.DEFAULT_STATE_CAP)
 
 
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.data())
+def test_compiled_task_expansion_matches_the_plain_scan(task, data):
+    # On both turns: a sync state, where only the sync action can apply,
+    # and a domain state.
+    domain, problem = (fond.parse_domain(task[0]),
+                       fond.parse_problem(task[1]))
+    a, b = draw_goal_atoms(domain, data)
+    for template in TEMPORAL_GOALS:
+        try:
+            aug = compilation.compile_goal(domain, problem, template(a, b))
+        except CompileError:
+            continue
+        g = aug.grounded
+        turn = 1 << g.fluent_index[aug.turn_atom]
+        drawn = data.draw(st.sets(st.integers(0, len(g.fluents) - 1)))
+        state = g.state_of({g.fluents[i] for i in drawn})
+        for s in (state & ~turn, state | turn):
+            applicable = [i for i in range(len(g.actions))
+                          if g.applicable(s, i)]
+            assert g.applicable_actions(s) == applicable
+            for ai in applicable:
+                assert g.successors(s, ai) == reference_successors(g, s, ai)
+
+
 def failure(solve, g, state_cap):
     """The type and message of the error a solver raises, or None."""
     try:
