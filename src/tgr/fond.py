@@ -45,6 +45,7 @@ import itertools
 import time
 from array import array
 from collections import Counter
+from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce, wraps
 from operator import and_
@@ -684,10 +685,15 @@ class GroundedFond:
 
     def with_goal(self, goal: Formula) -> GroundedFond:
         """This model with the classical goal `goal`, whose atoms must be
-        fluents; the grounding is shared, not redone."""
-        return replace(self, problem=replace(self.problem, goal=goal),
-                       goal=goal, _goal_compiled=_compile_condition(
-                           goal, self.fluent_index, "goal"))
+        fluents; the grounding and its precondition index are shared, not
+        redone."""
+        model = copy(self)
+        vars(model).pop("transition_table", None)
+        model.problem = replace(self.problem, goal=goal)
+        model.goal = goal
+        model._goal_compiled = _compile_condition(goal, self.fluent_index,
+                                                  "goal")
+        return model
 
     def applicable(self, state: int, action: int) -> bool:
         a = self.actions[action]

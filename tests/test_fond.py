@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,6 +223,31 @@ def conditions():
 @given(conditions())
 def test_compiled_conditions_agree_with_the_formula(f):
     assert_compiled_agrees_on_every_state(f)
+
+
+def test_with_goal_shares_the_precondition_index(monkeypatch):
+    dom = fond.parse_domain(BLOCKS.domain_text)
+    prob = fond.parse_problem(BLOCKS.problem_text)
+    base = fond.goal_free_grounding(dom, prob)
+    base.transition_table
+
+    def rebuild(self):
+        raise AssertionError("the precondition index was rebuilt")
+
+    monkeypatch.setattr(fond.GroundedFond, "__post_init__", rebuild)
+    g = base.with_goal(prob.goal)
+    assert (g.goal, g.problem.goal, base.goal) == (prob.goal, prob.goal, None)
+    assert g.is_goal(g.state_of(logic.atoms(prob.goal))) and not g.is_goal(0)
+    assert g._watch is base._watch and g._always is base._always
+    # the copy starts without a transition table; the source keeps its own
+    assert "transition_table" not in vars(g)
+    assert g.transition_table._model is g
+    assert base.transition_table._model is base
+    rng = random.Random(25)
+    for _ in range(300):
+        state = rng.getrandbits(len(g.fluents))
+        assert g.applicable_actions(state) == base.applicable_actions(state) \
+            == [i for i in range(len(g.actions)) if g.applicable(state, i)]
 
 
 def test_goal_free_groundings_are_shared_but_errors_are_not(monkeypatch):
