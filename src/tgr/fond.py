@@ -17,12 +17,19 @@ with duplicates merged.
 The model is built for repeated expansion. Each action is watched under
 its rarest positive precondition fluent, so `applicable_actions` tests
 only the actions watched by a set bit of the state (plus those without
-a positive precondition). Preconditions, effects and compiled conditions
+a positive precondition). It skips the watched actions altogether when
+the state lacks a positive precondition that all of them share: in a
+compiled task that is the turn fluent, so a synchronisation state tests
+the sync action alone. Preconditions, effects and compiled conditions
 are masks, so testing a conjunction of literals is two `&`s and applying
-an effect is `(state & ~deletes) | adds`. Each branch keeps its
-unconditional adds and deletes, and groups its conditional literals by
-condition, so a condition is evaluated once per `successors` call
-however many literals it guards.
+an effect is `(state & ~deletes) | adds`. A condition that is a
+disjunction of literal conjunctions, or one conjunction and-ed with
+such a disjunction (a sync guard `q & guard`), compiles to a flat tuple
+of (positive, negative) mask pairs, and an action's flat conditions are
+tested together in one loop. Each branch keeps its unconditional adds
+and deletes, and groups its conditional literals by condition, so a
+condition is evaluated once per `successors` call however many literals
+it guards.
 
 The planner numbers the states reachable from a grounding's initial
 state on its own, deriving each state's transitions afresh
@@ -527,19 +534,22 @@ def effect_branches(effect: Effect) -> list[tuple[tuple[Formula, Literal], ...]]
 # and ("or", l, r) tree remains only above what does not flatten.
 def _compile_condition(f: Formula, index: dict[Atom, int], what: str):
     k = f.kind
-    if k == "atom" or k == "not" and f.children[0].kind == "atom":
-        atom = f.atom if k == "atom" else f.children[0].atom
-        assert atom is not None
-        i = index.get(atom)
+    if k == "atom":
+        assert f.atom is not None
+        i = index.get(f.atom)
         if i is None:
-            raise PddlParseError(f"unknown atom {atom} in {what}")
-        return ("any", ((1 << i, 0) if k == "atom" else (0, 1 << i),))
+            raise PddlParseError(f"unknown atom {f.atom} in {what}")
+        return ("any", ((1 << i, 0),))
     if k == "true":
         return ("any", ((0, 0),))
     if k == "false":
         return ("any", ())
     if k == "not":
-        return ("not", _compile_condition(f.children[0], index, what))
+        inner = _compile_condition(f.children[0], index, what)
+        if f.children[0].kind == "atom":
+            (bit, _), = inner[1]
+            return ("any", ((0, bit),))
+        return ("not", inner)
     if k in ("and", "or"):
         left = _compile_condition(f.children[0], index, what)
         right = _compile_condition(f.children[1], index, what)
