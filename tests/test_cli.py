@@ -153,10 +153,21 @@ def test_plan_output_is_pinned(capsys):
 @pytest.mark.parametrize("extra, err", [
     (["--state-cap", "2"], "error: reachable state space exceeded 2 states\n"),
     (["--goal", "(vAt 99)"], "error: unknown atom (vAt 99) in goal\n"),
+    (["--deadline", "0.000001"], "error: planner deadline exceeded\n"),
 ])
 def test_plan_errors_are_pinned(extra, err, capsys):
-    assert cli.main(plan_argv("triangle-tireworld", *extra)) == 1
+    # A missed deadline exits 2, as an unsolvable task does; the rest, 1.
+    code = 2 if err.endswith("deadline exceeded\n") else 1
+    assert cli.main(plan_argv("triangle-tireworld", *extra)) == code
     assert capsys.readouterr() == ("", err)
+
+
+def test_recognize_stops_at_the_state_cap(capsys):
+    # The cap stops the whole recognition: no goal gets an answer.
+    assert cli.main(["recognize", "--bundle", EXAMPLE1,
+                     "--state-cap", "2"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: reachable state space exceeded 2 states\n")
 
 
 def test_plan_grounds_a_problem_once_per_process(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Execution enumeration and the distance/order statistics built on it."""
 
+import dataclasses
 import sys
 import time
 from types import SimpleNamespace
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import reference_executions
 import reference_planner
 from tgr import bench, compilation, executions, fond, logic, planner
-from tgr.errors import DeadlineExceeded, ExecutionCapError, TgrError
+from tgr.errors import (DeadlineExceeded, ExecutionCapError, PlannerCapError,
+                        TgrError)
 
 TIREWORLD = bench.bundled_dataset("triangle-tireworld")
 
@@ -409,3 +411,72 @@ def test_a_verified_graph_is_not_read_once_the_mapping_changes():
         reference_planner.verify_policy(policy)
     assert opened[0][0] is TgrError
     assert verified not in (changed[0], opened[0])
+
+
+def _chain_policy(n):
+    """A policy that steps from state 0 through states 1 .. n - 1 to the
+    goal n."""
+    model = ArbitraryModel(["(step)"], lambda pair: (pair[0] + 1,),
+                           frozenset({n}), [{0}] * n)
+    return planner.Policy(model, dict.fromkeys(range(n), 0))
+
+
+def _tireworld_base():
+    return fond.ground(fond.parse_domain(TIREWORLD.domain_text),
+                       fond.parse_problem(TIREWORLD.problem_text))
+
+
+def _f22_product():
+    base = _tireworld_base()
+    return compilation.GoalProduct(
+        fond.ground(base.domain, dataclasses.replace(base.problem, goal=None)),
+        logic.parse_formula("F((vAt 22))"))
+
+
+def _external(command, deadline):
+    g = _tireworld_base()
+    return planner.solve_with_external(
+        command, g, fond.domain_to_pddl(g.domain),
+        fond.problem_to_pddl(g.problem), deadline=deadline)
+
+
+def _past():
+    return time.monotonic() - 1
+
+
+# Each message a deadline or a cap raises, by the stage that raises it.
+# The chain policy's verification reads the clock at its 512th state.
+@pytest.mark.parametrize("error, message, run", [
+    (DeadlineExceeded, "planner deadline exceeded",
+     lambda: planner.solve_strong_cyclic(_tireworld_base(),
+                                         deadline=_past())),
+    (DeadlineExceeded, "planner deadline exceeded",
+     lambda: planner.solve_strong_cyclic(_f22_product(), deadline=_past())),
+    (DeadlineExceeded, "planner deadline exceeded",
+     lambda: planner.verify_policy(_chain_policy(600), deadline=_past())),
+    (DeadlineExceeded, "execution enumeration deadline exceeded",
+     lambda: executions.enumerate_executions(
+         planner.solve_strong_cyclic(_f22_product()), deadline=_past())),
+    (DeadlineExceeded, "execution enumeration deadline exceeded",
+     lambda: executions.goal_model(
+         planner.solve_strong_cyclic(_f22_product()), deadline=_past())),
+    (DeadlineExceeded, "external planner exceeded its deadline",
+     lambda: _external(f"{sys.executable} -c __import__('time').sleep(30)",
+                       time.monotonic() + 0.2)),
+    (PlannerCapError, "reachable state space exceeded 2 states",
+     lambda: planner.solve_strong_cyclic(_tireworld_base(), state_cap=2)),
+    (PlannerCapError, "reachable state space exceeded 2 states",
+     lambda: planner.solve_strong_cyclic(_f22_product(), state_cap=2)),
+    (ExecutionCapError, "policy has more than 1 goal-reaching paths",
+     lambda: executions.enumerate_executions(
+         planner.solve_strong_cyclic(_f22_product()), cap=1)),
+    (ExecutionCapError, "policy has more than 1 goal-reaching paths",
+     lambda: executions.goal_model(
+         planner.solve_strong_cyclic(_f22_product()), cap=1)),
+], ids=["grounding-deadline", "product-deadline", "verify-deadline",
+        "walk-deadline", "count-deadline", "external-deadline",
+        "grounding-cap", "product-cap", "walk-cap", "count-cap"])
+def test_deadline_and_cap_messages_are_pinned(error, message, run):
+    with pytest.raises(error) as raised:
+        run()
+    assert str(raised.value) == message
