@@ -2,6 +2,7 @@
 
 from .automata import Dfa, Pdfa, lift, ltlf_to_dfa, pltlf_to_dfa, to_dot
 from .bench import BenchConfig, load_config, run_benchmark
+from .budget import Budget
 from .compilation import AugmentedProblem, compile_goal, emit_pddl
 from .executions import (Execution, average_distances, enumerate_executions,
                          goal_model, order_relations)
@@ -22,6 +23,7 @@ __all__ = [
     "Domain", "ProblemInstance", "GroundedFond", "parse_domain",
     "parse_problem", "ground",
     "AugmentedProblem", "compile_goal", "emit_pddl",
+    "Budget",
     "Policy", "PolicyReport", "solve_strong_cyclic", "verify_policy",
     "policy_to_text", "policy_from_text",
     "Execution", "enumerate_executions", "goal_model", "average_distances",

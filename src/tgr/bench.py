@@ -31,6 +31,7 @@ from importlib import resources
 from typing import Callable
 
 from . import executions, fond, logic, planner, recognizer
+from .budget import Budget
 from .errors import BundleError, TgrError
 from .fond import Domain, ProblemInstance
 from .logic import Atom, Formula
@@ -232,6 +233,7 @@ def _draw_goal(base: fond.GroundedFond, cfg: BenchConfig,
         for atom in order:
             yield logic.eventually(logic.from_atom(atom))
 
+    budget = Budget(state_cap=cfg.state_cap, execution_cap=cfg.execution_cap)
     for candidate in itertools.chain(
             (_template(template, rng, pool) for _ in range(_GOAL_ATTEMPTS)),
             fallback()):
@@ -239,16 +241,15 @@ def _draw_goal(base: fond.GroundedFond, cfg: BenchConfig,
             continue
         start = time.monotonic()
         try:
-            model, policy, _ = recognizer.analyze_goal(
-                base, candidate, state_cap=cfg.state_cap,
-                execution_cap=cfg.execution_cap)
+            model, policy, _ = recognizer.analyze_goal(base, candidate,
+                                                       budget=budget)
             seconds = time.monotonic() - start
             if policy is None:
                 continue
             if not want_executions:
                 return model, seconds, ()
             execs = tuple(e for e in executions.enumerate_executions(
-                policy, cap=cfg.execution_cap) if e.actions)
+                policy, budget=budget) if e.actions)
         except TgrError:
             continue
         if execs:

@@ -21,6 +21,7 @@ import traceback
 
 from . import (__version__, automata, bench, compilation, executions, fond,
                logic, planner, recognizer)
+from .budget import Budget
 from .errors import DeadlineExceeded, TgrError, UnsolvableError
 
 
@@ -104,8 +105,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     else:
         grounded = compilation.compile_goal(domain, problem, goal).grounded
 
-    solve = recognizer._resolve_planner(args.planner, args.state_cap,
-                                        _deadline(args.deadline))
+    solve = recognizer._resolve_planner(args.planner, Budget(
+        state_cap=args.state_cap, deadline=_deadline(args.deadline)))
     policy = solve(grounded)
     _write(args.out, planner.policy_to_text(policy))
     print(f"policy: {len(policy.mapping)} states", file=sys.stderr)

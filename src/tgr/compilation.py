@@ -33,6 +33,7 @@ from functools import cached_property, lru_cache
 
 from . import automata, fond, logic, planner
 from .automata import Dfa
+from .budget import Budget
 from .errors import CompileError, InapplicableActionError, TgrError
 from .fond import (ActionSchema, Domain, Effect, Literal, Parameter,
                    PredicateSchema, ProblemInstance, eff_and, eff_lit,
@@ -200,16 +201,18 @@ class AugmentedProblem:
     sync_schema: str
 
     def product_policy(self, policy: planner.Policy,
-                       base: fond.GroundedFond | None = None) -> planner.Policy:
+                       base: fond.GroundedFond | None = None, *,
+                       budget: Budget = Budget()) -> planner.Policy:
         """A closed policy of this task as a policy of the goal product
         over `base`, the goal-free grounding (done here if not given),
         whose fluents and actions the compiled ones extend in order: a
         turn-fluent state with automaton state q maps to
-        `(state & low) | q << n` and keeps its action."""
+        `(state & low) | q << n` and keeps its action. The closure check
+        runs under `budget`."""
         g = self.grounded
         if policy.grounded is not g:
             raise TgrError("policy was not produced from the given compiled task")
-        report = planner.verify_policy(policy)
+        report = planner.verify_policy(policy, budget=budget)
         if not report.closed:
             raise TgrError(f"policy is not closed: {report.reason}")
         if base is None:

@@ -25,21 +25,25 @@ and every path that continues from it depends on nothing else. Each
 configuration is counted once however many paths reach it. The cap
 still counts raw goal-reaching paths, before deduplication, in the
 walk's order.
+
+Both entry points take the recognition's `budget.Budget`: its execution
+cap, and its deadline, which they read the clock for only through
+`Budget.check` ("execution enumeration deadline exceeded"), as does the
+numbering of a graph built afresh.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
-from .errors import DeadlineExceeded, ExecutionCapError, TgrError
+from .budget import DEFAULT_EXECUTION_CAP, Budget  # callers read the cap here
+from .errors import TgrError
 from .fond import StateModel
 from .logic import Atom
 from .planner import Policy, _graph_of
 
-DEFAULT_EXECUTION_CAP = 10_000
 ABSENT_DISTANCE = math.e ** 5
 # A path enters each state at most twice: the paper's "each fairness loop
 # fires at most once".
@@ -56,23 +60,22 @@ class Execution:
     trace: tuple[frozenset[Atom], ...]
 
 
-def _walk(g: StateModel, graph: tuple, cap: int,
-          deadline: float | None) -> list[Execution]:
+def _walk(g: StateModel, graph: tuple, budget: Budget) -> list[Execution]:
     """The executions of the policy that `graph` (from `_graph_of`)
     numbers on the model `g`, walked depth first over the graph's ids:
     the first path, in DFS order, of each distinct action sequence.
 
-    Raises ExecutionCapError when more than `cap` goal-reaching paths are
-    found before deduplication, TgrError at the first state the walk
-    reaches that the policy does not map, and DeadlineExceeded when the
-    monotonic clock passes `deadline` (checked at the start and every
-    512 steps).
+    Raises ExecutionCapError when more than the budget's execution cap of
+    goal-reaching paths are found before deduplication, TgrError at the
+    first state the walk reaches that the policy does not map, and
+    DeadlineExceeded when the budget's deadline passes (checked at the
+    start and every 512 steps).
     """
     names, label_of, outs, _, states, goals = graph
     views = [g.atoms_of(s) for s in states]
     goal_views = [g.atoms_of(s) for s in goals]
     kept: dict[tuple[str, ...], Execution] = {}
-    found = 0
+    found, cap = 0, budget.execution_cap
     # The current path's action names and trace.
     actions: list[str] = []
     trace = [views[0] if states else goal_views[0]]
@@ -81,8 +84,7 @@ def _walk(g: StateModel, graph: tuple, cap: int,
         nonlocal found
         found += 1
         if found > cap:
-            raise ExecutionCapError(
-                f"policy has more than {cap} goal-reaching paths")
+            raise budget.execution_cap_error()
         key = tuple(actions)
         if key not in kept:
             kept[key] = Execution(key, tuple(trace))
@@ -103,11 +105,9 @@ def _walk(g: StateModel, graph: tuple, cap: int,
     stack = [(0, iter(outs[0]))]
     n_steps = 0
     while stack:
-        if deadline is not None:
-            if not n_steps % 512 and time.monotonic() > deadline:
-                raise DeadlineExceeded(
-                    "execution enumeration deadline exceeded")
-            n_steps += 1
+        if not n_steps % 512:
+            budget.check("execution enumeration")
+        n_steps += 1
         v, pending = stack[-1]
         t = next(pending, None)
         if t is None:
@@ -132,25 +132,23 @@ def _walk(g: StateModel, graph: tuple, cap: int,
 
 
 def enumerate_executions(policy: Policy, aug=None, *,
-                         cap: int = DEFAULT_EXECUTION_CAP,
-                         deadline: float | None = None) -> list[Execution]:
+                         budget: Budget = Budget()) -> list[Execution]:
     """All executions of `policy`, deduplicated by action sequence; a
     policy of the compiled task `aug` is walked on the goal product.
     The traces share one atom-set object per state.
 
-    Raises ExecutionCapError when more than `cap` goal-reaching paths are
-    found before deduplication, and DeadlineExceeded when the monotonic
-    clock passes `deadline` (checked at the start of the walk, every 512
-    steps, and every 512 states numbered before it).
+    Raises ExecutionCapError when more than the budget's execution cap of
+    goal-reaching paths are found before deduplication, and
+    DeadlineExceeded when the budget's deadline passes (checked at the
+    start of the walk, every 512 steps, and every 512 states numbered
+    before it).
     """
     if aug is not None:
-        policy = aug.product_policy(policy)
-    return _walk(policy.grounded,
-                 _graph_of(policy, deadline, _check_deadline), cap, deadline)
+        policy = aug.product_policy(policy, budget=budget)
+    return _walk(policy.grounded, _graph_of(policy, budget), budget)
 
 
-def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
-               deadline: float | None = None
+def goal_model(policy: Policy, *, budget: Budget = Budget()
                ) -> tuple[int, dict[str, float], frozenset[tuple[str, str]]]:
     """The goal model of `policy`'s executions E, counted without listing
     them: (len(E), average_distances(E), the union of order_relations
@@ -171,14 +169,13 @@ def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
     no later than the walk would. The deadline is checked at the start
     and every 512 states, configurations or nodes expanded.
     """
-    _check_deadline(deadline)
-    graph = _graph_of(policy, deadline, _check_deadline)
+    budget.check("execution enumeration")
+    graph = _graph_of(policy, budget)
     names, label_of, outs, comp, _, _ = graph
     if not outs or -1 in label_of:
         # s0 is a goal, which the walk answers, or the policy is open,
         # and the walk raises where `enumerate_executions` would.
-        return len(_walk(policy.grounded, graph, cap, deadline)), {}, \
-            frozenset()
+        return len(_walk(policy.grounded, graph, budget)), {}, frozenset()
     n = len(outs)
     expanded = n  # states, configurations and nodes
 
@@ -191,6 +188,7 @@ def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
     # when empty, the key itself when single, else a frozenset.
     info: dict[int, tuple] = {}
     found = 0  # raw paths so far: +1 per goal outcome, +raw per memo hit
+    cap = budget.execution_cap
     once = 1 if comp[0] >= 0 else 0
     root = n * once
     stack = [[root, 0, once, 0, iter(outs[0]), [], 0, 0]]
@@ -221,14 +219,13 @@ def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
                     frame[6] = ends
                     expanded += 1
                     if not expanded % 512:
-                        _check_deadline(deadline)
+                        budget.check("execution enumeration")
                     stack.append([child, t, o, w, iter(outs[t]), [], 0,
                                   found])
                     break
                 found += hit[1]
             if found > cap:
-                raise ExecutionCapError(
-                    f"policy has more than {cap} goal-reaching paths")
+                raise budget.execution_cap_error()
         else:
             stack.pop()
             node = (None if not kids else kids[0] if len(kids) == 1
@@ -251,7 +248,7 @@ def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
         if steps is None:
             expanded += 1
             if not expanded % 512:
-                _check_deadline(deadline)
+                budget.check("execution enumeration")
             if type(node) is int:
                 steps = (info[node][0],)
             else:
@@ -329,11 +326,6 @@ def goal_model(policy: Policy, *, cap: int = DEFAULT_EXECUTION_CAP,
                       for lab, mask in enumerate(before)
                       for x in range(mask.bit_length()) if mask >> x & 1)
     return kept[top], distances, pairs
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded("execution enumeration deadline exceeded")
 
 
 def average_distances(executions: list[Execution]) -> dict[str, float]:

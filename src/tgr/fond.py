@@ -49,7 +49,6 @@ costs a lookup, not a walk over the parsed model.
 from __future__ import annotations
 
 import itertools
-import time
 from array import array
 from collections import Counter
 from copy import copy
@@ -59,9 +58,8 @@ from operator import and_
 from typing import Protocol
 
 from . import logic
-from .errors import (DeadlineExceeded, GroundingCapError,
-                     InapplicableActionError, PddlParseError,
-                     PlannerCapError, UnsupportedFeatureError)
+from .errors import (GroundingCapError, InapplicableActionError,
+                     PddlParseError, UnsupportedFeatureError)
 from .logic import Atom, Formula, _hash_once, _state_without_hash
 
 
@@ -606,15 +604,6 @@ class GroundAction:
     # masks, and (condition bit, adds, deletes) per distinct condition.
     branches: tuple[tuple[int, int, tuple[tuple[int, int, int], ...]],
                     ...] = field(repr=False)
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise DeadlineExceeded("planner deadline exceeded")
-
-
-def _state_cap_error(state_cap: int) -> PlannerCapError:
-    return PlannerCapError(f"reachable state space exceeded {state_cap} states")
 
 
 class StateModel(Protocol):

@@ -12,11 +12,11 @@ each state its goal distance (each action one step, taking the best
 outcome), and the live states that get none die. The rounds repeat until
 one kills nothing. Surviving pairs reach the goal under the usual
 fairness assumption: every outcome of an action that is tried infinitely
-often occurs infinitely often. The states counted toward `state_cap`
-are every state numbered, goals and dead ends included. A search that
-numbers no goal state stops there, once numbering has passed the cap
-check, with the verdict the rounds would reach: every state dies, the
-initial one too, so the task is unsolvable, not capped.
+often occurs infinitely often. The states counted toward the budget's
+state cap are every state numbered, goals and dead ends included. A
+search that numbers no goal state stops there, once numbering has passed
+the cap check, with the verdict the rounds would reach: every state
+dies, the initial one too, so the task is unsolvable, not capped.
 
 Two bodies compute it, one per model, because their costs differ:
 
@@ -26,7 +26,7 @@ Two bodies compute it, one per model, because their costs differ:
   (`GroundedFond.transitions`); a goal state is numbered but not
   expanded. The rounds then run over reverse edges, per-state counters
   of live pairs and a dead-state worklist, each linear in the graph.
-  The deadline is checked every 512 states and once per round.
+  The budget's deadline is checked every 512 states and once per round.
 - A goal product is searched a set at a time, over the transition table
   that its goal-free grounding shares with every goal and recognition of
   the same problem (Cimatti, Pistore, Roveri & Traverso, AIJ 2003, state
@@ -41,9 +41,9 @@ Two bodies compute it, one per model, because their costs differ:
   links once, so a goal pays only for set operations, which run in C.
   A node whose q accepts is a goal and one whose q can no longer accept
   (`Dfa.dead`) is dead: both are numbered but not expanded. The
-  deadline is checked once per level and once per round. A grounding
-  has no shared table to amortise the links over, and there exploring
-  state by state is cheaper.
+  budget's deadline is checked once per level and once per round. A
+  grounding has no shared table to amortise the links over, and there
+  exploring state by state is cheaper.
 
 Both bodies extract the policy by one rule. From the initial state, the
 policy maps each reachable non-goal state to its first live pair, in
@@ -57,6 +57,10 @@ ground-action index. The result is deterministic and is checked by
 the policy's states depth first, and the policy keeps that graph, from
 which `executions` counts its executions without reading the model
 again.
+
+The search and the check read the clock only through the budget
+(`budget.Budget.check`), which raises "planner deadline exceeded" once
+the deadline has passed; the check reads it every 512 states.
 """
 
 from __future__ import annotations
@@ -65,13 +69,12 @@ import re
 import subprocess
 import sys
 import tempfile
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse
 from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Sequence
 
-from . import fond
+from .budget import DEFAULT_STATE_CAP, Budget  # callers read the cap here
 from .errors import (DeadlineExceeded, ExternalPlannerError, PolicyParseError,
                      UnsolvableError)
 from .fond import GroundedFond, StateModel
@@ -80,7 +83,6 @@ from .logic import Atom
 if TYPE_CHECKING:
     from . import compilation
 
-DEFAULT_STATE_CAP = 500_000
 # A node's policy step: its state, its action and the outcome nodes.
 _Step = tuple[int, int, Sequence[Hashable]]
 
@@ -119,17 +121,16 @@ class PolicyReport:
 
 
 def solve_strong_cyclic(grounded: StateModel, *,
-                        state_cap: int = DEFAULT_STATE_CAP,
-                        deadline: float | None = None) -> Policy:
+                        budget: Budget = Budget()) -> Policy:
     """Return a strong-cyclic policy or raise UnsolvableError."""
     if grounded.goal is None:
         raise UnsolvableError("planning task has no goal")
     if grounded.is_goal(grounded.s0):
         return Policy(grounded, {})
     if isinstance(grounded, GroundedFond):
-        start, choose = _graph_rounds(grounded, state_cap, deadline)
+        start, choose = _graph_rounds(grounded, budget)
     else:
-        start, choose = _product_rounds(grounded, state_cap, deadline)
+        start, choose = _product_rounds(grounded, budget)
 
     mapping: dict[int, int] = {}
     closure = [start]
@@ -146,7 +147,7 @@ def solve_strong_cyclic(grounded: StateModel, *,
                 closure.append(t)
 
     policy = Policy(grounded, mapping)
-    report = verify_policy(policy, deadline=deadline)
+    report = verify_policy(policy, budget=budget)
     if not report.ok:  # pragma: no cover - solver internal invariant
         raise UnsolvableError(f"extracted policy failed verification: "
                               f"{report.reason}")
@@ -156,8 +157,7 @@ def solve_strong_cyclic(grounded: StateModel, *,
 _PRUNED = "no strong-cyclic policy: the initial state was pruned"
 
 
-def _graph_rounds(grounded: GroundedFond, state_cap: int,
-                  deadline: float | None
+def _graph_rounds(grounded: GroundedFond, budget: Budget
                   ) -> tuple[int, Callable[[int], _Step | None]]:
     """The fixpoint over a grounding, a state at a time. Returns the
     initial node and the policy step of a node (None at a goal)."""
@@ -173,13 +173,14 @@ def _graph_rounds(grounded: GroundedFond, state_cap: int,
     pair_state: list[int] = []
     pair_action: list[int] = []
     pair_outcomes: list[tuple[int, ...]] = []
+    state_cap = budget.state_cap
     i = 0
     while i < len(states):
         state = states[i]
         first_pair.append(len(pair_action))
         i += 1
         if i % 512 == 0:
-            fond._check_deadline(deadline)
+            budget.check("planner")
         if grounded.is_goal(state):
             goal_ids.append(i - 1)
             continue
@@ -189,7 +190,7 @@ def _graph_rounds(grounded: GroundedFond, state_cap: int,
                 t = order.get(succ)
                 if t is None:
                     if len(states) >= state_cap:
-                        raise fond._state_cap_error(state_cap)
+                        raise budget.state_cap_error()
                     t = order[succ] = len(states)
                     states.append(succ)
                 outcomes.append(t)
@@ -214,7 +215,7 @@ def _graph_rounds(grounded: GroundedFond, state_cap: int,
     dead = [s for s in range(n) if not live[s] and not is_goal[s]]
 
     while True:
-        fond._check_deadline(deadline)
+        budget.check("planner")
         # A pair dies with any of its outcomes; a state dies with its
         # last live pair.
         while dead:
@@ -266,8 +267,7 @@ def _graph_rounds(grounded: GroundedFond, state_cap: int,
     return 0, choose
 
 
-def _product_rounds(product: compilation.GoalProduct, state_cap: int,
-                    deadline: float | None
+def _product_rounds(product: compilation.GoalProduct, budget: Budget
                     ) -> tuple[tuple[int, int],
                                Callable[[tuple[int, int]], _Step | None]]:
     """The same fixpoint over a goal product, a set of base ids at a time,
@@ -312,7 +312,7 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
     total = 1
     level = {q0: {0}}
     while level:
-        fond._check_deadline(deadline)
+        budget.check("planner")
         nxt: dict[int, set[int]] = {}
         for q, ids in level.items():
             if q not in expanded:
@@ -343,8 +343,8 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
                 reached[q2] |= ids
                 total += len(ids)
                 level[q2] = ids
-        if level and total > state_cap:
-            raise fond._state_cap_error(state_cap)
+        if level and total > budget.state_cap:
+            raise budget.state_cap_error()
     # No goal node reached: the rounds would kill every node.
     goals = {q: reached[q] for q in accepting if reached[q]}
     if not goals:
@@ -373,7 +373,7 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
     work = [(q, ids) for q, ids in enumerate(dead_ids) if ids]
 
     while True:
-        fond._check_deadline(deadline)
+        budget.check("planner")
         # A pair dies with any of its outcomes; a node dies with its last
         # live pair.
         while work:
@@ -465,7 +465,7 @@ def _product_rounds(product: compilation.GoalProduct, state_cap: int,
 
 
 def verify_policy(policy: Policy, *,
-                  deadline: float | None = None) -> PolicyReport:
+                  budget: Budget = Budget()) -> PolicyReport:
     """Check closure and strong cyclicity by an independent traversal.
 
     Closed: every state reachable from s0 under the policy is a goal
@@ -477,10 +477,10 @@ def verify_policy(policy: Policy, *,
     it passes again without a traversal while the graph is current (see
     `_kept_graph`). A policy that fails is searched again breadth first,
     and the report names the first counterexample in that order. The
-    deadline is checked every 512 states of the graph.
+    budget's deadline is checked every 512 states of the graph.
     """
     if _kept_graph(policy) is None:
-        found = _policy_graph(policy, deadline, fond._check_deadline, True)
+        found = _policy_graph(policy, budget, True)
         if found is None:
             return _search_report(policy)
         policy._verified = (policy.grounded, *found)
@@ -566,19 +566,17 @@ def _kept_graph(policy: Policy) -> tuple | None:
     return None
 
 
-def _graph_of(policy: Policy, deadline: float | None,
-              check_deadline: Callable[[float | None], None]) -> tuple:
-    """The graph of `policy`: `_kept_graph`'s, else one built afresh by
-    `_policy_graph`, which checks the deadline with `check_deadline`."""
+def _graph_of(policy: Policy, budget: Budget) -> tuple:
+    """The graph of `policy` for `executions`: `_kept_graph`'s, else one
+    built afresh by `_policy_graph`."""
     graph = _kept_graph(policy)
     if graph is None:
-        graph = _policy_graph(policy, deadline, check_deadline)[0]
+        graph = _policy_graph(policy, budget)[0]
     return graph
 
 
-def _policy_graph(policy: Policy, deadline: float | None,
-                  check_deadline: Callable[[float | None], None],
-                  verify: bool = False) -> tuple[tuple, list[int]] | None:
+def _policy_graph(policy: Policy, budget: Budget, verify: bool = False
+                  ) -> tuple[tuple, list[int]] | None:
     """Number the states of `policy` depth first from s0 and find the
     cycles through them (Tarjan's algorithm, iterative). The executions
     walk and count over these ids; only this reads the policy's mapping
@@ -591,8 +589,9 @@ def _policy_graph(policy: Policy, deadline: float | None,
     order (~j for the j-th goal state met), the id of its strongly
     connected component if a cycle runs through the state, else -1, and
     the state itself. `goals` are the goal states by j. When s0 is a
-    goal, only `goals` is non-empty. `check_deadline(deadline)` runs
-    every 512 states.
+    goal, only `goals` is non-empty. The budget's deadline is checked
+    every 512 states, for the stage that asked: the planner when
+    verifying, else execution enumeration.
 
     With `verify`, returns None as soon as the policy is seen not to be
     closed and strong cyclic: at a state it maps to no action or to an
@@ -604,6 +603,7 @@ def _policy_graph(policy: Policy, deadline: float | None,
     """
     g = policy.grounded
     mapping = policy.mapping
+    stage = "planner" if verify else "execution enumeration"
     names: list[str] = []
     label_of: list[int] = []
     outs: list[list[int]] = []
@@ -629,7 +629,7 @@ def _policy_graph(policy: Policy, deadline: float | None,
         if state is not None:  # enter it as state len(outs)
             i = len(outs)
             if i and not i % 512:
-                check_deadline(deadline)
+                budget.check(stage)
             ai = mapping.get(state)
             if ai is None:
                 if verify:
@@ -742,16 +742,17 @@ def policy_from_text(text: str, grounded: GroundedFond) -> Policy:
 
 def solve_with_external(command: str, grounded: GroundedFond,
                         domain_text: str, problem_text: str, *,
-                        deadline: float | None = None) -> Policy:
+                        budget: Budget = Budget()) -> Policy:
     """Run an external planner: `command domain.pddl problem.pddl`.
 
     The planner must print the policy in the text format above on stdout
     and exit 0; exit code 2 means the task is unsolvable; anything else
-    is an error. The returned policy is verified before use.
+    is an error. The returned policy is verified before use. A deadline
+    that has passed starts no process; the process gets the time left,
+    at least 0.1 s, and the verification checks the deadline too.
     """
-    timeout = None
-    if deadline is not None:
-        timeout = max(0.1, deadline - time.monotonic())
+    left = budget.check("planner")
+    timeout = None if left is None else max(0.1, left)
     with tempfile.TemporaryDirectory(prefix="tgr-planner-") as tmp:
         dom = f"{tmp}/domain.pddl"
         prob = f"{tmp}/problem.pddl"
@@ -779,7 +780,7 @@ def solve_with_external(command: str, grounded: GroundedFond,
         policy = policy_from_text(proc.stdout, grounded)
     except PolicyParseError as exc:
         raise ExternalPlannerError(f"bad policy output: {exc}") from exc
-    report = verify_policy(policy)
+    report = verify_policy(policy, budget=budget)
     if not report.ok:
         raise ExternalPlannerError(
             f"external policy failed verification: {report.reason}")

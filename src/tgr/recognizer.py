@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from . import compilation, executions as executions_mod, fond, logic, planner
+from .budget import Budget
 from .errors import (BundleError, CompileError, ExecutionCapError,
                      AutomatonCapError, GroundingCapError, TgrError,
                      UnsolvableError)
@@ -203,13 +204,11 @@ def posteriors(likelihoods: Sequence[float],
 PlannerFn = Callable[[fond.GroundedFond], Policy]
 
 
-def _resolve_planner(spec: "str | PlannerFn", state_cap: int,
-                     deadline: float | None) -> PlannerFn:
+def _resolve_planner(spec: "str | PlannerFn", budget: Budget) -> PlannerFn:
     if callable(spec):
         return spec
     if spec == "builtin":
-        return functools.partial(planner.solve_strong_cyclic,
-                                 state_cap=state_cap, deadline=deadline)
+        return functools.partial(planner.solve_strong_cyclic, budget=budget)
     if spec.startswith("exec:"):
         command = spec[len("exec:"):]
         if not command:
@@ -219,8 +218,7 @@ def _resolve_planner(spec: "str | PlannerFn", state_cap: int,
             domain_text = fond.domain_to_pddl(grounded.domain)
             problem_text = fond.problem_to_pddl(grounded.problem)
             return planner.solve_with_external(
-                command, grounded, domain_text, problem_text,
-                deadline=deadline)
+                command, grounded, domain_text, problem_text, budget=budget)
         return solve
     raise TgrError(f"unknown planner {spec!r}; use builtin or exec:<command>")
 
@@ -234,9 +232,7 @@ def _check_observations(obs: Sequence[str], actions: frozenset[str]) -> None:
 
 def analyze_goal(base: fond.GroundedFond, goal: Formula, *,
                  planner_spec: "str | PlannerFn" = "builtin",
-                 state_cap: int = planner.DEFAULT_STATE_CAP,
-                 execution_cap: int = executions_mod.DEFAULT_EXECUTION_CAP,
-                 deadline: float | None = None
+                 budget: Budget = Budget()
                  ) -> tuple[GoalAnalysis, Policy | None, bool]:
     """Build the model of one candidate goal over `base`, the goal-free
     grounding of its problem. Returns the model, prior unset; the policy
@@ -262,12 +258,11 @@ def analyze_goal(base: fond.GroundedFond, goal: Formula, *,
             aug = compilation.compile_goal(base.domain, base.problem, goal)
             grounded = aug.grounded
         planned = True
-        policy = _resolve_planner(planner_spec, state_cap, deadline)(grounded)
+        policy = _resolve_planner(planner_spec, budget)(grounded)
         if aug is not None:
-            policy = aug.product_policy(policy, base)
+            policy = aug.product_policy(policy, base, budget=budget)
         (model.n_executions, model.distances,
-         model.pairs) = executions_mod.goal_model(
-            policy, cap=execution_cap, deadline=deadline)
+         model.pairs) = executions_mod.goal_model(policy, budget=budget)
         model.solvable = True
     except (UnsolvableError, CompileError, AutomatonCapError,
             GroundingCapError, ExecutionCapError) as exc:
@@ -278,9 +273,7 @@ def analyze_goal(base: fond.GroundedFond, goal: Formula, *,
 
 def analyze(problem: RecognitionProblem, *,
             planner_spec: "str | PlannerFn" = "builtin",
-            state_cap: int = planner.DEFAULT_STATE_CAP,
-            execution_cap: int = executions_mod.DEFAULT_EXECUTION_CAP,
-            deadline: float | None = None) -> Analysis:
+            budget: Budget = Budget()) -> Analysis:
     """`analyze_goal` for every candidate goal of `problem`, over its
     goal-free grounding, which `fond.goal_free_grounding` shares with
     every other analysis of the problem in this process. The priors and
@@ -291,7 +284,7 @@ def analyze(problem: RecognitionProblem, *,
     if not problem.goals:
         raise BundleError("recognition needs at least one candidate goal")
     priors = problem.normalized_priors()
-    _resolve_planner(planner_spec, state_cap, deadline)  # reject a bad spec
+    _resolve_planner(planner_spec, budget)  # reject a bad spec
 
     base = fond.goal_free_grounding(problem.domain, problem.problem)
     actions = frozenset(base.action_index)
@@ -301,8 +294,7 @@ def analyze(problem: RecognitionProblem, *,
     planner_calls = 0
     for goal, prior in zip(problem.goals, priors):
         model, _, planned = analyze_goal(
-            base, goal, planner_spec=planner_spec, state_cap=state_cap,
-            execution_cap=execution_cap, deadline=deadline)
+            base, goal, planner_spec=planner_spec, budget=budget)
         model.prior = prior
         models.append(model)
         planner_calls += planned
@@ -356,10 +348,12 @@ def recognize(problem: RecognitionProblem, *,
               state_cap: int = planner.DEFAULT_STATE_CAP,
               execution_cap: int = executions_mod.DEFAULT_EXECUTION_CAP,
               deadline: float | None = None) -> RecognitionResult:
-    """Analyse the goals of `problem` and score its observations."""
-    return score(analyze(problem, planner_spec=planner_spec,
-                         state_cap=state_cap, execution_cap=execution_cap,
-                         deadline=deadline),
+    """Analyse the goals of `problem` and score its observations, under
+    one `Budget` of these caps and deadline (a `time.monotonic()`
+    reading)."""
+    budget = Budget(state_cap=state_cap, execution_cap=execution_cap,
+                    deadline=deadline)
+    return score(analyze(problem, planner_spec=planner_spec, budget=budget),
                  problem.obs)
 
 

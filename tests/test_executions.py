@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference_executions
 import reference_planner
-from tgr import bench, compilation, executions, fond, logic, planner
+from tgr import bench, budget, compilation, executions, fond, logic, planner
+from tgr.budget import Budget
 from tgr.errors import (DeadlineExceeded, ExecutionCapError, PlannerCapError,
                         TgrError)
 
@@ -114,16 +115,17 @@ def test_product_policy_uses_the_given_grounding_and_the_automaton():
 def test_cap():
     aug, policy = solved_f22()
     with pytest.raises(ExecutionCapError):
-        executions.enumerate_executions(policy, aug, cap=1)
+        executions.enumerate_executions(policy, aug,
+                                        budget=Budget(execution_cap=1))
 
 
 def test_deadline():
     aug, policy = solved_f22()
     with pytest.raises(DeadlineExceeded, match="enumeration"):
-        executions.enumerate_executions(policy, aug,
-                                        deadline=time.monotonic() - 1)
+        executions.enumerate_executions(
+            policy, aug, budget=Budget(deadline=time.monotonic() - 1))
     assert executions.enumerate_executions(
-        policy, aug, deadline=time.monotonic() + 60) == \
+        policy, aug, budget=Budget(deadline=time.monotonic() + 60)) == \
         executions.enumerate_executions(policy, aug)
 
 
@@ -263,11 +265,12 @@ def test_goal_model_is_the_reduced_reference_enumeration(policy, small_cap,
             listed = model_or_error(
                 lambda: reference_executions.enumerate_executions(pol,
                                                                   cap=cap))
+            capped = Budget(execution_cap=cap)
             assert model_or_error(lambda: executions.enumerate_executions(
-                pol, cap=cap)) == listed
+                pol, budget=capped)) == listed
             expected = reduced(listed) if type(listed) is list else listed
             assert model_or_error(
-                lambda: executions.goal_model(pol, cap=cap)) == expected
+                lambda: executions.goal_model(pol, budget=capped)) == expected
 
 
 def test_an_open_state_met_late_fails_at_the_cap_or_where_it_is_met():
@@ -280,7 +283,7 @@ def test_an_open_state_met_late_fails_at_the_cap_or_where_it_is_met():
     policy = planner.Policy(model, dict.fromkeys(range(7), 0))
     for count in (executions.enumerate_executions, executions.goal_model):
         with pytest.raises(ExecutionCapError, match="more than 5 "):
-            count(policy, cap=5)
+            count(policy, budget=Budget(execution_cap=5))
         with pytest.raises(TgrError,
                            match="^policy is not closed: no action for 7$"):
             count(policy)
@@ -299,9 +302,9 @@ def test_goal_model_checks_its_deadline_during_the_count(monkeypatch):
         readings.append(None)
         return 0.0 if len(readings) == 1 else 2.0
 
-    monkeypatch.setattr(executions, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=clock))
     with pytest.raises(DeadlineExceeded, match="enumeration deadline"):
-        executions.goal_model(policy, deadline=1.0)
+        executions.goal_model(policy, budget=Budget(deadline=1.0))
     assert len(readings) == 2
 
 
@@ -316,14 +319,15 @@ def test_goal_model_stops_at_the_cap_no_later_than_the_walk(monkeypatch):
                  + ((n,) if s % 3 == 2 else ()), n)
     policy = planner.Policy(ring, dict.fromkeys(range(n), 0))
     readings = []
-    monkeypatch.setattr(executions, "time", SimpleNamespace(
+    monkeypatch.setattr(budget, "time", SimpleNamespace(
         monotonic=lambda: readings.append(None) or 0.0))
     with pytest.raises(ExecutionCapError):
-        executions.enumerate_executions(policy, deadline=1.0)
+        executions.enumerate_executions(policy,
+                                        budget=Budget(deadline=1.0))
     walked = len(readings)
     readings.clear()
     with pytest.raises(ExecutionCapError, match="more than 10000"):
-        executions.goal_model(policy, deadline=1.0)
+        executions.goal_model(policy, budget=Budget(deadline=1.0))
     assert len(readings) <= walked
 
 
@@ -437,11 +441,11 @@ def _external(command, deadline):
     g = _tireworld_base()
     return planner.solve_with_external(
         command, g, fond.domain_to_pddl(g.domain),
-        fond.problem_to_pddl(g.problem), deadline=deadline)
+        fond.problem_to_pddl(g.problem), budget=Budget(deadline=deadline))
 
 
 def _past():
-    return time.monotonic() - 1
+    return Budget(deadline=time.monotonic() - 1)
 
 
 # Each message a deadline or a cap raises, by the stage that raises it.
@@ -449,30 +453,34 @@ def _past():
 @pytest.mark.parametrize("error, message, run", [
     (DeadlineExceeded, "planner deadline exceeded",
      lambda: planner.solve_strong_cyclic(_tireworld_base(),
-                                         deadline=_past())),
+                                         budget=_past())),
     (DeadlineExceeded, "planner deadline exceeded",
-     lambda: planner.solve_strong_cyclic(_f22_product(), deadline=_past())),
+     lambda: planner.solve_strong_cyclic(_f22_product(), budget=_past())),
     (DeadlineExceeded, "planner deadline exceeded",
-     lambda: planner.verify_policy(_chain_policy(600), deadline=_past())),
+     lambda: planner.verify_policy(_chain_policy(600), budget=_past())),
     (DeadlineExceeded, "execution enumeration deadline exceeded",
      lambda: executions.enumerate_executions(
-         planner.solve_strong_cyclic(_f22_product()), deadline=_past())),
+         planner.solve_strong_cyclic(_f22_product()), budget=_past())),
     (DeadlineExceeded, "execution enumeration deadline exceeded",
      lambda: executions.goal_model(
-         planner.solve_strong_cyclic(_f22_product()), deadline=_past())),
+         planner.solve_strong_cyclic(_f22_product()), budget=_past())),
     (DeadlineExceeded, "external planner exceeded its deadline",
      lambda: _external(f"{sys.executable} -c __import__('time').sleep(30)",
                        time.monotonic() + 0.2)),
     (PlannerCapError, "reachable state space exceeded 2 states",
-     lambda: planner.solve_strong_cyclic(_tireworld_base(), state_cap=2)),
+     lambda: planner.solve_strong_cyclic(_tireworld_base(),
+                                         budget=Budget(state_cap=2))),
     (PlannerCapError, "reachable state space exceeded 2 states",
-     lambda: planner.solve_strong_cyclic(_f22_product(), state_cap=2)),
+     lambda: planner.solve_strong_cyclic(_f22_product(),
+                                         budget=Budget(state_cap=2))),
     (ExecutionCapError, "policy has more than 1 goal-reaching paths",
      lambda: executions.enumerate_executions(
-         planner.solve_strong_cyclic(_f22_product()), cap=1)),
+         planner.solve_strong_cyclic(_f22_product()),
+         budget=Budget(execution_cap=1))),
     (ExecutionCapError, "policy has more than 1 goal-reaching paths",
      lambda: executions.goal_model(
-         planner.solve_strong_cyclic(_f22_product()), cap=1)),
+         planner.solve_strong_cyclic(_f22_product()),
+         budget=Budget(execution_cap=1))),
 ], ids=["grounding-deadline", "product-deadline", "verify-deadline",
         "walk-deadline", "count-deadline", "external-deadline",
         "grounding-cap", "product-cap", "walk-cap", "count-cap"])

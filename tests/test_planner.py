@@ -2,13 +2,16 @@
 
 import dataclasses
 import hashlib
+import subprocess
 import sys
 import textwrap
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from tgr import bench, compilation, fond, logic, planner
+from tgr import bench, budget, compilation, fond, logic, planner
+from tgr.budget import Budget
 from tgr.errors import (DeadlineExceeded, ExternalPlannerError,
                         InapplicableActionError, PlannerCapError,
                         PolicyParseError, UnsolvableError)
@@ -43,7 +46,7 @@ def test_unsolvable_raises():
 def test_state_cap():
     g = grounded_tireworld()
     with pytest.raises(PlannerCapError):
-        planner.solve_strong_cyclic(g, state_cap=2)
+        planner.solve_strong_cyclic(g, budget=Budget(state_cap=2))
 
 
 def test_a_search_that_numbers_no_goal_is_capped_before_it_is_unsolvable():
@@ -60,16 +63,19 @@ def test_a_search_that_numbers_no_goal_is_capped_before_it_is_unsolvable():
     for model in models:
         with pytest.raises(PlannerCapError,
                            match="^reachable state space exceeded 124 states$"):
-            planner.solve_strong_cyclic(model(), state_cap=124)
+            planner.solve_strong_cyclic(model(),
+                                        budget=Budget(state_cap=124))
         with pytest.raises(UnsolvableError, match=(
                 "^no strong-cyclic policy: the initial state was pruned$")):
-            planner.solve_strong_cyclic(model(), state_cap=125)
+            planner.solve_strong_cyclic(model(),
+                                        budget=Budget(state_cap=125))
 
 
 def test_deadline_checked_during_search():
     g = grounded_tireworld()
     with pytest.raises(DeadlineExceeded):
-        planner.solve_strong_cyclic(g, deadline=time.monotonic() - 1.0)
+        planner.solve_strong_cyclic(
+            g, budget=Budget(deadline=time.monotonic() - 1.0))
 
 
 def goal_free_tireworld():
@@ -81,7 +87,8 @@ def test_deadline_checked_during_product_search():
     product = compilation.GoalProduct(goal_free_tireworld(),
                                       logic.parse_formula("F((vAt 22))"))
     with pytest.raises(DeadlineExceeded):
-        planner.solve_strong_cyclic(product, deadline=time.monotonic() - 1.0)
+        planner.solve_strong_cyclic(
+            product, budget=Budget(deadline=time.monotonic() - 1.0))
 
 
 def test_deadline_checked_while_a_grounding_is_numbered(monkeypatch):
@@ -103,8 +110,8 @@ def test_deadline_checked_while_a_grounding_is_numbered(monkeypatch):
 
     monkeypatch.setattr(fond.GroundedFond, "transitions", counting)
     with pytest.raises(DeadlineExceeded):
-        planner.solve_strong_cyclic(aug.grounded,
-                                    deadline=time.monotonic() - 1.0)
+        planner.solve_strong_cyclic(
+            aug.grounded, budget=Budget(deadline=time.monotonic() - 1.0))
     assert 0 < len(calls) <= 512
     calls.clear()
     planner.solve_strong_cyclic(aug.grounded)
@@ -170,7 +177,7 @@ def test_goal_products_expand_no_state_of_the_rejecting_sink(monkeypatch):
     monkeypatch.setattr(base, "transitions", recording)
     product = compilation.GoalProduct(base, logic.parse_formula("!(a) U (b)"))
     assert product.dfa.dead
-    policy = planner.solve_strong_cyclic(product, state_cap=3)
+    policy = planner.solve_strong_cyclic(product, budget=Budget(state_cap=3))
     assert expanded == [base.s0]
     a, c = (base.state_of({logic.Atom(name, ())}) for name in "ac")
     assert a in base.transition_table.states
@@ -178,7 +185,7 @@ def test_goal_products_expand_no_state_of_the_rejecting_sink(monkeypatch):
     assert {base.actions[ai].name for ai in policy.mapping.values()} == \
         {"(set-b)"}
     with pytest.raises(PlannerCapError):
-        planner.solve_strong_cyclic(product, state_cap=2)
+        planner.solve_strong_cyclic(product, budget=Budget(state_cap=2))
 
 
 def blocks_cycle_policy():
@@ -311,7 +318,57 @@ def test_external_planner_deadline(tmp_path):
         planner.solve_with_external(
             slow, g, fond.domain_to_pddl(g.domain),
             fond.problem_to_pddl(g.problem),
-            deadline=time.monotonic() + 0.2)
+            budget=Budget(deadline=time.monotonic() + 0.2))
+
+
+def chain_task(n):
+    """A grounding whose only policy steps through n states to the goal."""
+    preds = " ".join(f"(p{k})" for k in range(n + 1))
+    steps = " ".join(f"(:action step{k} :precondition (p{k}) "
+                     f":effect (and (not (p{k})) (p{k + 1})))"
+                     for k in range(n))
+    return fond.ground(
+        fond.parse_domain(f"(define (domain chain) (:predicates {preds}) "
+                          f"{steps})"),
+        fond.parse_problem(f"(define (problem c) (:domain chain) "
+                           f"(:init (p0)) (:goal (p{n})))"))
+
+
+def test_external_planner_starts_no_process_past_its_deadline(monkeypatch):
+    g = grounded_tireworld()
+    started = []
+    monkeypatch.setattr(planner.subprocess, "run",
+                        lambda *args, **kwargs: started.append(args))
+    with pytest.raises(DeadlineExceeded,
+                       match="^planner deadline exceeded$"):
+        planner.solve_with_external(
+            "planner", g, fond.domain_to_pddl(g.domain),
+            fond.problem_to_pddl(g.problem),
+            budget=Budget(deadline=time.monotonic() - 1.0))
+    assert started == []
+
+
+def test_external_policy_is_verified_under_the_deadline(monkeypatch):
+    # The clock passes the deadline right after the reading before the
+    # process starts, so verification must read it again, and raise, at
+    # the 512th state of the 600-state policy.
+    g = chain_task(600)
+    text = planner.policy_to_text(planner.solve_strong_cyclic(g))
+    monkeypatch.setattr(planner.subprocess, "run", lambda argv, **kwargs:
+                        subprocess.CompletedProcess(argv, 0, text, ""))
+    readings = []
+
+    def clock():
+        readings.append(None)
+        return 0.0 if len(readings) == 1 else 2.0
+
+    monkeypatch.setattr(budget, "time", SimpleNamespace(monotonic=clock))
+    with pytest.raises(DeadlineExceeded,
+                       match="^planner deadline exceeded$"):
+        planner.solve_with_external(
+            "planner", g, fond.domain_to_pddl(g.domain),
+            fond.problem_to_pddl(g.problem), budget=Budget(deadline=1.0))
+    assert len(readings) == 2
 
 
 def blocks_problem_text(n):

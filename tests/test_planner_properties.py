@@ -28,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 import reference_executions
 import reference_planner
 from tgr import compilation, executions, fond, logic, planner, recognizer
+from tgr.budget import Budget
 from tgr.errors import (CompileError, ExecutionCapError, PlannerCapError,
                         TgrError, UnsolvableError)
 
@@ -88,6 +89,18 @@ def ground(task):
     return fond.ground(fond.parse_domain(domain), fond.parse_problem(problem))
 
 
+def capped_solve(g, *, state_cap):
+    """`planner.solve_strong_cyclic` in the reference solver's call form."""
+    return planner.solve_strong_cyclic(g, budget=Budget(state_cap=state_cap))
+
+
+def capped_executions(policy, aug, *, cap):
+    """`executions.enumerate_executions` in the reference enumerator's
+    call form."""
+    return executions.enumerate_executions(
+        policy, aug, budget=Budget(execution_cap=cap))
+
+
 def outcome(solve, g, state_cap):
     """The policy a solver returns, or the type of error it raises."""
     try:
@@ -98,7 +111,7 @@ def outcome(solve, g, state_cap):
 
 def assert_agrees_with_reference(g, cap):
     # The solver runs first, so on a goal product it fills the table.
-    got = outcome(planner.solve_strong_cyclic, g, cap)
+    got = outcome(capped_solve, g, cap)
     expected = outcome(reference_planner.solve_strong_cyclic, g, cap)
     if isinstance(expected, type):
         assert got is expected
@@ -222,7 +235,7 @@ def assert_same_enumeration(policy, aug, small_cap):
     for cap in (executions.DEFAULT_EXECUTION_CAP, small_cap):
         expected = enumeration(reference_executions.enumerate_executions,
                                policy, aug, cap)
-        got = enumeration(executions.enumerate_executions, policy, aug, cap)
+        got = enumeration(capped_executions, policy, aug, cap)
         # Execution equality compares actions and trace; list equality
         # compares their order.
         assert got == expected
@@ -327,7 +340,7 @@ def test_solver_errors_match_the_reference_word_for_word(task, small_cap,
     # test_goal_product_solver_agrees_with_reference.
     g = ground(task)
     for cap in (planner.DEFAULT_STATE_CAP, small_cap):
-        assert (failure(planner.solve_strong_cyclic, g, cap)
+        assert (failure(capped_solve, g, cap)
                 == failure(reference_planner.solve_strong_cyclic, g, cap))
     domain, problem = (fond.parse_domain(task[0]),
                        fond.parse_problem(task[1]))
@@ -339,7 +352,7 @@ def test_solver_errors_match_the_reference_word_for_word(task, small_cap,
         except CompileError:
             continue
         cap = planner.DEFAULT_STATE_CAP
-        assert (failure(planner.solve_strong_cyclic, product, cap)
+        assert (failure(capped_solve, product, cap)
                 == failure(reference_planner.solve_strong_cyclic, product,
                            cap))
 
@@ -381,8 +394,8 @@ def test_goal_product_state_cap_is_the_numbered_node_count(task, data):
         n = numbered_nodes(product)
         if n > 1:
             with pytest.raises(PlannerCapError):
-                planner.solve_strong_cyclic(product, state_cap=n - 1)
-        assert outcome(planner.solve_strong_cyclic, product, n) \
+                capped_solve(product, state_cap=n - 1)
+        assert outcome(capped_solve, product, n) \
             is not PlannerCapError
 
 
@@ -431,7 +444,7 @@ def execution_views(policy, aug, cap):
     """(actions, trace) of each execution, or the cap error's message."""
     try:
         return [(e.actions, e.trace) for e in
-                executions.enumerate_executions(policy, aug, cap=cap)]
+                capped_executions(policy, aug, cap=cap)]
     except ExecutionCapError as exc:
         return str(exc)
 
@@ -474,7 +487,8 @@ def test_goal_product_matches_the_compiled_task(task, small_cap, data):
 def goal_model(policy, cap):
     """`goal_model`'s result, or the type and message of its error."""
     try:
-        return executions.goal_model(policy, cap=cap)
+        return executions.goal_model(policy,
+                                     budget=Budget(execution_cap=cap))
     except TgrError as exc:
         return type(exc), str(exc)
 
@@ -483,7 +497,7 @@ def reduced_executions(policy, cap):
     """The goal model reduced from the enumerated executions, or the type
     and message of the enumerator's error."""
     try:
-        execs = executions.enumerate_executions(policy, cap=cap)
+        execs = capped_executions(policy, None, cap=cap)
     except TgrError as exc:
         return type(exc), str(exc)
     return (len(execs), executions.average_distances(execs),
@@ -525,8 +539,8 @@ def solve_over(base, goal, cap):
     """The policy mapping and goal model of `goal` over `base`, or the
     type and message of the error that stopped it."""
     try:
-        policy = planner.solve_strong_cyclic(
-            compilation.GoalProduct(base, goal), state_cap=cap)
+        policy = capped_solve(compilation.GoalProduct(base, goal),
+                              state_cap=cap)
     except (CompileError, UnsolvableError, PlannerCapError) as exc:
         return type(exc), str(exc)
     return policy.mapping, goal_model(policy, executions.DEFAULT_EXECUTION_CAP)
@@ -559,7 +573,7 @@ def recognition(domain, problem, goal, cap):
     rp = recognizer.RecognitionProblem(domain=domain, problem=problem,
                                        goals=(goal,), obs=())
     try:
-        return recognizer.analyze(rp, state_cap=cap).models
+        return recognizer.analyze(rp, budget=Budget(state_cap=cap)).models
     except PlannerCapError as exc:
         return str(exc)
 

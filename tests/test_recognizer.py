@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import tgr
 from tgr import (automata, bench, compilation, executions, fond, logic,
                  planner, recognizer)
+from tgr.budget import Budget
 from tgr.errors import BundleError, DeadlineExceeded, TgrError
 
 EX1 = "src/tgr/data/example1"
@@ -398,7 +399,21 @@ def test_analyze_passes_its_deadline_to_enumeration():
     rp = recognizer.load_bundle(EX1)
     with pytest.raises(DeadlineExceeded, match="enumeration"):
         recognizer.analyze(rp, planner_spec=planner.solve_strong_cyclic,
-                           deadline=time.monotonic() - 1)
+                           budget=Budget(deadline=time.monotonic() - 1))
+
+
+def test_a_deadline_stays_out_of_every_memo_key():
+    # The deadline is an absolute time: a second recognition under a
+    # later one must still find the first one's grounding, goal atom
+    # checks and automata.
+    rp = recognizer.load_bundle(EX1)
+    memos = (fond._memo_ground, compilation._memo_validate,
+             automata._memo_dfa)
+    recognizer.recognize(rp, deadline=time.monotonic() + 600)
+    hits = [memo.cache_info().hits for memo in memos]
+    recognizer.recognize(rp, deadline=time.monotonic() + 900)
+    assert [memo.cache_info().hits > h for memo, h in zip(memos, hits)] \
+        == [True] * 3
 
 
 def test_unknown_planner_spec():
