@@ -4,7 +4,7 @@ A `Budget` holds the planner's state cap, the execution cap and the
 wall-clock deadline. `recognizer.recognize` builds it from its keywords,
 and every stage below takes the one value: the planner's two fixpoint
 bodies and its policy verification, the external planner, and the
-execution walk and count. A stage reads the clock only through
+execution walk and count. A stage tests the deadline only through
 `Budget.check`, which names the stage in its message, and builds its
 cap error here.
 
@@ -33,16 +33,11 @@ class Budget:
     execution_cap: int = DEFAULT_EXECUTION_CAP
     deadline: float | None = None
 
-    def check(self, stage: str) -> float | None:
-        """The seconds left before the deadline, or None without one.
-        Raises DeadlineExceeded, naming `stage`, once the monotonic clock
-        has passed the deadline."""
-        if self.deadline is None:
-            return None
-        left = self.deadline - time.monotonic()
-        if left < 0:
+    def check(self, stage: str) -> None:
+        """Raise DeadlineExceeded, naming `stage`, once the monotonic
+        clock has passed the deadline."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise DeadlineExceeded(f"{stage} deadline exceeded")
-        return left
 
     def state_cap_error(self) -> PlannerCapError:
         return PlannerCapError(

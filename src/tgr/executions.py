@@ -27,9 +27,9 @@ still counts raw goal-reaching paths, before deduplication, in the
 walk's order.
 
 Both entry points take the recognition's `budget.Budget`: its execution
-cap, and its deadline, which they read the clock for only through
-`Budget.check` ("execution enumeration deadline exceeded"), as does the
-numbering of a graph built afresh.
+cap, and its deadline, which they test only through `Budget.check`
+("execution enumeration deadline exceeded"), as does the numbering of a
+graph built afresh.
 """
 
 from __future__ import annotations
@@ -103,11 +103,13 @@ def _walk(g: StateModel, graph: tuple, budget: Budget) -> list[Execution]:
     visits = [0] * len(states)
     visits[0] = 1
     stack = [(0, iter(outs[0]))]
+    timed = budget.deadline is not None
     n_steps = 0
     while stack:
-        if not n_steps % 512:
-            budget.check("execution enumeration")
-        n_steps += 1
+        if timed:
+            if not n_steps % 512:
+                budget.check("execution enumeration")
+            n_steps += 1
         v, pending = stack[-1]
         t = next(pending, None)
         if t is None:

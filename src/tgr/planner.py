@@ -58,9 +58,10 @@ the policy's states depth first, and the policy keeps that graph, from
 which `executions` counts its executions without reading the model
 again.
 
-The search and the check read the clock only through the budget
+The search and the check test the deadline only through the budget
 (`budget.Budget.check`), which raises "planner deadline exceeded" once
-the deadline has passed; the check reads it every 512 states.
+it has passed; the check tests it every 512 states. The external
+planner also reads the clock to give its process the time left.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse
@@ -751,8 +753,9 @@ def solve_with_external(command: str, grounded: GroundedFond,
     that has passed starts no process; the process gets the time left,
     at least 0.1 s, and the verification checks the deadline too.
     """
-    left = budget.check("planner")
-    timeout = None if left is None else max(0.1, left)
+    budget.check("planner")
+    timeout = (None if budget.deadline is None
+               else max(0.1, budget.deadline - time.monotonic()))
     with tempfile.TemporaryDirectory(prefix="tgr-planner-") as tmp:
         dom = f"{tmp}/domain.pddl"
         prob = f"{tmp}/problem.pddl"

@@ -444,7 +444,7 @@ def _external(command, deadline):
         fond.problem_to_pddl(g.problem), budget=Budget(deadline=deadline))
 
 
-def _past():
+def _expired():
     return Budget(deadline=time.monotonic() - 1)
 
 
@@ -453,17 +453,17 @@ def _past():
 @pytest.mark.parametrize("error, message, run", [
     (DeadlineExceeded, "planner deadline exceeded",
      lambda: planner.solve_strong_cyclic(_tireworld_base(),
-                                         budget=_past())),
+                                         budget=_expired())),
     (DeadlineExceeded, "planner deadline exceeded",
-     lambda: planner.solve_strong_cyclic(_f22_product(), budget=_past())),
+     lambda: planner.solve_strong_cyclic(_f22_product(), budget=_expired())),
     (DeadlineExceeded, "planner deadline exceeded",
-     lambda: planner.verify_policy(_chain_policy(600), budget=_past())),
+     lambda: planner.verify_policy(_chain_policy(600), budget=_expired())),
     (DeadlineExceeded, "execution enumeration deadline exceeded",
      lambda: executions.enumerate_executions(
-         planner.solve_strong_cyclic(_f22_product()), budget=_past())),
+         planner.solve_strong_cyclic(_f22_product()), budget=_expired())),
     (DeadlineExceeded, "execution enumeration deadline exceeded",
      lambda: executions.goal_model(
-         planner.solve_strong_cyclic(_f22_product()), budget=_past())),
+         planner.solve_strong_cyclic(_f22_product()), budget=_expired())),
     (DeadlineExceeded, "external planner exceeded its deadline",
      lambda: _external(f"{sys.executable} -c __import__('time').sleep(30)",
                        time.monotonic() + 0.2)),
