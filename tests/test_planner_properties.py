@@ -4,7 +4,7 @@ The tasks are propositional: up to eight nullary fluents and six
 actions, with negative preconditions, `oneof` branches, `when` effects
 and a random goal. The solver is checked against the reference solver
 in `reference_planner`, on the tasks' own goals and on the goal
-product of every temporal goal template; the model against a direct
+product and the compiled task of every temporal goal template; the model against a direct
 reading of the effects and against its own state conversions;
 `verify_policy` against policies mutated to be wrong; and the execution
 enumerator against the reference enumerator in `reference_executions`,
@@ -296,6 +296,22 @@ def test_goal_product_solver_agrees_with_reference(task, data):
         except CompileError:
             continue
         assert_agrees_with_reference(product, planner.DEFAULT_STATE_CAP)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.data())
+def test_compiled_task_solver_agrees_with_reference(task, data):
+    # At the default cap only: the reference numbers the compiled task's
+    # states, which the solver need not count the same way.
+    domain, problem = (fond.parse_domain(task[0]),
+                       fond.parse_problem(task[1]))
+    a, b = draw_goal_atoms(domain, data)
+    for template in TEMPORAL_GOALS:
+        try:
+            aug = compilation.compile_goal(domain, problem, template(a, b))
+        except CompileError:
+            continue
+        assert_agrees_with_reference(aug.grounded, planner.DEFAULT_STATE_CAP)
 
 
 @settings(max_examples=200, deadline=None)
