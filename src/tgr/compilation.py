@@ -3,20 +3,26 @@
 `GoalProduct` is the product of the grounded domain and the goal
 automaton (De Giacomo & Rubin, IJCAI 2018), expanded on the fly as the
 planner searches it: one grounding serves every goal, and the automaton
-steps through its transition table. The builtin planner uses it.
+steps through its transition table. The builtin planner searches every
+temporal goal this way.
 
 `compile_goal` encodes the same product as a PDDL task, which is what
-`tgr compile`, `tgr plan` and external planners get. The automaton for
-the goal formula is embedded into the planning task: one zero-ary
-fluent per automaton state, plus a turn-alternation fluent. The
-parametric emission (`emit_pddl(aug, "parametric")`) comes from the same
-builder with the automaton lifted: its fluents and the sync action take
-one parameter per object of the goal, pinned by a static `tracked` fact.
-Every domain action requires the turn fluent and retracts it; a single
-sync action (`trans`) requires it to be false and asserts it, advancing
-the automaton with one conditional effect per transition. Plans therefore
-alternate `trans, a1, trans, a2, ..., trans`: the first sync reads the
-initial state as the first letter, so the induced trace includes s0.
+`tgr compile`, `tgr plan` and external planners get. The grounding it
+returns records its goal product (`CompiledGoal`), so the builtin
+planner solves that product and lifts the policy onto the compiled
+task; only external planners search the compiled task itself.
+
+The automaton for the goal formula is embedded into the planning task:
+one zero-ary fluent per automaton state, plus a turn-alternation fluent.
+The parametric emission (`emit_pddl(aug, "parametric")`) comes from the
+same builder with the automaton lifted: its fluents and the sync action
+take one parameter per object of the goal, pinned by a static `tracked`
+fact. Every domain action requires the turn fluent and retracts it; a
+single sync action (`trans`) requires it to be false and asserts it,
+advancing the automaton with one conditional effect per transition.
+Plans therefore alternate `trans, a1, trans, a2, ..., trans`: the first
+sync reads the initial state as the first letter, so the induced trace
+includes s0.
 
 The augmented goal demands the turn fluent plus an accepting-state
 fluent (a disjunction when the minimal DFA has several accepting
@@ -166,6 +172,46 @@ class GoalProduct:
         return f"{atoms} {q}" if atoms else q
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledGoal:
+    """What `compile_goal` records on the grounding it returns, as
+    `GroundedFond.compiled_goal`: the base task and automaton of the goal
+    product that the compiled task encodes, and the translation between
+    the two models' states. The builtin planner solves the product and
+    lifts its policy onto the compiled task (see `planner`), and
+    `AugmentedProblem.product_policy` translates back.
+
+    The compiled fluents extend the base's n fluents, so a compiled state
+    is a base state below bit n and bookkeeping fluents above it. Where
+    the turn fluent holds, the state with automaton fluent q is the
+    product state `(state & low) | q << n`: `q_of` maps each such high
+    part (`state >> n`) to q. A state without the turn fluent has only
+    the sync action applicable, `sync`.
+    """
+
+    domain: Domain
+    problem: ProblemInstance
+    formula: Formula
+    dfa: Dfa
+    n: int
+    q_of: dict[int, int]
+    sync: int
+
+    def product(self, base: fond.GroundedFond | None = None) -> GoalProduct:
+        """The goal product over `base`, by default the goal-free
+        grounding the process shares for the base task."""
+        if base is None:
+            base = fond.goal_free_grounding(self.domain, self.problem)
+        return GoalProduct(base, self.formula, self.dfa)
+
+    def product_state(self, state: int) -> int | None:
+        """The product state of a compiled state where the turn fluent
+        holds, else None."""
+        n = self.n
+        q = self.q_of.get(state >> n)
+        return None if q is None else (state & ((1 << n) - 1)) | q << n
+
+
 def _names(prefix: str, n_states: int) -> tuple[list[str], str, str, str]:
     """The bookkeeping names under `prefix`: one fluent per automaton
     state, the turn fluent, the sync action and the `tracked` fact."""
@@ -185,7 +231,11 @@ def _pick_prefix(domain: Domain, n_states: int) -> str:
 
 @dataclass
 class AugmentedProblem:
-    """A compiled temporal-goal planning task plus its bookkeeping."""
+    """A compiled temporal-goal planning task plus its bookkeeping.
+
+    `grounded` is the compiled task's grounding, whose `compiled_goal`
+    holds the goal product it encodes and the translation of states
+    between the two, which `product_policy` uses."""
 
     base_domain: Domain
     base_problem: ProblemInstance
@@ -204,30 +254,28 @@ class AugmentedProblem:
                        base: fond.GroundedFond | None = None, *,
                        budget: Budget = Budget()) -> planner.Policy:
         """A closed policy of this task as a policy of the goal product
-        over `base`, the goal-free grounding (done here if not given),
-        whose fluents and actions the compiled ones extend in order: a
-        turn-fluent state with automaton state q maps to
-        `(state & low) | q << n` and keeps its action. The closure check
-        runs under `budget`."""
+        over `base`, the goal-free grounding (the shared one if not
+        given), whose fluents and actions the compiled ones extend in
+        order: a turn-fluent state maps to its product state
+        (`CompiledGoal.product_state`) and keeps its action. The closure
+        check runs under `budget`."""
         g = self.grounded
         if policy.grounded is not g:
             raise TgrError("policy was not produced from the given compiled task")
         report = planner.verify_policy(policy, budget=budget)
         if not report.closed:
             raise TgrError(f"policy is not closed: {report.reason}")
+        compiled = g.compiled_goal
         if base is None:
             base = fond.goal_free_grounding(self.base_domain,
                                             self.base_problem)
-        n = len(base.fluents)
-        if g.fluents[:n] != base.fluents:
+        if g.fluents[:compiled.n] != base.fluents:
             raise TgrError("base grounding is not the compiled task's base")
-        low = (1 << n) - 1
-        turn = 1 << g.fluent_index[self.turn_atom]
-        q_of = {1 << g.fluent_index[a] | turn: q
-                for q, a in enumerate(self.q_atoms)}
-        return planner.Policy(GoalProduct(base, self.formula, self.dfa), {
-            (state & low) | q_of[state & ~low] << n: ai
-            for state, ai in policy.mapping.items() if (state & ~low) in q_of})
+        to_product = compiled.product_state
+        pairs = ((to_product(state), ai)
+                 for state, ai in policy.mapping.items())
+        return planner.Policy(compiled.product(base), {
+            state: ai for state, ai in pairs if state is not None})
 
     @cached_property
     def objects_of_interest(self) -> tuple[str, ...]:
@@ -241,17 +289,27 @@ class AugmentedProblem:
 
 def compile_goal(domain: Domain, problem: ProblemInstance, formula: Formula,
                  *, goal_id: str = "g0") -> AugmentedProblem:
-    """Build the augmented domain/problem pair for `formula` and ground it."""
+    """Build the augmented domain/problem pair for `formula` and ground
+    it. The grounding records its goal product as `compiled_goal`, which
+    holds no reference to the returned task."""
     dfa = goal_dfa(domain, problem, formula)
     prefix = _pick_prefix(domain, dfa.n_states)
     aug_domain, aug_problem = _augment(domain, problem, dfa, prefix, goal_id)
     q_names, turn_name, sync_name, _ = _names(prefix, dfa.n_states)
+    q_atoms, turn_atom = tuple(map(Atom, q_names)), Atom(turn_name)
+    grounded = fond.ground(aug_domain, aug_problem)
+    index = grounded.fluent_index
+    n = index[q_atoms[0]]  # the base fluents come first
+    turn = 1 << index[turn_atom] >> n
+    grounded.compiled_goal = CompiledGoal(
+        domain=domain, problem=problem, formula=formula, dfa=dfa, n=n,
+        q_of={1 << index[a] >> n | turn: q for q, a in enumerate(q_atoms)},
+        sync=grounded.action_index[fond.ground_action_name(sync_name, ())])
     return AugmentedProblem(
         base_domain=domain, base_problem=problem, formula=formula,
         goal_id=goal_id, dfa=dfa, domain=aug_domain, problem=aug_problem,
-        grounded=fond.ground(aug_domain, aug_problem), prefix=prefix,
-        q_atoms=tuple(map(Atom, q_names)), turn_atom=Atom(turn_name),
-        sync_schema=sync_name)
+        grounded=grounded, prefix=prefix, q_atoms=q_atoms,
+        turn_atom=turn_atom, sync_schema=sync_name)
 
 
 def _augment(domain: Domain, problem: ProblemInstance, dfa: Dfa, prefix: str,

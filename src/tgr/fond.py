@@ -17,10 +17,7 @@ with duplicates merged.
 The model is built for repeated expansion. Each action is watched under
 its rarest positive precondition fluent, so `applicable_actions` tests
 only the actions watched by a set bit of the state (plus those without
-a positive precondition). It skips the watched actions altogether when
-the state lacks a positive precondition that all of them share: in a
-compiled task that is the turn fluent, so a synchronisation state tests
-the sync action alone. Preconditions, effects and compiled conditions
+a positive precondition). Preconditions, effects and compiled conditions
 are masks, so testing a conjunction of literals is two `&`s and applying
 an effect is `(state & ~deletes) | adds`. A condition that is a
 disjunction of literal conjunctions, or one conjunction and-ed with
@@ -34,14 +31,16 @@ it guards.
 The planner numbers the states reachable from a grounding's initial
 state on its own, deriving each state's transitions afresh
 (`transitions`), since a task searched once gains nothing from keeping
-them. A goal-free grounding that several goal products search also owns
-a `TransitionTable`, which derives each state's transitions once and
-keeps them, by state id, for every later reader: flat integer arrays of
-state-action pairs, and the links (successors, incoming pairs,
-predecessors, pair sources) over which the planner searches a product a
-set of states at a time. `goal_free_grounding` keeps the last few goal-free groundings of
-the process, so every recognition of the same problem shares one
-grounding and its table; `ground` itself always builds a fresh model.
+them; a compiled temporal goal is the exception, solved as its goal
+product (`compiled_goal`). A goal-free grounding that several goal
+products search also owns a `TransitionTable`, which derives each
+state's transitions once and keeps them, by state id, for every later
+reader: flat integer arrays of state-action pairs, and the links
+(successors, incoming pairs, predecessors, pair sources) over which the
+planner searches a product a set of states at a time.
+`goal_free_grounding` keeps the last few goal-free groundings of the
+process, so every recognition of the same problem shares one grounding
+and its table; `ground` itself always builds a fresh model.
 `Domain` and `ProblemInstance` compute their hash once, so a memo hit
 costs a lookup, not a walk over the parsed model.
 """
@@ -53,8 +52,7 @@ from array import array
 from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, reduce, wraps
-from operator import and_
+from functools import cached_property, lru_cache, wraps
 from typing import Protocol
 
 from . import logic
@@ -652,17 +650,18 @@ class GroundedFond:
     s0: int = 0
     goal: Formula | None = None
     _goal_compiled: object | None = field(default=None, repr=False)
+    # The goal product whose policy the builtin planner lifts onto this
+    # model, when `compilation.compile_goal` built it for a temporal goal
+    # (a `compilation.CompiledGoal`); None for every other grounding.
+    compiled_goal: object | None = field(default=None, repr=False)
     # Precondition index: _watch[f] holds (index, pre_pos, pre_neg) of the
     # actions watched under fluent f, and _watched is the mask of the
     # fluents that watch some action (static fluents, set in every state,
-    # watch none); _always holds the actions with no positive precondition,
-    # and _shared is the mask of the positive preconditions that every
-    # watched action shares (in a compiled task, the turn fluent).
+    # watch none); _always holds the actions with no positive precondition.
     _watch: list[tuple[tuple[int, int, int], ...]] = field(
         init=False, repr=False)
     _watched: int = field(init=False, repr=False)
     _always: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
-    _shared: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         uses = Counter(f for a in self.actions for f in _bits(a.pre_pos))
@@ -679,8 +678,6 @@ class GroundedFond:
         self._watched = sum(1 << f for f, entries in enumerate(watch)
                             if entries)
         self._always = tuple(always)
-        pres = [a.pre_pos for a in self.actions if a.pre_pos]
-        self._shared = reduce(and_, pres) if pres else 0
 
     def with_goal(self, goal: Formula) -> GroundedFond:
         """This model with the classical goal `goal`, whose atoms must be
@@ -688,6 +685,7 @@ class GroundedFond:
         redone."""
         model = copy(self)
         vars(model).pop("transition_table", None)
+        model.compiled_goal = None
         model.problem = replace(self.problem, goal=goal)
         model.goal = goal
         model._goal_compiled = _compile_condition(goal, self.fluent_index,
@@ -701,8 +699,6 @@ class GroundedFond:
     def applicable_actions(self, state: int) -> list[int]:
         """Indices of the actions applicable in `state`, ascending."""
         found = [i for i, _, neg in self._always if not state & neg]
-        if state & self._shared != self._shared:
-            return found  # no watched action applies
         watch = self._watch
         rest = state & self._watched
         while rest:

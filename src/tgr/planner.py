@@ -20,9 +20,10 @@ dies, the initial one too, so the task is unsolvable, not capped.
 
 Two bodies compute it, one per model, because their costs differ:
 
-- A grounding is searched once (`tgr plan`, a compiled task, a classical
-  goal), so its body works a state at a time. It numbers the reachable
-  states breadth-first, deriving each state's transitions afresh
+- A grounding without an automaton is searched once (`tgr plan`'s own
+  goal, a classical goal, a compiled task read back from PDDL), so its
+  body works a state at a time. It numbers the reachable states
+  breadth-first, deriving each state's transitions afresh
   (`GroundedFond.transitions`); a goal state is numbered but not
   expanded. The rounds then run over reverse edges, per-state counters
   of live pairs and a dead-state worklist, each linear in the graph.
@@ -45,7 +46,17 @@ Two bodies compute it, one per model, because their costs differ:
   grounding has no shared table to amortise the links over, and there
   exploring state by state is cheaper.
 
-Both bodies extract the policy by one rule. From the initial state, the
+A task that `compilation.compile_goal` built for a temporal goal is
+solved as its goal product, over the goal-free grounding the process
+shares, under the same budget: the product's nodes count toward the
+state cap, and the deadline is checked once per product level.
+The compiled task's states where the turn fluent holds are the
+product's nodes, its goal distances twice the product's, and its live
+pairs the product's, so the product's policy lifts onto it exactly: a
+state without the turn fluent maps to the sync action, and one with it
+to the product's action at its product state (`_lifted`).
+
+Every route extracts the policy by one rule. From the initial state, the
 policy maps each reachable non-goal state to its first live pair, in
 action order, that has an outcome one step nearer the goals, and
 follows that action's outcomes in branch order. A live state's distance
@@ -129,10 +140,12 @@ def solve_strong_cyclic(grounded: StateModel, *,
         raise UnsolvableError("planning task has no goal")
     if grounded.is_goal(grounded.s0):
         return Policy(grounded, {})
-    if isinstance(grounded, GroundedFond):
+    if not isinstance(grounded, GroundedFond):
+        start, choose = _product_rounds(grounded, budget)
+    elif grounded.compiled_goal is None:
         start, choose = _graph_rounds(grounded, budget)
     else:
-        start, choose = _product_rounds(grounded, budget)
+        start, choose = _lifted(grounded, budget)
 
     mapping: dict[int, int] = {}
     closure = [start]
@@ -466,6 +479,27 @@ def _product_rounds(product: compilation.GoalProduct, budget: Budget
     return (0, q0), choose
 
 
+def _lifted(grounded: GroundedFond, budget: Budget
+            ) -> tuple[int, Callable[[int], _Step | None]]:
+    """The policy of a compiled temporal goal, lifted from the policy of
+    its goal product (`compilation.CompiledGoal`). Returns what
+    `_graph_rounds` does: a state without the turn fluent steps by the
+    sync action, and one with it by the product's action at its product
+    state (none at a goal)."""
+    compiled = grounded.compiled_goal
+    mapping = solve_strong_cyclic(compiled.product(), budget=budget).mapping
+    to_product, sync = compiled.product_state, compiled.sync
+
+    def choose(state: int) -> _Step | None:
+        product_state = to_product(state)
+        action = sync if product_state is None else mapping.get(product_state)
+        if action is None:
+            return None
+        return state, action, grounded.successors(state, action)
+
+    return grounded.s0, choose
+
+
 def verify_policy(policy: Policy, *,
                   budget: Budget = Budget()) -> PolicyReport:
     """Check closure and strong cyclicity by an independent traversal.
@@ -751,11 +785,11 @@ def solve_with_external(command: str, grounded: GroundedFond,
     and exit 0; exit code 2 means the task is unsolvable; anything else
     is an error. The returned policy is verified before use. A deadline
     that has passed starts no process; the process gets the time left,
-    at least 0.1 s, and the verification checks the deadline too.
+    and the verification checks the deadline too.
     """
     budget.check("planner")
     timeout = (None if budget.deadline is None
-               else max(0.1, budget.deadline - time.monotonic()))
+               else budget.deadline - time.monotonic())
     with tempfile.TemporaryDirectory(prefix="tgr-planner-") as tmp:
         dom = f"{tmp}/domain.pddl"
         prob = f"{tmp}/problem.pddl"

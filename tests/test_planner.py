@@ -91,17 +91,8 @@ def test_deadline_checked_during_product_search():
             product, budget=Budget(deadline=time.monotonic() - 1.0))
 
 
-def test_deadline_checked_while_a_grounding_is_numbered(monkeypatch):
-    # The compiled task expands 3 084 states; the deadline is checked
-    # every 512 numbered states, not only once per fixpoint round.
-    blocks = " ".join(f"b{i}" for i in range(1, 6))
-    init = " ".join(f"(ontable b{i}) (clear b{i})" for i in range(1, 6))
-    problem = fond.parse_problem(
-        f"(define (problem bw-5) (:domain blocks-world) "
-        f"(:objects {blocks} - block) (:init (emptyhand) {init}))")
-    aug = compilation.compile_goal(
-        fond.parse_domain(BLOCKS.domain_text), problem,
-        logic.parse_formula("F(on_b1_b2 & X(F(on_b3_b1)))"))
+def counted_transitions(monkeypatch):
+    """The states `GroundedFond.transitions` expands from now on."""
     calls = []
 
     def counting(self, state, transitions=fond.GroundedFond.transitions):
@@ -109,19 +100,56 @@ def test_deadline_checked_while_a_grounding_is_numbered(monkeypatch):
         return transitions(self, state)
 
     monkeypatch.setattr(fond.GroundedFond, "transitions", counting)
+    return calls
+
+
+def test_deadline_checked_while_a_grounding_is_numbered(monkeypatch):
+    # The classical goal expands 6 945 states; the deadline is checked
+    # every 512 numbered states, not only once per fixpoint round.
+    grounded = fond.ground(
+        fond.parse_domain(BLOCKS.domain_text),
+        fond.parse_problem(blocks_problem_text(6))).with_goal(
+            logic.parse_formula("on_b1_b2 & on_b3_b1"))
+    calls = counted_transitions(monkeypatch)
     with pytest.raises(DeadlineExceeded):
         planner.solve_strong_cyclic(
-            aug.grounded, budget=Budget(deadline=time.monotonic() - 1.0))
+            grounded, budget=Budget(deadline=time.monotonic() - 1.0))
     assert 0 < len(calls) <= 512
     calls.clear()
-    planner.solve_strong_cyclic(aug.grounded)
-    assert len(calls) == 3084
+    planner.solve_strong_cyclic(grounded)
+    assert len(calls) == 6945
+
+
+def test_compiled_goals_are_solved_on_the_shared_goal_free_grounding(
+        monkeypatch):
+    # A compiled temporal goal is solved as its goal product, whose search
+    # checks the deadline before it expands a level, and expands each
+    # state of the process's goal-free grounding once for every goal: the
+    # compiled task itself has 3 084 non-goal states.
+    domain = fond.parse_domain(BLOCKS.domain_text)
+    problem = fond.parse_problem(blocks_problem_text(5))
+    first, second = (compilation.compile_goal(domain, problem,
+                                              logic.parse_formula(goal))
+                     for goal in ("F(on_b1_b2 & X(F(on_b3_b1)))",
+                                  "F(on_b2_b1 & X(F(on_b1_b3)))"))
+    fond._memo_ground.cache_clear()
+    calls = counted_transitions(monkeypatch)
+    with pytest.raises(DeadlineExceeded, match="^planner deadline exceeded$"):
+        planner.solve_strong_cyclic(
+            first.grounded, budget=Budget(deadline=time.monotonic() - 1.0))
+    assert calls == []
+    planner.solve_strong_cyclic(first.grounded)
+    assert len(calls) == 847
+    calls.clear()
+    planner.solve_strong_cyclic(second.grounded)
+    assert len(calls) == 19
 
 
 def test_single_use_models_hold_no_transition_table():
-    # The `tgr plan` route, a compiled temporal goal, and a classical goal
-    # on a goal-free grounding: each model is searched once, so none of
-    # them keeps its transitions.
+    # The `tgr plan` route, a compiled temporal goal (solved as its goal
+    # product, whose transitions the process's shared goal-free grounding
+    # keeps), and a classical goal on a goal-free grounding: none of these
+    # models keeps transitions of its own.
     g = grounded_tireworld()
     aug = compilation.compile_goal(g.domain, g.problem,
                                    logic.parse_formula("F((vAt 22))"))
@@ -346,6 +374,37 @@ def test_external_planner_starts_no_process_past_its_deadline(monkeypatch):
             fond.problem_to_pddl(g.problem),
             budget=Budget(deadline=time.monotonic() - 1.0))
     assert started == []
+
+
+def test_external_planner_gets_no_more_than_the_time_left(monkeypatch):
+    # Each clock reading is 1 ms later than the one before; the process
+    # may not run past the deadline, however little time is left.
+    g = grounded_tireworld()
+    text = planner.policy_to_text(planner.solve_strong_cyclic(g))
+    readings = [100.0]
+
+    def clock():
+        readings.append(readings[-1] + 0.001)
+        return readings[-1]
+
+    runs = []
+
+    def run(argv, *, timeout, **kwargs):
+        runs.append((timeout, readings[-1]))
+        return subprocess.CompletedProcess(argv, 0, text, "")
+
+    fake = SimpleNamespace(monotonic=clock)
+    monkeypatch.setattr(budget, "time", fake)
+    monkeypatch.setattr(planner, "time", fake)
+    monkeypatch.setattr(planner.subprocess, "run", run)
+    for left in (0.01, 0.05, 0.099, 0.5):
+        deadline = readings[-1] + left
+        planner.solve_with_external(
+            "planner", g, fond.domain_to_pddl(g.domain),
+            fond.problem_to_pddl(g.problem), budget=Budget(deadline=deadline))
+        timeout, now = runs[-1]
+        assert 0 < timeout <= deadline - now
+    assert len(runs) == 4
 
 
 def test_external_policy_is_verified_under_the_deadline(monkeypatch):

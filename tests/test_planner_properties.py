@@ -2,10 +2,10 @@
 
 The tasks are propositional: up to eight nullary fluents and six
 actions, with negative preconditions, `oneof` branches, `when` effects
-and a random goal. The solver is checked against the reference solver
-in `reference_planner`, on the tasks' own goals and on the goal
-product and the compiled task of every temporal goal template; the model against a direct
-reading of the effects and against its own state conversions;
+and a random goal. The solver is checked against the reference solver in
+`reference_planner`, on the tasks' own goals and on the goal product and
+the compiled task of every temporal goal template; the model against a
+direct reading of the effects and against its own state conversions;
 `verify_policy` against policies mutated to be wrong; and the execution
 enumerator against the reference enumerator in `reference_executions`,
 on the tasks' own goals and on temporal goals compiled into them. Also
