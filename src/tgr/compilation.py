@@ -197,12 +197,11 @@ class CompiledGoal:
     q_of: dict[int, int]
     sync: int
 
-    def product(self, base: fond.GroundedFond | None = None) -> GoalProduct:
-        """The goal product over `base`, by default the goal-free
-        grounding the process shares for the base task."""
-        if base is None:
-            base = fond.goal_free_grounding(self.domain, self.problem)
-        return GoalProduct(base, self.formula, self.dfa)
+    def product(self) -> GoalProduct:
+        """The goal product over the goal-free grounding the process
+        shares for the base task."""
+        return GoalProduct(fond.goal_free_grounding(self.domain, self.problem),
+                           self.formula, self.dfa)
 
     def product_state(self, state: int) -> int | None:
         """The product state of a compiled state where the turn fluent
@@ -274,7 +273,7 @@ class AugmentedProblem:
         to_product = compiled.product_state
         pairs = ((to_product(state), ai)
                  for state, ai in policy.mapping.items())
-        return planner.Policy(compiled.product(base), {
+        return planner.Policy(GoalProduct(base, self.formula, self.dfa), {
             state: ai for state, ai in pairs if state is not None})
 
     @cached_property

@@ -143,6 +143,9 @@ def test_compiled_goals_are_solved_on_the_shared_goal_free_grounding(
     calls.clear()
     planner.solve_strong_cyclic(second.grounded)
     assert len(calls) == 19
+    # A classical goal on the compiled grounding has no automaton.
+    assert first.grounded.with_goal(
+        logic.parse_formula("on_b1_b2")).compiled_goal is None
 
 
 def test_single_use_models_hold_no_transition_table():
