@@ -2,8 +2,8 @@
 
 A `Budget` holds the planner's state cap, the execution cap and the
 wall-clock deadline. `recognizer.recognize` builds it from its keywords,
-and every stage below takes the one value: the planner's two fixpoint
-bodies and its policy verification, the external planner, and the
+and every stage below takes the one value: the planner's fixpoint body
+and its policy verification, the external planner, and the
 execution walk and count. A stage tests the deadline only through
 `Budget.check`, which names the stage in its message, and builds its
 cap error here.

@@ -28,19 +28,18 @@ and deletes, and groups its conditional literals by condition, so a
 condition is evaluated once per `successors` call however many literals
 it guards.
 
-The planner numbers the states reachable from a grounding's initial
-state on its own, deriving each state's transitions afresh
-(`transitions`), since a task searched once gains nothing from keeping
-them; a compiled temporal goal is the exception, solved as its goal
-product (`compiled_goal`). A goal-free grounding that several goal
-products search also owns a `TransitionTable`, which derives each
-state's transitions once and keeps them, by state id, for every later
-reader: flat integer arrays of state-action pairs, and the links
-(successors, incoming pairs, predecessors, pair sources) over which the
-planner searches a product a set of states at a time.
-`goal_free_grounding` keeps the last few goal-free groundings of the
-process, so every recognition of the same problem shares one grounding
-and its table; `ground` itself always builds a fresh model.
+The planner reads a grounding through its `TransitionTable`, made on
+first use, which derives each state's transitions once (`transitions`)
+and keeps them, by state id, for every later reader: flat integer arrays
+of state-action pairs, and the links (successors, incoming pairs,
+predecessors, pair sources) over which the planner searches a set of
+states at a time. A `with_goal` copy shares its source's table, and so
+does every goal product over a goal-free grounding; a compiled temporal
+goal is solved as its goal product (`compiled_goal`), so its own
+grounding keeps no table. `goal_free_grounding` keeps the last few
+goal-free groundings of the process, so every recognition of the same
+problem, classical goals included, shares one grounding and its table;
+`ground` itself always builds a fresh model.
 `Domain` and `ProblemInstance` compute their hash once, so a memo hit
 costs a lookup, not a walk over the parsed model.
 """
@@ -681,10 +680,10 @@ class GroundedFond:
 
     def with_goal(self, goal: Formula) -> GroundedFond:
         """This model with the classical goal `goal`, whose atoms must be
-        fluents; the grounding and its precondition index are shared, not
-        redone."""
+        fluents; the grounding, its precondition index and its
+        `transition_table` are shared, not redone."""
         model = copy(self)
-        vars(model).pop("transition_table", None)
+        model.transition_table = self.transition_table
         model.compiled_goal = None
         model.problem = replace(self.problem, goal=goal)
         model.goal = goal
@@ -712,9 +711,8 @@ class GroundedFond:
 
     def transitions(self, state: int) -> list[tuple[int, tuple[int, ...]]]:
         """`(action, successors)` per applicable action, in ascending
-        action order, derived afresh: the planner expands a grounding it
-        searches once through this, and `TransitionTable` keeps what it
-        returns for a goal-free grounding that many goals share."""
+        action order, derived afresh; `TransitionTable` keeps what it
+        returns, and the planner reads only the table."""
         actions, outcomes = self.actions, self._outcomes
         found = []
         for ai in self.applicable_actions(state):
@@ -723,8 +721,9 @@ class GroundedFond:
 
     @cached_property
     def transition_table(self) -> TransitionTable:
-        """This model's shared `TransitionTable`, made on first use. A
-        `with_goal` copy starts without one."""
+        """This model's `TransitionTable`, made on first use, over which
+        the planner searches this model's goal. A `with_goal` copy shares
+        its source's, so the goals of one grounding share one table."""
         return TransitionTable(self)
 
     def successors(self, state: int, action: int) -> tuple[int, ...]:
@@ -798,7 +797,7 @@ class TransitionTable:
     the table outlives the search (see `goal_free_grounding`).
 
     An expansion also fills four links that the planner's set-at-a-time
-    search over goal products reads: `_succ[i]`, the distinct successor
+    search reads: `_succ[i]`, the distinct successor
     ids of state i (None until i is expanded); `_into[i]`, the pairs
     that lead to state i; `_pred[i]`, the distinct ids of the states
     that have a pair into state i, in `_into` order; and `_source[p]`,

@@ -18,43 +18,47 @@ search that numbers no goal state stops there, once numbering has passed
 the cap check, with the verdict the rounds would reach: every state
 dies, the initial one too, so the task is unsolvable, not capped.
 
-Two bodies compute it, one per model, because their costs differ:
+One body computes it, a set of states at a time (Cimatti, Pistore,
+Roveri & Traverso, AIJ 2003, state the fixpoint over sets), over a goal
+automaton crossed with a grounding's `fond.TransitionTable`. A node is a
+table id t with an automaton state q. Per q, the solver keeps the ids
+reached with q and the dead pairs of q. Forward reachability unions the
+table's successor ids and splits them by the automaton step on each
+id's letter. The dead-pair propagation unions the table's incoming
+pairs, less q's dead pairs. The distance search unions, one level at a
+time, the table's predecessor ids of the level, or, for a q that has
+dead pairs, the level's incoming pairs less those, and keeps the levels
+of each q as sets of ids. The table builds those links once, so a goal
+that finds its states expanded pays only for set operations, which run
+in C. A node whose q accepts is a goal and one whose q can no longer
+accept is dead: both are numbered but not expanded. The budget's
+deadline is checked once per level, once per round and every 512 states
+the search expands.
 
-- A grounding without an automaton is searched once (`tgr plan`'s own
-  goal, a classical goal, a compiled task read back from PDDL), so its
-  body works a state at a time. It numbers the reachable states
-  breadth-first, deriving each state's transitions afresh
-  (`GroundedFond.transitions`); a goal state is numbered but not
-  expanded. The rounds then run over reverse edges, per-state counters
-  of live pairs and a dead-state worklist, each linear in the graph.
-  The budget's deadline is checked every 512 states and once per round.
-- A goal product is searched a set at a time, over the transition table
-  that its goal-free grounding shares with every goal and recognition of
-  the same problem (Cimatti, Pistore, Roveri & Traverso, AIJ 2003, state
-  the fixpoint over sets). A node is a table id t with an automaton
-  state q. Per q, the solver keeps the ids reached with q and the dead
-  pairs of q. Forward reachability unions the table's successor ids and
-  splits them by the automaton step. The dead-pair propagation unions
-  the table's incoming pairs, less q's dead pairs. The distance search
-  unions, one level at a time, the table's predecessor ids of the level,
-  or, for a q that has dead pairs, the level's incoming pairs less those,
-  and keeps the levels of each q as sets of ids. The table builds those
-  links once, so a goal pays only for set operations, which run in C.
-  A node whose q accepts is a goal and one whose q can no longer accept
-  (`Dfa.dead`) is dead: both are numbered but not expanded. The
-  budget's deadline is checked once per level and once per round. A
-  grounding has no shared table to amortise the links over, and there
-  exploring state by state is cheaper.
+The body reads two kinds of model:
+
+- A goal product brings its goal's automaton (`Dfa.table`, with the
+  dead states of `Dfa.dead`), its letters, and the table its goal-free
+  grounding shares with every goal and recognition of the same problem.
+- A grounding with a classical goal brings a fixed two-state automaton
+  over a one-bit letter, the goal test of the id's state: q moves from 0
+  to 1, which accepts, at the first goal state. So a non-goal node has
+  q = 0, and its policy state is the plain base state. No goal formula
+  becomes an automaton, so the automaton's atom cap does not apply. Its
+  table is the grounding's own, which a `GroundedFond.with_goal` copy
+  shares with the grounding it was made from: a classical goal of a
+  recognition expands only the states no earlier goal did.
 
 A task that `compilation.compile_goal` built for a temporal goal is
-solved as its goal product, over the goal-free grounding the process
-shares, under the same budget: the product's nodes count toward the
-state cap, and the deadline is checked once per product level.
-The compiled task's states where the turn fluent holds are the
-product's nodes, its goal distances twice the product's, and its live
-pairs the product's, so the product's policy lifts onto it exactly: a
-state without the turn fluent maps to the sync action, and one with it
-to the product's action at its product state (`_lifted`).
+solved by the same body on its goal product, over the goal-free
+grounding the process shares, under the same budget: the product's nodes
+count toward the state cap. The compiled task's states where the turn
+fluent holds are the product's nodes, its goal distances twice the
+product's, and its live pairs the product's, so the body's choices lift
+onto it exactly: a state without the turn fluent maps to the sync
+action, and one with it to the action the body chooses at its product
+node (`_lifted`). Only the compiled task's policy is extracted and
+checked.
 
 Every route extracts the policy by one rule. From the initial state, the
 policy maps each reachable non-goal state to its first live pair, in
@@ -85,16 +89,13 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse
-from typing import TYPE_CHECKING, Callable, Hashable, Iterator, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterator, Sequence
 
 from .budget import DEFAULT_STATE_CAP, Budget  # callers read the cap here
 from .errors import (DeadlineExceeded, ExternalPlannerError, PolicyParseError,
                      UnsolvableError)
-from .fond import GroundedFond, StateModel
+from .fond import GroundedFond, StateModel, TransitionTable
 from .logic import Atom
-
-if TYPE_CHECKING:
-    from . import compilation
 
 # A node's policy step: its state, its action and the outcome nodes.
 _Step = tuple[int, int, Sequence[Hashable]]
@@ -140,10 +141,8 @@ def solve_strong_cyclic(grounded: StateModel, *,
         raise UnsolvableError("planning task has no goal")
     if grounded.is_goal(grounded.s0):
         return Policy(grounded, {})
-    if not isinstance(grounded, GroundedFond):
-        start, choose = _product_rounds(grounded, budget)
-    elif grounded.compiled_goal is None:
-        start, choose = _graph_rounds(grounded, budget)
+    if getattr(grounded, "compiled_goal", None) is None:
+        start, choose = _product_rounds(*_automaton(grounded), budget)
     else:
         start, choose = _lifted(grounded, budget)
 
@@ -171,129 +170,48 @@ def solve_strong_cyclic(grounded: StateModel, *,
 
 _PRUNED = "no strong-cyclic policy: the initial state was pruned"
 
-
-def _graph_rounds(grounded: GroundedFond, budget: Budget
-                  ) -> tuple[int, Callable[[int], _Step | None]]:
-    """The fixpoint over a grounding, a state at a time. Returns the
-    initial node and the policy step of a node (None at a goal)."""
-    # Number the reachable states breadth-first, node 0 being `s0`. The
-    # pairs of node s are first_pair[s] .. first_pair[s + 1] - 1, in
-    # ascending action order: pair p applies pair_action[p] in node
-    # pair_state[p] and leads to the nodes pair_outcomes[p], in branch
-    # order. A goal node is numbered but not expanded.
-    order = {grounded.s0: 0}
-    states = [grounded.s0]
-    goal_ids: list[int] = []
-    first_pair: list[int] = []
-    pair_state: list[int] = []
-    pair_action: list[int] = []
-    pair_outcomes: list[tuple[int, ...]] = []
-    state_cap = budget.state_cap
-    i = 0
-    while i < len(states):
-        state = states[i]
-        first_pair.append(len(pair_action))
-        i += 1
-        if i % 512 == 0:
-            budget.check("planner")
-        if grounded.is_goal(state):
-            goal_ids.append(i - 1)
-            continue
-        for ai, succs in grounded.transitions(state):
-            outcomes = []
-            for succ in succs:
-                t = order.get(succ)
-                if t is None:
-                    if len(states) >= state_cap:
-                        raise budget.state_cap_error()
-                    t = order[succ] = len(states)
-                    states.append(succ)
-                outcomes.append(t)
-            pair_state.append(i - 1)
-            pair_action.append(ai)
-            pair_outcomes.append(tuple(outcomes))
-    first_pair.append(len(pair_action))
-    if not goal_ids:  # the rounds would kill every node
-        raise UnsolvableError(_PRUNED)
-    del order  # the rounds look no state up; free it before they run
-
-    n = len(states)
-    into: list[list[int]] = [[] for _ in range(n)]
-    for p, outcomes in enumerate(pair_outcomes):
-        for t in outcomes:
-            into[t].append(p)
-    alive = bytearray(b"\x01") * len(pair_action)
-    live = [first_pair[s + 1] - first_pair[s] for s in range(n)]
-    is_goal = bytearray(n)
-    for s in goal_ids:
-        is_goal[s] = 1
-    dead = [s for s in range(n) if not live[s] and not is_goal[s]]
-
-    while True:
-        budget.check("planner")
-        # A pair dies with any of its outcomes; a state dies with its
-        # last live pair.
-        while dead:
-            for p in into[dead.pop()]:
-                if alive[p]:
-                    alive[p] = 0
-                    s = pair_state[p]
-                    live[s] -= 1
-                    if not live[s]:
-                        dead.append(s)
-        # Goal distances through live pairs; a live state that gets none
-        # reaches no goal and dies.
-        dist = [-1] * n
-        for s in goal_ids:
-            dist[s] = 0
-        queue = list(goal_ids)
-        qi = 0
-        while qi < len(queue):
-            t = queue[qi]
-            qi += 1
-            d = dist[t] + 1
-            for p in into[t]:
-                if alive[p]:
-                    s = pair_state[p]
-                    if dist[s] < 0:
-                        dist[s] = d
-                        queue.append(s)
-        for s in range(n):
-            if live[s] and dist[s] < 0:
-                live[s] = 0
-                for p in range(first_pair[s], first_pair[s + 1]):
-                    alive[p] = 0
-                dead.append(s)
-        if not dead:
-            break
-
-    if not live[0]:
-        raise UnsolvableError(_PRUNED)
-
-    def choose(s: int) -> _Step | None:
-        if is_goal[s]:
-            return None
-        nearer = dist[s] - 1
-        for p in range(first_pair[s], first_pair[s + 1]):
-            if alive[p] and nearer in map(dist.__getitem__, pair_outcomes[p]):
-                return states[s], pair_action[p], pair_outcomes[p]
-        return None  # pragma: no cover - a live node has such a pair
-
-    return 0, choose
+# A classical goal as an automaton over one letter, the goal test: q = 1,
+# the accepting state, from the first goal state on.
+_GOAL_ROWS = ((0, 1), (1, 1))
+_GOAL_ACCEPTING = frozenset({1})
 
 
-def _product_rounds(product: compilation.GoalProduct, budget: Budget
+def _automaton(model: StateModel) -> tuple:
+    """What `_product_rounds` searches for `model`, a goal product or a
+    grounding with a classical goal: the table, the automaton's rows,
+    accepting and dead states, the letters of the table's ids, and the
+    shift of q in a node's state."""
+    if isinstance(model, GroundedFond):
+        table = model.transition_table
+        goal_letters: list[int] = []
+
+        def letters() -> list[int]:
+            goal_letters.extend(map(model.is_goal,
+                                    table.states[len(goal_letters):]))
+            return goal_letters
+        return (table, _GOAL_ROWS, _GOAL_ACCEPTING, frozenset(), letters,
+                len(model.fluents))
+    dfa = model.dfa
+    return (model.base.transition_table, dfa.table, dfa.accepting, dfa.dead,
+            model._letters, model._shift)
+
+
+def _product_rounds(table: TransitionTable, rows: Sequence[Sequence[int]],
+                    accepting: AbstractSet[int], dead: AbstractSet[int],
+                    letters_of: Callable[[], list[int]], shift: int,
+                    budget: Budget
                     ) -> tuple[tuple[int, int],
                                Callable[[tuple[int, int]], _Step | None]]:
-    """The same fixpoint over a goal product, a set of base ids at a time,
-    over the links of the base's `fond.TransitionTable`. A node is
-    (table id t, automaton state q). Returns what `_graph_rounds` does."""
-    table, dfa = product.base.transition_table, product.dfa
-    rows, accepting, nq = dfa.table, dfa.accepting, dfa.n_states
+    """The fixpoint over the automaton `rows` crossed with `table`, a set
+    of ids at a time. A node is (table id t, automaton state q), and
+    `letters_of()` gives each id's letter, for every id the table holds.
+    Returns the initial node and the policy step of a node (None at a
+    goal)."""
     states, succ, into, pred, source = (table.states, table._succ,
                                         table._into, table._pred,
                                         table._source)
     first, stop = table._first, table._stop
+    nq = len(rows)
 
     def spans(ids: tuple[int, ...]) -> Iterator[range]:
         """The pairs of each expanded id, as ranges, in order."""
@@ -301,9 +219,9 @@ def _product_rounds(product: compilation.GoalProduct, budget: Budget
                    map(stop.__getitem__, ids))
 
     # The automaton states whose nodes have pairs: a node whose q accepts
-    # is a goal, and one whose q is dead (`Dfa.dead`) has none.
+    # is a goal, and one whose q is dead has none.
     expanded = {q for q in range(nq)
-                if q not in accepting and q not in dfa.dead}
+                if q not in accepting and q not in dead}
     # The outcome of a pair of (t, q) into t' is (t', rows[q][letter]),
     # the letter being t''s. Per q, usual[q] is the most common target,
     # and other[q][q2] holds the ids whose letter moves q to another q2,
@@ -320,11 +238,13 @@ def _product_rounds(product: compilation.GoalProduct, budget: Budget
 
     # Forward: the ids reached with each q, one breadth-first level at a
     # time. Every numbered node counts toward the cap, which is checked
-    # before the level that crosses it is expanded.
-    q0 = product.s0 >> product._shift
+    # before the level that crosses it is expanded. The deadline is also
+    # checked every 512 ids expanded.
+    q0 = rows[0][letters_of()[0]]  # the table numbers s0 0
     reached: list[set[int]] = [set() for _ in rows]
     reached[q0].add(0)
     total = 1
+    cold = 0
     level = {q0: {0}}
     while level:
         budget.check("planner")
@@ -338,10 +258,13 @@ def _product_rounds(product: compilation.GoalProduct, budget: Budget
                 for t in ids:
                     if succ[t] is None:
                         table.pairs_at(t)
+                        cold += 1
+                        if not cold % 512:
+                            budget.check("planner")
                 rest = set(chain.from_iterable(map(succ.__getitem__, ids)))
             if len(letters) < len(states):
                 n = len(letters)
-                letters = product._letters()
+                letters = letters_of()
                 for t in range(n, len(letters)):
                     for q1, q2 in moves[letters[t]]:
                         other[q1][q2].add(t)
@@ -381,7 +304,7 @@ def _product_rounds(product: compilation.GoalProduct, budget: Budget
     # Per q: its dead nodes, and the dead pairs of its nodes.
     dead_ids: list[set[int]] = [set() for _ in rows]
     dead_pairs: list[set[int]] = [set() for _ in rows]
-    for q in dfa.dead:
+    for q in dead:
         dead_ids[q] = reached[q]
     for q in expanded:
         dead_ids[q] = set(filterfalse(succ.__getitem__, reached[q]))
@@ -457,7 +380,6 @@ def _product_rounds(product: compilation.GoalProduct, budget: Budget
         raise UnsolvableError(_PRUNED)
 
     action, out, target = table.action, table.out, table.target
-    shift = product._shift
 
     def choose(node: tuple[int, int]) -> _Step | None:
         t, q = node
@@ -481,20 +403,28 @@ def _product_rounds(product: compilation.GoalProduct, budget: Budget
 
 def _lifted(grounded: GroundedFond, budget: Budget
             ) -> tuple[int, Callable[[int], _Step | None]]:
-    """The policy of a compiled temporal goal, lifted from the policy of
-    its goal product (`compilation.CompiledGoal`). Returns what
-    `_graph_rounds` does: a state without the turn fluent steps by the
-    sync action, and one with it by the product's action at its product
-    state (none at a goal)."""
+    """The policy steps of a compiled temporal goal, lifted from the
+    body's search of its goal product (`compilation.CompiledGoal`).
+    Returns what `_product_rounds` does, over the compiled task's
+    states: a state without the turn fluent steps by the sync action, and
+    one with it by the action the body chooses at its product node (none
+    at a goal)."""
     compiled = grounded.compiled_goal
-    mapping = solve_strong_cyclic(compiled.product(), budget=budget).mapping
-    to_product, sync = compiled.product_state, compiled.sync
+    product = compiled.product()
+    ids = product.base.transition_table._ids
+    _, step = _product_rounds(*_automaton(product), budget)
+    to_product, sync, n = compiled.product_state, compiled.sync, compiled.n
+    low = (1 << n) - 1
 
     def choose(state: int) -> _Step | None:
         product_state = to_product(state)
-        action = sync if product_state is None else mapping.get(product_state)
-        if action is None:
-            return None
+        if product_state is None:
+            action = sync
+        else:
+            chosen = step((ids[product_state & low], product_state >> n))
+            if chosen is None:
+                return None
+            action = chosen[1]
         return state, action, grounded.successors(state, action)
 
     return grounded.s0, choose

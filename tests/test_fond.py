@@ -239,9 +239,8 @@ def test_with_goal_shares_the_precondition_index(monkeypatch):
     assert (g.goal, g.problem.goal, base.goal) == (prob.goal, prob.goal, None)
     assert g.is_goal(g.state_of(logic.atoms(prob.goal))) and not g.is_goal(0)
     assert g._watch is base._watch and g._always is base._always
-    # the copy starts without a transition table; the source keeps its own
-    assert "transition_table" not in vars(g)
-    assert g.transition_table._model is g
+    # the copy searches its source's transition table
+    assert g.transition_table is base.transition_table
     assert base.transition_table._model is base
     rng = random.Random(25)
     for _ in range(300):

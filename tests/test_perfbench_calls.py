@@ -8,7 +8,8 @@ signature change that breaks one of those calls would otherwise show up
 only when the benchmark runs. Each workload's smallest input must build,
 and its first recognition must give the stored reference answer, as
 `perfbench/run.py` checks it. The two set-ups that solve compiled tasks
-must also do so without numbering one state by state.
+must also do so on the goal-free grounding's transition table, building
+none for a compiled grounding.
 """
 
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from tgr import planner
+from tgr import fond
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -40,10 +41,14 @@ def test_first_smoke_recognition_gives_the_reference_answer(name):
 def test_set_up_solves_compiled_goals_without_numbering_them(name,
                                                              monkeypatch):
     # Set-up solves the true goals' compiled tasks, which the builtin
-    # planner solves as goal products; numbering a grounding state by
-    # state is for groundings without an automaton.
-    def numbering(*args):
-        raise AssertionError("a compiled task was numbered state by state")
+    # planner solves as goal products over the goal-free grounding: no
+    # compiled grounding builds a transition table of its own.
+    built = []
 
-    monkeypatch.setattr(planner, "_graph_rounds", numbering)
+    def recording(model, table=fond.TransitionTable):
+        built.append(model)
+        return table(model)
+
+    monkeypatch.setattr(fond, "TransitionTable", recording)
     test_first_smoke_recognition_gives_the_reference_answer(name)
+    assert built and all(model.compiled_goal is None for model in built)

@@ -103,21 +103,53 @@ def counted_transitions(monkeypatch):
     return calls
 
 
+def deadline_after(calls, expansions, monkeypatch):
+    """A budget whose deadline passes once more than `expansions` states
+    are in `calls`, read through the budget's clock."""
+    monkeypatch.setattr(budget, "time", SimpleNamespace(
+        monotonic=lambda: 2.0 if len(calls) > expansions else 0.0))
+    return Budget(deadline=1.0)
+
+
+def six_blocks(goal=None):
+    """Six blocks on the table, with `goal` as a classical goal, or
+    goal-free."""
+    base = fond.ground(fond.parse_domain(BLOCKS.domain_text),
+                       fond.parse_problem(blocks_problem_text(6)))
+    return base if goal is None else base.with_goal(
+        logic.parse_formula(goal))
+
+
 def test_deadline_checked_while_a_grounding_is_numbered(monkeypatch):
-    # The classical goal expands 6 945 states; the deadline is checked
-    # every 512 numbered states, not only once per fixpoint round.
-    grounded = fond.ground(
-        fond.parse_domain(BLOCKS.domain_text),
-        fond.parse_problem(blocks_problem_text(6))).with_goal(
-            logic.parse_formula("on_b1_b2 & on_b3_b1"))
+    # The classical goal expands 6 945 states, in breadth-first levels
+    # that end after 3 783 and 5 547 of them. The deadline passes in the
+    # middle of that level, and the search notices within 512 further
+    # expansions, not only once per level or fixpoint round.
     calls = counted_transitions(monkeypatch)
-    with pytest.raises(DeadlineExceeded):
+    grounded = six_blocks("on_b1_b2 & on_b3_b1")
+    with pytest.raises(DeadlineExceeded, match="^planner deadline exceeded$"):
         planner.solve_strong_cyclic(
-            grounded, budget=Budget(deadline=time.monotonic() - 1.0))
-    assert 0 < len(calls) <= 512
+            grounded, budget=deadline_after(calls, 3800, monkeypatch))
+    assert 3800 < len(calls) <= 3800 + 512
+    # The states expanded before the deadline stay in the table.
+    stopped = len(calls)
     calls.clear()
     planner.solve_strong_cyclic(grounded)
+    assert len(calls) == 6945 - stopped
+    calls.clear()
+    planner.solve_strong_cyclic(six_blocks("on_b1_b2 & on_b3_b1"))
     assert len(calls) == 6945
+
+
+def test_deadline_checked_while_a_product_level_is_expanded(monkeypatch):
+    # The goal product expands the same levels of the goal-free grounding.
+    calls = counted_transitions(monkeypatch)
+    product = compilation.GoalProduct(
+        six_blocks(), logic.parse_formula("F(on_b1_b2 & X(F(on_b3_b1)))"))
+    with pytest.raises(DeadlineExceeded, match="^planner deadline exceeded$"):
+        planner.solve_strong_cyclic(
+            product, budget=deadline_after(calls, 3800, monkeypatch))
+    assert 3800 < len(calls) <= 3800 + 512
 
 
 def test_compiled_goals_are_solved_on_the_shared_goal_free_grounding(
@@ -149,19 +181,59 @@ def test_compiled_goals_are_solved_on_the_shared_goal_free_grounding(
 
 
 def test_single_use_models_hold_no_transition_table():
-    # The `tgr plan` route, a compiled temporal goal (solved as its goal
-    # product, whose transitions the process's shared goal-free grounding
-    # keeps), and a classical goal on a goal-free grounding: none of these
-    # models keeps transitions of its own.
+    # A compiled temporal goal is solved as its goal product, whose
+    # transitions the process's shared goal-free grounding keeps: the
+    # compiled grounding keeps none of its own.
     g = grounded_tireworld()
     aug = compilation.compile_goal(g.domain, g.problem,
                                    logic.parse_formula("F((vAt 22))"))
-    base = goal_free_tireworld()
-    classical = base.with_goal(logic.parse_formula("(vAt 22)"))
-    for model in (g, aug.grounded, classical):
-        planner.solve_strong_cyclic(model)
-        assert "transition_table" not in vars(model)
-    assert "transition_table" not in vars(base)
+    planner.solve_strong_cyclic(aug.grounded)
+    assert "transition_table" not in vars(aug.grounded)
+    assert len(fond.goal_free_grounding(
+        g.domain, g.problem).transition_table.states) > 1
+
+
+def test_classical_goals_are_solved_on_the_shared_goal_free_grounding(
+        monkeypatch):
+    # A classical goal's `with_goal` copy searches the table of the
+    # goal-free grounding it was made from, so a second goal expands only
+    # the states that the first did not.
+    domain = fond.parse_domain(BLOCKS.domain_text)
+    problem = fond.parse_problem(blocks_problem_text(5))
+    first, second = map(logic.parse_formula, ("on_b1_b2 & on_b3_b1",
+                                              "on_b2_b1 & on_b1_b3"))
+    calls = counted_transitions(monkeypatch)
+    planner.solve_strong_cyclic(
+        fond.ground(domain, problem).with_goal(second))
+    alone = set(calls)
+    calls.clear()
+    base = fond.goal_free_grounding(domain, problem)
+    planner.solve_strong_cyclic(base.with_goal(first))
+    before = set(calls)
+    calls.clear()
+    policy = planner.solve_strong_cyclic(base.with_goal(second))
+    assert len(calls) == len(set(calls)) and set(calls) == alone - before
+    assert 0 < len(calls) < len(alone)
+    assert planner.policy_to_text(policy) == planner.policy_to_text(
+        planner.solve_strong_cyclic(
+            fond.ground(domain, problem).with_goal(second)))
+
+
+def test_a_compiled_solve_checks_one_policy(monkeypatch):
+    # The lift reads the body's choices at the product's nodes, so only
+    # the compiled task's own policy is extracted and checked.
+    checked = []
+
+    def counting(policy, *, budget=Budget(), verify=planner.verify_policy):
+        checked.append(policy.grounded)
+        return verify(policy, budget=budget)
+
+    monkeypatch.setattr(planner, "verify_policy", counting)
+    g = grounded_tireworld()
+    aug = compilation.compile_goal(g.domain, g.problem,
+                                   logic.parse_formula("F((vAt 22))"))
+    planner.solve_strong_cyclic(aug.grounded)
+    assert checked == [aug.grounded]
 
 
 def test_goal_products_fill_only_their_base_table():
@@ -174,12 +246,12 @@ def test_goal_products_fill_only_their_base_table():
     table = base.transition_table
     filled = len(table.states)
     assert filled and "transition_table" not in vars(other)
-    # A second goal reads the same table; a classical copy starts with none.
+    # A second goal reads the same table, and so does a classical copy.
     planner.solve_strong_cyclic(compilation.GoalProduct(
         base, logic.parse_formula("F((vAt 21))")))
     assert base.transition_table is table and len(table.states) >= filled
-    assert "transition_table" not in vars(
-        base.with_goal(logic.parse_formula("(vAt 22)")))
+    assert base.with_goal(
+        logic.parse_formula("(vAt 22)")).transition_table is table
 
 
 SINK_DOMAIN = """(define (domain sink) (:requirements :negative-preconditions)

@@ -15,8 +15,8 @@ compiled task, whose grounding must extend the goal-free one for its
 policies to translate onto the product; the product's state cap against
 the nodes a breadth-first search numbers; goals solved one after another
 on one shared goal-free grounding against each goal solved alone; and a
-recognition on the process's memoized grounding against the same
-recognition on a fresh one.
+recognition of a temporal or classical goal on the process's memoized
+grounding against the same recognition on a fresh one.
 """
 
 import dataclasses
@@ -583,6 +583,20 @@ def test_goals_on_a_shared_grounding_solve_as_if_alone(task, small_cap, data):
                 for goal, cap in order] == expected
 
 
+# Classical goals over the same two fluents.
+PROPOSITIONAL_GOALS = (
+    lambda a, b: a,
+    lambda a, b: logic.land(a, logic.lnot(b)),
+    lambda a, b: logic.lor(a, b),
+)
+
+
+def draw_goal(domain, data):
+    """A temporal or a classical goal over two drawn fluents."""
+    return data.draw(st.sampled_from(TEMPORAL_GOALS + PROPOSITIONAL_GOALS))(
+        *draw_goal_atoms(domain, data))
+
+
 def recognition(domain, problem, goal, cap):
     """The goal model `analyze` builds for `goal` alone, or the message of
     the cap error that stopped it."""
@@ -597,12 +611,13 @@ def recognition(domain, problem, goal, cap):
 @settings(max_examples=200, deadline=None)
 @given(fond_tasks(), st.integers(1, 12), st.data())
 def test_recognitions_after_others_match_a_cold_memo(task, small_cap, data):
-    # The earlier recognitions of other goals, some stopped by a small
-    # state cap, fill the memoized grounding's transition table.
+    # The earlier recognitions of other goals, temporal or classical and
+    # some stopped by a small state cap, fill the memoized grounding's
+    # transition table.
     domain, problem = (fond.parse_domain(task[0]),
                        fond.parse_problem(task[1]))
     *earlier, (goal, cap) = [
-        (draw_temporal_goal(domain, data),
+        (draw_goal(domain, data),
          data.draw(st.sampled_from((planner.DEFAULT_STATE_CAP, small_cap))))
         for _ in range(data.draw(st.integers(2, 4)))]
     fond._memo_ground.cache_clear()
