@@ -612,8 +612,8 @@ class StateModel(Protocol):
     `successors(state, action)` gives one state per nondeterministic
     branch, in branch order, duplicates merged. `applicable` and
     `successors` serve the verifier and the walks over a policy; the
-    solver reads a grounding through `GroundedFond.transitions` and a
-    goal product through its base's `TransitionTable` (see `planner`).
+    solver reads a grounding through its `TransitionTable` and a goal
+    product through its base's (see `planner`).
     """
 
     s0: int
