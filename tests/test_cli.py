@@ -262,6 +262,24 @@ def test_recognize_worked_example(capsys):
     assert "hit" in captured.err
 
 
+# sha256 of `tgr recognize`'s JSON on example1 with propositional goals,
+# `elapsed_s` zeroed and the keys sorted.
+PROPOSITIONAL_EXAMPLE1_SHA256 = (
+    "217ba53cc193edc12bd65ca08f7d199feb8489fd3580ca647ff17377f924b6e1")
+
+
+def test_recognize_propositional_goals_is_pinned(tmp_path, capsys):
+    goals = ["vAt_51", "vAt_33", "vAt_15", "vAt_51 | vAt_15"]
+    rc = cli.main(["recognize", "--bundle",
+                   example1_with(tmp_path, goals=goals)])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    payload["elapsed_s"] = 0.0
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PROPOSITIONAL_EXAMPLE1_SHA256
+
+
 def test_recognize_writes_output_file(tmp_path, capsys):
     out = tmp_path / "result.json"
     rc = cli.main(["recognize", "--bundle", EXAMPLE1, "--out", str(out)])
