@@ -3,8 +3,8 @@
 `GoalProduct` is the product of the grounded domain and the goal
 automaton (De Giacomo & Rubin, IJCAI 2018), expanded on the fly as the
 planner searches it: one grounding serves every goal, and the automaton
-steps through its transition table. The builtin planner searches every
-temporal goal this way.
+steps on the letter of each base state. The builtin planner searches
+every temporal goal this way.
 
 `compile_goal` encodes the same product as a PDDL task, which is what
 `tgr compile`, `tgr plan` and external planners get. The grounding it
@@ -107,58 +107,57 @@ class GoalProduct:
     A state is `base_state | q << n`, with n the number of base fluents
     and q the DFA state after reading the trace up to and including
     base_state; goal states are those whose q accepts. Actions, their
-    applicability, branch order and duplicate merging are the base's.
-    `atoms_of` returns the base atoms only. `dfa` is the goal's
-    automaton when it is already built, as by `compile_goal`.
+    applicability, branch order and duplicate merging are the base's:
+    `successors` steps the base and the DFA reads each outcome's letter
+    (`letter`). `atoms_of` returns the base atoms only. `dfa` is the
+    goal's automaton, from `goal_dfa`, which `automata` memoizes.
 
-    Transitions are read from the base's `fond.TransitionTable`, which
-    every product over the same base shares, so a base state is
-    expanded once however many automaton states and goals pair with it.
-    So are the DFA letters of the base states, by table id, which the
-    table keeps per tuple of DFA atoms (`TransitionTable.letters`).
-    The planner searches it a set of table ids per DFA state at a time
-    (see `planner`), so a product holds no per-goal graph, and builds a
-    node's state only when the policy maps it. A node whose q is a dead
-    DFA state (`Dfa.dead`) is numbered but not expanded: no goal lies
-    beyond it, so the solver would prune all it leads to.
+    The planner searches it a set of base states per DFA state at a
+    time, through the transitions and letters that the base keeps for
+    every product over it (see `planner`): a base state is expanded once
+    however many automaton states and goals pair with it, and a product
+    holds no per-goal graph and builds a node's state only when the
+    policy maps it. A node whose q is a dead DFA state (`Dfa.dead`) is
+    numbered but not expanded: no goal lies beyond it, so the solver
+    would prune all it leads to.
     """
 
-    def __init__(self, base: fond.GroundedFond, goal: Formula,
-                 dfa: Dfa | None = None) -> None:
+    def __init__(self, base: fond.GroundedFond, goal: Formula) -> None:
         self.base = base
         self.goal = goal
-        self.dfa = dfa or goal_dfa(base.domain, base.problem, goal)
+        self.dfa = goal_dfa(base.domain, base.problem, goal)
         self.actions = base.actions
         self.action_index = base.action_index
-        self._table = base.transition_table
-        self._letter_of = self._table.letters(self.dfa.atoms)  # by table id
+        index = base.fluent_index
+        self._masks = tuple((1 << index[a], 1 << i)
+                            for i, a in enumerate(self.dfa.atoms))
         self._shift = len(base.fluents)
         self._low = (1 << self._shift) - 1
-        # The table numbers the base's initial state 0.
-        self.s0 = base.s0 | self.dfa.table[0][self._letter_of[0]] \
+        self.s0 = base.s0 | self.dfa.table[0][self.letter(base.s0)] \
             << self._shift
 
-    def _letters(self) -> list[int]:
-        """The DFA letter of each base state, by table id."""
-        if len(self._letter_of) < len(self._table.states):
-            self._letter_of = self._table.letters(self.dfa.atoms)
-        return self._letter_of
+    def letter(self, state: int) -> int:
+        """The DFA letter of the base state `state`: bit i is set iff
+        `dfa.atoms[i]` holds."""
+        m = 0
+        for bit, atom_bit in self._masks:
+            if state & bit:
+                m |= atom_bit
+        return m
 
     def applicable(self, state: int, action: int) -> bool:
         return self.base.applicable(state & self._low, action)
 
     def successors(self, state: int, action: int) -> tuple[int, ...]:
-        table = self._table
-        for p in table.pairs(state & self._low):
-            if table.action[p] == action:
-                row, shift = self.dfa.table[state >> self._shift], self._shift
-                states, letters = table.states, self._letters()
-                targets = table.target[table.out[p]:table.out[p + 1]]
-                return tuple(states[t] | row[letters[t]] << shift
-                             for t in targets)
-        raise InapplicableActionError(
-            f"{self.actions[action].name} is not applicable in "
-            f"{self.state_str(state)}")
+        low, a = state & self._low, self.actions[action]
+        # `base.applicable` inlined: the verifier steps every policy state.
+        if low & a.pre_pos != a.pre_pos or low & a.pre_neg:
+            raise InapplicableActionError(
+                f"{a.name} is not applicable in {self.state_str(state)}")
+        row, shift, letter = (self.dfa.table[state >> self._shift],
+                              self._shift, self.letter)
+        return tuple([t | row[letter(t)] << shift
+                      for t in self.base._outcomes(low, a)])
 
     def is_goal(self, state: int) -> bool:
         return state >> self._shift in self.dfa.accepting
@@ -175,7 +174,7 @@ class GoalProduct:
 @dataclass(frozen=True, eq=False)
 class CompiledGoal:
     """What `compile_goal` records on the grounding it returns, as
-    `GroundedFond.compiled_goal`: the base task and automaton of the goal
+    `GroundedFond.compiled_goal`: the base task and goal of the goal
     product that the compiled task encodes, and the translation between
     the two models' states. The builtin planner solves the product and
     lifts its policy onto the compiled task (see `planner`), and
@@ -192,7 +191,6 @@ class CompiledGoal:
     domain: Domain
     problem: ProblemInstance
     formula: Formula
-    dfa: Dfa
     n: int
     q_of: dict[int, int]
     sync: int
@@ -201,7 +199,7 @@ class CompiledGoal:
         """The goal product over the goal-free grounding the process
         shares for the base task."""
         return GoalProduct(fond.goal_free_grounding(self.domain, self.problem),
-                           self.formula, self.dfa)
+                           self.formula)
 
     def product_state(self, state: int) -> int | None:
         """The product state of a compiled state where the turn fluent
@@ -273,7 +271,7 @@ class AugmentedProblem:
         to_product = compiled.product_state
         pairs = ((to_product(state), ai)
                  for state, ai in policy.mapping.items())
-        return planner.Policy(GoalProduct(base, self.formula, self.dfa), {
+        return planner.Policy(GoalProduct(base, self.formula), {
             state: ai for state, ai in pairs if state is not None})
 
     @cached_property
@@ -301,7 +299,7 @@ def compile_goal(domain: Domain, problem: ProblemInstance, formula: Formula,
     n = index[q_atoms[0]]  # the base fluents come first
     turn = 1 << index[turn_atom] >> n
     grounded.compiled_goal = CompiledGoal(
-        domain=domain, problem=problem, formula=formula, dfa=dfa, n=n,
+        domain=domain, problem=problem, formula=formula, n=n,
         q_of={1 << index[a] >> n | turn: q for q, a in enumerate(q_atoms)},
         sync=grounded.action_index[fond.ground_action_name(sync_name, ())])
     return AugmentedProblem(

@@ -28,18 +28,20 @@ and deletes, and groups its conditional literals by condition, so a
 condition is evaluated once per `successors` call however many literals
 it guards.
 
-The planner reads a grounding through its `TransitionTable`, made on
-first use, which derives each state's transitions once (`transitions`)
-and keeps them, by state id, for every later reader: flat integer arrays
-of state-action pairs, and the links (successors, incoming pairs,
-predecessors, pair sources) over which the planner searches a set of
-states at a time. A `with_goal` copy shares its source's table, and so
-does every goal product over a goal-free grounding; a compiled temporal
-goal is solved as its goal product (`compiled_goal`), so its own
-grounding keeps no table. `goal_free_grounding` keeps the last few
-goal-free groundings of the process, so every recognition of the same
-problem, classical goals included, shares one grounding and its table;
-`ground` itself always builds a fresh model.
+The solver reads a grounding through its `TransitionTable`, made on
+first use, a cache that derives each state's transitions once
+(`transitions`) and keeps them by state id: flat integer arrays of
+state-action pairs, the links (successors, incoming pairs, predecessors,
+pair sources) over which the planner searches a set of states at a time,
+and each goal's letters. Only `planner` reads it: the verifier and the
+execution walks step a model through `successors`, so a policy is
+checked against the model itself. A `with_goal` copy shares its source's
+table, and so does every goal product over a goal-free grounding; a
+compiled temporal goal is solved as its goal product (`compiled_goal`),
+so its own grounding keeps no table. `goal_free_grounding` keeps the
+last few goal-free groundings of the process, so every recognition of
+the same problem, classical goals included, shares one grounding and its
+table; `ground` itself always builds a fresh model.
 `Domain` and `ProblemInstance` compute their hash once, so a memo hit
 costs a lookup, not a walk over the parsed model.
 """
@@ -52,7 +54,7 @@ from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, wraps
-from typing import Protocol
+from typing import Callable, Hashable, Protocol
 
 from . import logic
 from .errors import (GroundingCapError, InapplicableActionError,
@@ -611,9 +613,10 @@ class StateModel(Protocol):
     the ground action name. `goal` is None for a task without a goal.
     `successors(state, action)` gives one state per nondeterministic
     branch, in branch order, duplicates merged. `applicable` and
-    `successors` serve the verifier and the walks over a policy; the
-    solver reads a grounding through its `TransitionTable` and a goal
-    product through its base's (see `planner`).
+    `successors` serve the verifier and the walks over a policy, which
+    read every model kind through them alone; only the solver reads a
+    grounding through its `TransitionTable`, and a goal product through
+    its base's (see `planner`).
     """
 
     s0: int
@@ -776,25 +779,26 @@ class GroundedFond:
                                for i in _bits(state)))
 
 
-# Atom tuples whose letters a transition table keeps: as many as the
-# goal automata `automata` keeps, since each of those has one tuple.
+# Keys whose letters a transition table keeps: as many as the goal
+# automata `automata` keeps, each keyed by its atom tuple; a classical
+# goal is keyed by its formula.
 _LETTER_MEMO_SIZE = 512
 
 
 class TransitionTable:
     """The transitions of a model's states, each derived at most once.
 
-    A state gets a dense id when it is first met, as a looked-up state
-    or as an outcome: `states[i]` is the state with id i, and the model's
-    initial state has id 0. The first `pairs(state)` or `pairs_at(i)`
-    expands a state through `model.transitions` and appends its
-    state-action pairs to flat arrays: pair p applies `action[p]` and
-    leads to the states whose ids are `target[out[p]:out[p + 1]]`. A
-    state's pairs are stored only after all of them are derived, so a
-    search that stops partway (at its state cap or deadline) leaves no
-    partial entry for the next reader. An exception raised inside an
-    expansion, such as a KeyboardInterrupt, undoes that expansion, since
-    the table outlives the search (see `goal_free_grounding`).
+    A state gets a dense id when it is first met, as the model's initial
+    state, which has id 0, or as an outcome: `states[i]` is the state
+    with id i. The first `pairs_at(i)` expands the state with id i
+    through `model.transitions` and appends its state-action pairs to
+    flat arrays: pair p applies `action[p]` and leads to the states
+    whose ids are `target[out[p]:out[p + 1]]`. A state's pairs are
+    stored only after all of them are derived, so a search that stops
+    partway (at its state cap or deadline) leaves no partial entry for
+    the next reader. An exception raised inside an expansion, such as a
+    KeyboardInterrupt, undoes that expansion, since the table outlives
+    the search (see `goal_free_grounding`).
 
     An expansion also fills four links that the planner's set-at-a-time
     search reads: `_succ[i]`, the distinct successor
@@ -806,9 +810,14 @@ class TransitionTable:
     too: it drops the pairs and the predecessor id that the interrupted
     expansion appended to a known state's `_into` and `_pred`.
 
-    `letters(atoms)` gives each state's letter over a tuple of fluents,
-    kept for the last `_LETTER_MEMO_SIZE` tuples and extended as the
-    table grows, so that goal automata over the same atoms share it.
+    `letters(key, letter)` gives each state's letter by the caller's
+    function, kept under `key` for the last `_LETTER_MEMO_SIZE` keys and
+    extended as the table grows: a goal product's, keyed by its
+    automaton's atoms, so that goal automata over the same atoms share
+    it, or a classical goal's goal test, keyed by the goal.
+
+    Only `planner` reads the table, so that the verifier checks a policy
+    against the model, not against what the solver searched.
     """
 
     def __init__(self, model: GroundedFond) -> None:
@@ -826,7 +835,7 @@ class TransitionTable:
         self._into: list[list[int]] = []
         self._pred: list[list[int]] = []
         self._source: list[int] = []
-        self._letters: dict[tuple[Atom, ...], list[int]] = {}
+        self._letters: dict[Hashable, list[int]] = {}
         self._id(model.s0)
 
     def _id(self, state: int) -> int:
@@ -843,53 +852,37 @@ class TransitionTable:
             self._ids[state] = i
         return i
 
-    def letters(self, atoms: tuple[Atom, ...]) -> list[int]:
-        """Per state id, the letter of `atoms` in that state: bit i is set
-        iff `atoms[i]` holds. Each atom must be a fluent of the model."""
-        letters = self._letters.pop(atoms, None)
+    def letters(self, key: Hashable, letter: Callable[[int], int]
+                ) -> list[int]:
+        """Per state id, `letter` of that state: kept under `key` for the
+        last `_LETTER_MEMO_SIZE` keys and extended as the table grows, so
+        callers that agree on a key share one list."""
+        letters = self._letters.pop(key, None)
         if letters is None:
             if len(self._letters) >= _LETTER_MEMO_SIZE:
                 del self._letters[next(iter(self._letters))]
             letters = []
-        self._letters[atoms] = letters  # now the most recent
+        self._letters[key] = letters  # now the most recent
         states = self.states
         if len(letters) < len(states):
-            index = self._model.fluent_index
-            masks = [(1 << index[a], 1 << i) for i, a in enumerate(atoms)]
-
-            def letter(state: int) -> int:
-                m = 0
-                for bit, atom_bit in masks:
-                    if state & bit:
-                        m |= atom_bit
-                return m
             letters.extend(map(letter, states[len(letters):]))
         return letters
-
-    def pairs(self, state: int) -> range:
-        """The pair indices of `state`, expanding it on first use."""
-        i = self._ids.get(state)
-        if i is None:
-            return self._expand(state, None)
-        return self.pairs_at(i)
 
     def pairs_at(self, i: int) -> range:
         """The pair indices of the state with id i, expanding it on first
         use."""
         first = self._first[i]
         if first < 0:
-            return self._expand(self.states[i], i)
+            return self._expand(i)
         return range(first, self._stop[i])
 
-    def _expand(self, state: int, i: int | None) -> range:
-        found = self._model.transitions(state)
+    def _expand(self, i: int) -> range:
+        found = self._model.transitions(self.states[i])
         states, action, out, target, into, pred, source = (
             self.states, self.action, self.out, self.target, self._into,
             self._pred, self._source)
         n_states, first, n_targets = len(states), len(action), len(target)
         try:
-            if i is None:
-                i = self._id(state)
             succ = set()
             for ai, succs in found:
                 p = len(action)
@@ -907,9 +900,8 @@ class TransitionTable:
             self._stop[i] = len(action)
             self._succ[i] = tuple(succ)
         except BaseException:
-            if i is not None and i < n_states:
-                self._first[i] = -1
-                self._succ[i] = None
+            self._first[i] = -1
+            self._succ[i] = None
             # A pair of this expansion is numbered `first` or above, and i
             # is the last predecessor it gave a known id; the ids met
             # first here are dropped whole below.

@@ -33,21 +33,26 @@ that finds its states expanded pays only for set operations, which run
 in C. A node whose q accepts is a goal and one whose q can no longer
 accept is dead: both are numbered but not expanded. The budget's
 deadline is checked once per level, once per round and every 512 states
-the search expands.
+the search expands. This module alone reads the table; the table keeps
+each goal's letters by id under a key (`fond.TransitionTable.letters`),
+so a goal solved again on a warm table, or one over the same atoms,
+reads them off the table.
 
 The body reads two kinds of model:
 
 - A goal product brings its goal's automaton (`Dfa.table`, with the
-  dead states of `Dfa.dead`), its letters, and the table its goal-free
-  grounding shares with every goal and recognition of the same problem.
+  dead states of `Dfa.dead`), its letter function over the automaton's
+  atoms, which key its letters, and the table its goal-free grounding
+  shares with every goal and recognition of the same problem.
 - A grounding with a classical goal brings a fixed two-state automaton
-  over a one-bit letter, the goal test of the id's state: q moves from 0
-  to 1, which accepts, at the first goal state. So a non-goal node has
-  q = 0, and its policy state is the plain base state. No goal formula
-  becomes an automaton, so the automaton's atom cap does not apply. Its
-  table is the grounding's own, which a `GroundedFond.with_goal` copy
-  shares with the grounding it was made from: a classical goal of a
-  recognition expands only the states no earlier goal did.
+  over a one-bit letter, the goal test of the id's state, keyed by the
+  goal: q moves from 0 to 1, which accepts, at the first goal state. So
+  a non-goal node has q = 0, and its policy state is the plain base
+  state. No goal formula becomes an automaton, so the automaton's atom
+  cap does not apply. Its table is the grounding's own, which a
+  `GroundedFond.with_goal` copy shares with the grounding it was made
+  from: a classical goal of a recognition expands only the states no
+  earlier goal did.
 
 A task that `compilation.compile_goal` built for a temporal goal is
 solved by the same body on its goal product, over the goal-free
@@ -62,16 +67,17 @@ checked.
 
 Every route extracts the policy by one rule. From the initial state, the
 policy maps each reachable non-goal state to its first live pair, in
-action order, that has an outcome one step nearer the goals, and
-follows that action's outcomes in branch order. A live state's distance
-is one more than its nearest live outcome's, so this is the action
-whose best outcome is closest to the goal, ties to the lowest
-ground-action index. The result is deterministic and is checked by
-`verify_policy`, which reads only the policy's own actions, through
-`applicable` and `successors`, before being returned. The check numbers
-the policy's states depth first, and the policy keeps that graph, from
-which `executions` counts its executions without reading the model
-again.
+action order, that has an outcome one step nearer the goals, and follows
+that action's outcomes in branch order. A live state's distance is one
+more than its nearest live outcome's, so this is the action whose best
+outcome is closest to the goal, ties to the lowest ground-action index.
+The result is deterministic and is checked by `verify_policy`, which
+reads only the policy's own actions, through `applicable` and
+`successors`, never the table, so it checks the policy against the model
+rather than against what the search read, before the policy is returned.
+The check numbers the policy's states depth first, and the policy keeps
+that graph, from which `executions` counts its executions without
+reading the model again.
 
 The search and the check test the deadline only through the budget
 (`budget.Budget.check`), which raises "planner deadline exceeded" once
@@ -88,6 +94,7 @@ import tempfile
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, compress, filterfalse
 from typing import AbstractSet, Callable, Hashable, Iterator, Sequence
 
@@ -179,21 +186,17 @@ _GOAL_ACCEPTING = frozenset({1})
 def _automaton(model: StateModel) -> tuple:
     """What `_product_rounds` searches for `model`, a goal product or a
     grounding with a classical goal: the table, the automaton's rows,
-    accepting and dead states, the letters of the table's ids, and the
-    shift of q in a node's state."""
+    accepting and dead states, a function that gives the letters of the
+    table's ids, kept on the table under the goal's key, and the shift
+    of q in a node's state."""
     if isinstance(model, GroundedFond):
         table = model.transition_table
-        goal_letters: list[int] = []
-
-        def letters() -> list[int]:
-            goal_letters.extend(map(model.is_goal,
-                                    table.states[len(goal_letters):]))
-            return goal_letters
-        return (table, _GOAL_ROWS, _GOAL_ACCEPTING, frozenset(), letters,
+        return (table, _GOAL_ROWS, _GOAL_ACCEPTING, frozenset(),
+                partial(table.letters, model.goal, model.is_goal),
                 len(model.fluents))
-    dfa = model.dfa
-    return (model.base.transition_table, dfa.table, dfa.accepting, dfa.dead,
-            model._letters, model._shift)
+    dfa, table = model.dfa, model.base.transition_table
+    return (table, dfa.table, dfa.accepting, dfa.dead,
+            partial(table.letters, dfa.atoms, model.letter), model._shift)
 
 
 def _product_rounds(table: TransitionTable, rows: Sequence[Sequence[int]],

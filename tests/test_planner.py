@@ -6,11 +6,13 @@ import subprocess
 import sys
 import textwrap
 import time
+from array import array
 from types import SimpleNamespace
 
 import pytest
 
-from tgr import bench, budget, compilation, fond, logic, planner
+from tgr import (bench, budget, compilation, executions, fond, logic,
+                 planner)
 from tgr.budget import Budget
 from tgr.errors import (DeadlineExceeded, ExternalPlannerError,
                         InapplicableActionError, PlannerCapError,
@@ -253,6 +255,39 @@ def test_goal_products_fill_only_their_base_table():
     assert base.with_goal(
         logic.parse_formula("(vAt 22)")).transition_table is table
 
+
+
+def test_goal_products_are_verified_without_the_transition_table():
+    # The verifier and the executions step the product's own grounding,
+    # so a policy is checked independently of the table the solver read.
+    base = goal_free_tireworld()
+    product = compilation.GoalProduct(base, logic.parse_formula("F(vAt_33)"))
+    policy = planner.solve_strong_cyclic(product)
+    want = executions.goal_model(policy)
+    target = base.transition_table.target
+    target[:] = array("i", bytes(target.itemsize * len(target)))
+    fresh = planner.Policy(product, dict(policy.mapping))
+    assert planner.verify_policy(fresh).ok
+    assert executions.goal_model(fresh) == want
+
+
+def test_a_classical_goal_keeps_its_letters_on_the_table(monkeypatch):
+    # A second solve of the same classical goal on the warm table reads
+    # the goal's letters off the table: its goal tests are the solver's
+    # test of s0 and the verifier's own.
+    base = goal_free_tireworld()
+    goal = logic.parse_formula("(vAt 33)")
+    planner.solve_strong_cyclic(base.with_goal(goal))
+    tested = []
+
+    def counting(self, state, is_goal=fond.GroundedFond.is_goal):
+        tested.append(state)
+        return is_goal(self, state)
+
+    monkeypatch.setattr(fond.GroundedFond, "is_goal", counting)
+    policy = planner.solve_strong_cyclic(base.with_goal(goal))
+    graph = policy._verified[1]
+    assert len(tested) == 1 + len(graph[4]) + len(graph[5]) == 39
 
 SINK_DOMAIN = """(define (domain sink) (:requirements :negative-preconditions)
   (:predicates (a) (b) (c))

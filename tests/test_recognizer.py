@@ -575,6 +575,18 @@ def test_compiled_route_gives_the_builtin_goal_models(case, tmp_path):
             for m, w in zip(external.models, want)] == list(want)
 
 
+
+def test_an_external_planner_builds_no_transition_table(tmp_path):
+    # Only the builtin solver reads a transition table: an external
+    # policy is verified and walked on its goal product's own grounding.
+    rp = analysis_case("example1")
+    want = recognizer.analyze(rp).models
+    fond._memo_ground.cache_clear()
+    got = recognizer.analyze(rp, planner_spec=exec_planner(tmp_path)).models
+    base = fond.goal_free_grounding(rp.domain, rp.problem)
+    assert "transition_table" not in vars(base)
+    assert got == want
+
 def built(*args, **kwargs):
     raise AssertionError("executions were built")
 
