@@ -39,8 +39,14 @@ def _lit(lit):
 
 
 @st.composite
-def fond_tasks(draw):
-    """PDDL text of a random task: (domain, problem)."""
+def fond_tasks(draw, nested=False):
+    """PDDL text of a random task: (domain, problem).
+
+    With `nested`, every `when` condition is one that does not flatten
+    into a disjunction of literal conjunctions, `(not (and l l))` or
+    `(and (or l l) (or l l))`, and every action has two or three `oneof`
+    branches that each also guard a literal by one shared condition.
+    """
     n = draw(st.integers(2, 8))
     literal = st.tuples(st.integers(0, n - 1), st.booleans())
 
@@ -48,10 +54,18 @@ def fond_tasks(draw):
         return st.lists(literal, min_size=lo, max_size=hi,
                         unique_by=lambda lit: lit[0])
 
-    condition = st.one_of(
-        literal.map(_lit),
-        st.tuples(st.sampled_from(("and", "or")), literal, literal).map(
-            lambda c: f"({c[0]} {_lit(c[1])} {_lit(c[2])})"))
+    if nested:
+        condition = st.one_of(
+            st.tuples(literal, literal).map(
+                lambda c: f"(not (and {_lit(c[0])} {_lit(c[1])}))"),
+            st.lists(literal, min_size=4, max_size=4).map(
+                lambda c: f"(and (or {_lit(c[0])} {_lit(c[1])}) "
+                          f"(or {_lit(c[2])} {_lit(c[3])}))"))
+    else:
+        condition = st.one_of(
+            literal.map(_lit),
+            st.tuples(st.sampled_from(("and", "or")), literal, literal).map(
+                lambda c: f"({c[0]} {_lit(c[1])} {_lit(c[2])})"))
     item = st.one_of(
         literal.map(_lit),
         st.tuples(condition, literal).map(
@@ -62,7 +76,12 @@ def fond_tasks(draw):
     actions = []
     for k in range(draw(st.integers(1, 6))):
         pre = " ".join(_lit(lit) for lit in draw(literals(0, 2)))
-        branches = draw(st.lists(branch, min_size=1, max_size=3))
+        if nested:
+            shared = f"(when {draw(condition)} {_lit(draw(literal))})"
+            branches = [f"(and {shared} {b})" for b in draw(
+                st.lists(branch, min_size=2, max_size=3))]
+        else:
+            branches = draw(st.lists(branch, min_size=1, max_size=3))
         effect = (branches[0] if len(branches) == 1
                   else f"(oneof {' '.join(branches)})")
         actions.append(f"(:action a{k} :parameters () "
@@ -148,10 +167,7 @@ def reference_successors(g, state, ai):
     return tuple(out)
 
 
-@settings(max_examples=200, deadline=None)
-@given(fond_tasks(), st.data())
-def test_model_matches_the_effects(task, data):
-    g = ground(task)
+def assert_model_matches_the_effects(g, data):
     drawn = data.draw(st.sets(st.integers(0, len(g.fluents) - 1)))
     state = g.state_of({g.fluents[i] for i in drawn})
     applicable = [i for i in range(len(g.actions)) if g.applicable(state, i)]
@@ -160,6 +176,23 @@ def test_model_matches_the_effects(task, data):
         assert g.successors(state, ai) == reference_successors(g, state, ai)
     assert g.transitions(state) == [(ai, g.successors(state, ai))
                                     for ai in applicable]
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(), st.data())
+def test_model_matches_the_effects(task, data):
+    assert_model_matches_the_effects(ground(task), data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fond_tasks(nested=True), st.data())
+def test_model_matches_the_effects_under_nested_conditions(task, data):
+    g = ground(task)
+    for schema in g.domain.actions:
+        for branch in fond.effect_branches(schema.effect):
+            assert any(fond._compile_condition(cond, g.fluent_index, "test")[0]
+                       != "any" for cond, _ in branch)
+    assert_model_matches_the_effects(g, data)
 
 
 @settings(max_examples=200, deadline=None)
