@@ -22,11 +22,13 @@ are masks, so testing a conjunction of literals is two `&`s and applying
 an effect is `(state & ~deletes) | adds`. A condition that is a
 disjunction of literal conjunctions, or one conjunction and-ed with
 such a disjunction (a sync guard `q & guard`), compiles to a flat tuple
-of (positive, negative) mask pairs, and an action's flat conditions are
-tested together in one loop. Each branch keeps its unconditional adds
-and deletes, and groups its conditional literals by condition, so a
-condition is evaluated once per `successors` call however many literals
-it guards.
+of (positive, negative) mask pairs; only what does not flatten keeps a
+tree of and/or/not above such tuples. Each branch keeps its
+unconditional adds and deletes, and groups its conditional literals by
+compiled condition, so a condition is evaluated once per branch however
+many literals it guards. `ground` builds the goal-free model and
+attaches the problem's goal, if any, through `with_goal`, so a goal is
+compiled in one place.
 
 The solver reads a grounding through its `TransitionTable`, made on
 first use, a cache that derives each state's transitions once
@@ -35,8 +37,9 @@ state-action pairs, the links (successors, incoming pairs, predecessors,
 pair sources) over which the planner searches a set of states at a time,
 and each goal's letters. Only `planner` reads it: the verifier and the
 execution walks step a model through `successors`, so a policy is
-checked against the model itself. A `with_goal` copy shares its source's
-table, and so does every goal product over a goal-free grounding; a
+checked against the model itself. A `with_goal` copy reads the table
+of the goal-free grounding it was made from, made on the first read of
+either, and so does every goal product over a goal-free grounding; a
 compiled temporal goal is solved as its goal product (`compiled_goal`),
 so its own grounding keeps no table. `goal_free_grounding` keeps the
 last few goal-free groundings of the process, so every recognition of
@@ -593,15 +596,10 @@ class GroundAction:
     # Fluent masks that must hold and must not hold.
     pre_pos: int
     pre_neg: int
-    # Distinct effect condition i of the action is named by the bit 1 << i:
-    # cubes holds (bit, positive mask, negative mask) for every cube of the
-    # flat conditions, and trees holds (bit, compiled condition) for the
-    # others.
-    cubes: tuple[tuple[int, int, int], ...] = field(repr=False)
-    trees: tuple[tuple[int, object], ...] = field(repr=False)
     # branches[b] = (adds, deletes, guarded): the unconditional fluent
-    # masks, and (condition bit, adds, deletes) per distinct condition.
-    branches: tuple[tuple[int, int, tuple[tuple[int, int, int], ...]],
+    # masks, and (compiled condition, adds, deletes) per distinct
+    # condition of the branch.
+    branches: tuple[tuple[int, int, tuple[tuple[object, int, int], ...]],
                     ...] = field(repr=False)
 
 
@@ -652,6 +650,9 @@ class GroundedFond:
     s0: int = 0
     goal: Formula | None = None
     _goal_compiled: object | None = field(default=None, repr=False)
+    # The goal-free grounding a `with_goal` copy was made from, whose
+    # `transition_table` the copy reads; None for that grounding itself.
+    _source: GroundedFond | None = field(default=None, repr=False)
     # The goal product whose policy the builtin planner lifts onto this
     # model, when `compilation.compile_goal` built it for a temporal goal
     # (a `compilation.CompiledGoal`); None for every other grounding.
@@ -683,10 +684,11 @@ class GroundedFond:
 
     def with_goal(self, goal: Formula) -> GroundedFond:
         """This model with the classical goal `goal`, whose atoms must be
-        fluents; the grounding, its precondition index and its
-        `transition_table` are shared, not redone."""
+        fluents; the grounding and its precondition index are shared,
+        not redone, and the copy's `transition_table` is that of the
+        goal-free grounding it comes from, which neither makes here."""
         model = copy(self)
-        model.transition_table = self.transition_table
+        model._source = self._source or self
         model.compiled_goal = None
         model.problem = replace(self.problem, goal=goal)
         model.goal = goal
@@ -724,9 +726,12 @@ class GroundedFond:
 
     @cached_property
     def transition_table(self) -> TransitionTable:
-        """This model's `TransitionTable`, made on first use, over which
-        the planner searches this model's goal. A `with_goal` copy shares
-        its source's, so the goals of one grounding share one table."""
+        """The `TransitionTable` over which the planner searches this
+        model's goal, made on the first read. A `with_goal` copy reads
+        its goal-free source's, so the goals of one grounding share one
+        table."""
+        if self._source is not None:
+            return self._source.transition_table
         return TransitionTable(self)
 
     def successors(self, state: int, action: int) -> tuple[int, ...]:
@@ -739,17 +744,10 @@ class GroundedFond:
     @staticmethod
     def _outcomes(state: int, a: GroundAction) -> tuple[int, ...]:
         """The successors of applying `a`, known applicable, in `state`."""
-        holds = 0  # the bits of the conditions that hold
-        for bit, pos, neg in a.cubes:
-            if state & pos == pos and not state & neg:
-                holds |= bit
-        for bit, cond in a.trees:
-            if _eval_compiled(cond, state):
-                holds |= bit
         out: list[int] = []
         for adds, dels, guarded in a.branches:
-            for bit, cond_adds, cond_dels in guarded:
-                if holds & bit:
+            for cond, cond_adds, cond_dels in guarded:
+                if _eval_compiled(cond, state):
                     adds |= cond_adds
                     dels |= cond_dels
             succ = (state & ~dels) | adds
@@ -1017,12 +1015,11 @@ def ground(domain: Domain, problem: ProblemInstance, *,
             if not ok:
                 continue
 
-            conditions: dict[object, int] = {}
             ground_branches = []
             for branch in schema_branches:
                 # [adds, deletes] masks: unconditional, and per condition.
                 unconditional = [0, 0]
-                guarded: dict[int, list[int]] = {}
+                guarded: dict[object, list[int]] = {}
                 for cond, lit in branch:
                     ga = subst(lit.atom)
                     if ga not in fluent_index:
@@ -1034,42 +1031,29 @@ def ground(domain: Domain, problem: ProblemInstance, *,
                     else:
                         ground_cond = logic.map_atoms(
                             cond, lambda a: logic.from_atom(subst(a)))
-                        compiled = _compile_condition(
+                        masks = guarded.setdefault(_compile_condition(
                             ground_cond, fluent_index,
-                            f"effect condition of {schema.name}")
-                        bit = conditions.setdefault(
-                            compiled, 1 << len(conditions))
-                        masks = guarded.setdefault(bit, [0, 0])
+                            f"effect condition of {schema.name}"), [0, 0])
                     masks[0 if lit.positive else 1] |= 1 << fluent_index[ga]
                 ground_branches.append((*unconditional, tuple(
-                    (bit, a, d) for bit, (a, d) in guarded.items())))
+                    (cond, a, d) for cond, (a, d) in guarded.items())))
 
             name = ground_action_name(schema.name, tuple(combo))
             action_index[name] = len(actions)
             actions.append(GroundAction(
                 name=name, index=len(actions),
                 pre_pos=pre[0], pre_neg=pre[1],
-                cubes=tuple((bit, pos, neg)
-                            for cond, bit in conditions.items()
-                            if cond[0] == "any" for pos, neg in cond[1]),
-                trees=tuple((bit, cond) for cond, bit in conditions.items()
-                            if cond[0] != "any"),
                 branches=tuple(ground_branches)))
             if len(actions) > action_cap:
                 raise GroundingCapError(
                     f"grounding exceeded {action_cap} actions")
 
-    goal_compiled = None
-    goal = problem.goal
-    if goal is not None:
-        goal_compiled = _compile_condition(goal, fluent_index, "goal")
-
-    return GroundedFond(
+    model = GroundedFond(
         domain=domain, problem=problem,
         fluents=tuple(fluents), fluent_index=fluent_index,
         actions=tuple(actions), action_index=action_index,
-        s0=sum(1 << fluent_index[a] for a in problem.init),
-        goal=goal, _goal_compiled=goal_compiled)
+        s0=sum(1 << fluent_index[a] for a in problem.init))
+    return model if problem.goal is None else model.with_goal(problem.goal)
 
 
 # Distinct problems a process keeps grounded: a few datasets or bundles.

@@ -12,6 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_planner
 import tgr
 from tgr import (automata, bench, compilation, executions, fond, logic,
                  planner, recognizer)
@@ -586,6 +587,39 @@ def test_an_external_planner_builds_no_transition_table(tmp_path):
     base = fond.goal_free_grounding(rp.domain, rp.problem)
     assert "transition_table" not in vars(base)
     assert got == want
+
+
+def test_a_problem_without_goals_is_not_analysed():
+    with pytest.raises(BundleError) as err:
+        recognizer.analyze(tireworld_problem([], []))
+    assert str(err.value) == "recognition needs at least one candidate goal"
+
+
+def test_a_classical_goal_makes_no_table_until_the_solver_reads_one(
+        monkeypatch):
+    made = []
+    make = fond.TransitionTable.__init__
+
+    def counting(self, model):
+        made.append(model)
+        make(self, model)
+
+    monkeypatch.setattr(fond.TransitionTable, "__init__", counting)
+    rp = tireworld_problem(["(vAt 22)"], ["(move 11 21)"])
+    fond._memo_ground.cache_clear()
+    base = fond.goal_free_grounding(rp.domain, rp.problem)
+    copy = base.with_goal(rp.goals[0])
+    assert "transition_table" not in vars(base) and not made
+    # the builtin solver makes one table, the goal-free grounding's
+    planner.solve_strong_cyclic(copy)
+    assert len(made) == 1 and made[0] is base
+    assert copy.transition_table is base.transition_table
+    # a planner callable steps the model itself, so no table is made
+    fond._memo_ground.cache_clear()
+    made.clear()
+    result = recognizer.recognize(
+        rp, planner_spec=reference_planner.solve_strong_cyclic)
+    assert result.analyses[0].n_executions > 0 and not made
 
 def built(*args, **kwargs):
     raise AssertionError("executions were built")
