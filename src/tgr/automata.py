@@ -464,8 +464,6 @@ def _minterms_to_formula(masks: list[int], atoms: tuple[Atom, ...]) -> Formula:
     nbits = len(atoms)
     if len(masks) == 1 << nbits:
         return logic.TRUE
-    if not masks:
-        return logic.FALSE
     primes = _prime_implicants(masks, nbits)
     uncovered = set(masks)
     chosen: list[tuple[int, int]] = []
