@@ -369,3 +369,56 @@ def test_write_outputs_and_records_json(tmp_path):
     assert all(r["time_s"] == 0.0 for r in payload["records"])
     with open(sum_path, encoding="utf-8") as fh:
         assert fh.readline().rstrip("\n") == bench.SUMMARY_HEADER
+
+
+def one_shot_task(precondition):
+    """A domain whose actions each add one of (p1) (p2) (p3) under
+    `precondition` and delete (ready), and its problem, where only
+    (ready) holds initially."""
+    actions = " ".join(
+        f"(:action mk{i} :parameters () :precondition {precondition} "
+        f":effect (and (p{i}) (not (ready))))" for i in (1, 2, 3))
+    domain = fond.parse_domain(
+        "(define (domain once) (:requirements :strips) "
+        f"(:predicates (p1) (p2) (p3) (ready) (q)) {actions})")
+    problem = fond.parse_problem(
+        "(define (problem once-p) (:domain once) (:init (ready)))")
+    return domain, problem
+
+
+def test_a_template_that_is_never_solved_falls_back_to_reachability():
+    # The first action deletes (ready), which every action needs, so no
+    # two atoms both come to hold: every `conj` draw fails, and the first
+    # reachability goal over the shuffled pool is taken.
+    domain, problem = one_shot_task("(ready)")
+    pool = bench.goal_pool(domain, problem)
+    assert [str(a) for a in pool] == ["p1", "p2", "p3"]
+    model, _, execs = bench._draw_goal(
+        fond.goal_free_grounding(domain, problem), bench.BenchConfig(),
+        bench.random.Random(3), pool, [], "conj", "once",
+        want_executions=True)
+    assert str(model.formula) == "F(p1)" and model.solvable
+    assert [e.actions for e in execs] == [("(mk1)",)]
+
+
+def test_a_dataset_with_no_solvable_goal_is_a_bundle_error():
+    # (q) never holds, so no action ever applies.
+    domain, problem = one_shot_task("(q)")
+    with pytest.raises(BundleError) as err:
+        bench.generate_problem(domain, problem, tiny_config(), "once", 0)
+    assert str(err.value) == (
+        "dataset once: could not generate a solvable goal (template "
+        "'eventually' and every fallback atom failed)")
+
+
+def test_a_pool_of_two_atoms_is_a_bundle_error():
+    domain = fond.parse_domain(
+        "(define (domain two) (:predicates (p1) (p2)) "
+        "(:action a :parameters () :precondition (and) "
+        ":effect (and (p1) (p2))))")
+    problem = fond.parse_problem("(define (problem two-p) (:domain two) "
+                                 "(:init))")
+    with pytest.raises(BundleError) as err:
+        bench.generate_problem(domain, problem, tiny_config(), "two", 0)
+    assert str(err.value) == ("dataset two: goal templates need at least 3 "
+                              "candidate atoms, found 2")

@@ -11,6 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import PDDL_ERRORS
 import tgr
 from tgr import bench, cli, fond, planner
 
@@ -630,3 +631,13 @@ def test_mutated_recognize_input_never_exits_3(tmp_path_factory, target,
                        "--deadline", "10"])
     assert rc in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("domain, problem, error, message", PDDL_ERRORS)
+def test_plan_rejects_bad_pddl_with_exit_1(domain, problem, error, message,
+                                           tmp_path, capsys):
+    (tmp_path / "domain.pddl").write_text(domain)
+    (tmp_path / "problem.pddl").write_text(problem)
+    assert cli.main(["plan", "--domain", str(tmp_path / "domain.pddl"),
+                     "--problem", str(tmp_path / "problem.pddl")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -69,6 +69,24 @@ def test_goal_atom_validation():
         compilation.compile_goal(ldom, lprob, logic.parse_formula("F((at p1 l1))"))
 
 
+def test_compile_errors_are_worded():
+    dom, prob = tireworld()
+    lifted = logic.eventually(logic.from_atom(logic.Atom("vAt", ("?x",))))
+    with pytest.raises(CompileError) as err:
+        compilation.validate_goal_atoms(dom, prob, lifted)
+    assert str(err.value) == "goal atom (vAt ?x) is not ground"
+    # every prefix names a fluent of F(q0)'s two-state automaton
+    crowded = fond.parse_domain(
+        "(define (domain c) (:predicates (q0) (sync-q0) (sync2-q0)) "
+        "(:action a :parameters () :precondition (and) :effect (q0)))")
+    problem = fond.parse_problem("(define (problem c1) (:domain c) (:init))")
+    with pytest.raises(CompileError) as err:
+        compilation.compile_goal(crowded, problem,
+                                 logic.parse_formula("F(q0)"))
+    assert str(err.value) == ("cannot find a collision-free name prefix "
+                              "for the automaton fluents")
+
+
 SUBTYPED_DOMAIN = """
 (define (domain fleet)
   (:requirements :strips :typing)

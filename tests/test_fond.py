@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import PDDL_ERRORS
 from tgr import bench, fond, logic
 from tgr.errors import (GroundingCapError, InapplicableActionError,
                         PddlParseError, UnsupportedFeatureError)
@@ -41,6 +42,24 @@ def test_parse_errors_are_located():
         fond.parse_domain("(define (domain d) (:requirements :adl))")
     with pytest.raises(PddlParseError):
         fond.parse_domain("(define (domain d)) trailing")
+
+
+@pytest.mark.parametrize("domain, problem, error, message", PDDL_ERRORS)
+def test_bad_pddl_is_rejected_word_for_word(domain, problem, error,
+                                            message):
+    with pytest.raises(error) as err:
+        fond.ground(fond.parse_domain(domain), fond.parse_problem(problem))
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_goal_errors_are_worded():
+    base = fond.goal_free_grounding(*tireworld())
+    with pytest.raises(PddlParseError) as err:
+        base.is_goal(base.s0)
+    assert str(err.value) == "problem has no goal"
+    with pytest.raises(UnsupportedFeatureError) as err:
+        base.with_goal(logic.parse_formula("F((vAt 22))"))
+    assert str(err.value) == "temporal operator inside goal"
 
 
 def test_unsupported_constructs_rejected():

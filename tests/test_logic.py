@@ -1,6 +1,7 @@
 """Formula syntax and finite-trace semantics."""
 
 import pickle
+import re
 
 import pytest
 
@@ -59,6 +60,19 @@ def test_parse_errors_carry_position():
         logic.parse_formula("p q")
     with pytest.raises(FormulaParseError):
         logic.parse_formula("(U p)")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vAt__33", r"empty segment in atom 'vAt__33' \(line 1, column 1\)"),
+    # the column is where the interpreter's stack ran out
+    ("(" * 3000 + "p" + ")" * 3000,
+     r"formula is nested too deeply \(line 1, column \d+\)"),
+    ("p &\n  q $", r"unexpected character '\$' \(line 2, column 5\)"),
+])
+def test_parse_errors_are_worded(text, message):
+    with pytest.raises(FormulaParseError) as err:
+        logic.parse_formula(text)
+    assert re.fullmatch(message, str(err.value))
 
 
 def test_mixed_dialect_rejected():

@@ -375,6 +375,22 @@ def test_policy_text_round_trip():
         planner.policy_from_text("no tab here\n", g)
 
 
+def test_policy_text_skips_comments_and_rejects_an_empty_atom():
+    g = grounded_tireworld()
+    policy = planner.solve_strong_cyclic(g)
+    text = "# a comment\n\n" + planner.policy_to_text(policy)
+    assert planner.policy_from_text(text, g).mapping == policy.mapping
+    with pytest.raises(PolicyParseError) as err:
+        planner.policy_from_text("(vAt 11) ()\t(move 11 21)\n", g)
+    assert str(err.value) == "empty atom in '(vAt 11) ()'"
+
+
+def test_a_task_without_a_goal_is_unsolvable():
+    with pytest.raises(UnsolvableError) as err:
+        planner.solve_strong_cyclic(goal_free_tireworld())
+    assert str(err.value) == "planning task has no goal"
+
+
 def test_policy_text_round_trip_with_the_empty_state():
     # The empty state's line is "\t(action)": the leading tab must
     # survive parsing.
