@@ -1049,7 +1049,7 @@ def ground(domain: Domain, problem: ProblemInstance, *,
                     f"grounding exceeded {action_cap} actions")
 
     model = GroundedFond(
-        domain=domain, problem=problem,
+        domain=domain, problem=problem._goal_free,
         fluents=tuple(fluents), fluent_index=fluent_index,
         actions=tuple(actions), action_index=action_index,
         s0=sum(1 << fluent_index[a] for a in problem.init))
