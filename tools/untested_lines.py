@@ -7,17 +7,18 @@ every statement of SOURCE_DIR's modules whose lines never ran, as
 `path:line: source`, sorted by path and line. A bare constant (a
 docstring or `...`) is not a statement here, since it compiles to
 nothing; nor is `global` or `nonlocal`. Code that tests run in a
-subprocess is not seen. A test that counts cyclic garbage can fail under
-the tracer, which makes a frame object for every call it sees.
+subprocess is not seen, nor is what a test runs after it exhausts the
+interpreter's stack, which switches the tracer off until the next test.
+A test that counts cyclic garbage can fail under the tracer, which makes
+a frame object for every call it sees.
 
 Usage: python tools/untested_lines.py [SOURCE_DIR [PYTEST_ARG ...]]
 
 SOURCE_DIR defaults to src/tgr, and its parent directory is put first
 on `sys.path` and on `PYTHONPATH`, for the tests' subprocesses. The
-pytest arguments default to the tier-1 suite's (`-q
---continue-on-collection-errors`). Run it from the repository root,
-since some tests open data by repository-relative paths. The exit
-status is pytest's.
+pytest arguments default to the tier-1 suite's, with Hypothesis's seed
+fixed (`_TIER_1`). Run it from the repository root, since some tests
+open data by repository-relative paths. The exit status is pytest's.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import os
 import sys
 import threading
 
-_TIER_1 = ["-q", "--continue-on-collection-errors"]
+# The tier-1 suite's arguments, with Hypothesis's seed fixed so that two
+# runs draw the same examples and report the same statements.
+_TIER_1 = ["-q", "--continue-on-collection-errors", "--hypothesis-seed=0"]
 
 
 def statement_lines(tree: ast.AST) -> dict[int, range]:
@@ -91,6 +94,12 @@ class LineTracer:
     def pytest_load_initial_conftests(self):
         sys.settrace(self._call)
         threading.settrace(self._call)
+
+    def pytest_runtest_setup(self):
+        # CPython unsets a trace function that raises, as it does when a
+        # test exhausts the interpreter's stack; start again for the next.
+        if sys.gettrace() is None:
+            self.pytest_load_initial_conftests()
 
     def pytest_unconfigure(self):
         sys.settrace(None)
