@@ -60,6 +60,10 @@ def test_goal_atom_validation():
     bad("F((vAt 11 22))")         # wrong arity
     bad("F((vAt 99))")            # undeclared object
     bad("F(flat_11)")             # arity again, via underscore syntax
+    lifted = logic.eventually(logic.from_atom(logic.Atom("vAt", ("?x",))))
+    with pytest.raises(CompileError) as err:
+        compilation.validate_goal_atoms(dom, prob, lifted)
+    assert str(err.value) == "goal atom (vAt ?x) is not ground"
 
     lg = bench.bundled_dataset("logistics")
     ldom = fond.parse_domain(lg.domain_text)
@@ -69,12 +73,7 @@ def test_goal_atom_validation():
         compilation.compile_goal(ldom, lprob, logic.parse_formula("F((at p1 l1))"))
 
 
-def test_compile_errors_are_worded():
-    dom, prob = tireworld()
-    lifted = logic.eventually(logic.from_atom(logic.Atom("vAt", ("?x",))))
-    with pytest.raises(CompileError) as err:
-        compilation.validate_goal_atoms(dom, prob, lifted)
-    assert str(err.value) == "goal atom (vAt ?x) is not ground"
+def test_a_domain_that_takes_every_prefix_is_a_compile_error():
     # every prefix names a fluent of F(q0)'s two-state automaton
     crowded = fond.parse_domain(
         "(define (domain c) (:predicates (q0) (sync-q0) (sync2-q0)) "

@@ -43,6 +43,9 @@ def test_unsolvable_raises():
     g = grounded_tireworld(spec)
     with pytest.raises(UnsolvableError):
         planner.solve_strong_cyclic(g)
+    with pytest.raises(UnsolvableError) as err:
+        planner.solve_strong_cyclic(goal_free_tireworld())
+    assert str(err.value) == "planning task has no goal"
 
 
 def test_state_cap():
@@ -366,6 +369,9 @@ def test_policy_text_round_trip():
     text = planner.policy_to_text(policy)
     back = planner.policy_from_text(text, g)
     assert back.mapping == policy.mapping
+    # comment and blank lines are skipped
+    back = planner.policy_from_text("# a comment\n\n" + text, g)
+    assert back.mapping == policy.mapping
     # unknown action names and unknown fluents are rejected
     with pytest.raises(PolicyParseError):
         planner.policy_from_text("(vAt 11)\t(teleport 11 51)\n", g)
@@ -373,22 +379,9 @@ def test_policy_text_round_trip():
         planner.policy_from_text("(warp 3)\t(move 11 21)\n", g)
     with pytest.raises(PolicyParseError):
         planner.policy_from_text("no tab here\n", g)
-
-
-def test_policy_text_skips_comments_and_rejects_an_empty_atom():
-    g = grounded_tireworld()
-    policy = planner.solve_strong_cyclic(g)
-    text = "# a comment\n\n" + planner.policy_to_text(policy)
-    assert planner.policy_from_text(text, g).mapping == policy.mapping
     with pytest.raises(PolicyParseError) as err:
         planner.policy_from_text("(vAt 11) ()\t(move 11 21)\n", g)
     assert str(err.value) == "empty atom in '(vAt 11) ()'"
-
-
-def test_a_task_without_a_goal_is_unsolvable():
-    with pytest.raises(UnsolvableError) as err:
-        planner.solve_strong_cyclic(goal_free_tireworld())
-    assert str(err.value) == "planning task has no goal"
 
 
 def test_policy_text_round_trip_with_the_empty_state():
