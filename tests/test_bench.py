@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 
 import pytest
 
@@ -395,7 +396,7 @@ def test_a_template_that_is_never_solved_falls_back_to_reachability():
     assert [str(a) for a in pool] == ["p1", "p2", "p3"]
     model, _, execs = bench._draw_goal(
         fond.goal_free_grounding(domain, problem), bench.BenchConfig(),
-        bench.random.Random(3), pool, [], "conj", "once",
+        random.Random(3), pool, [], "conj", "once",
         want_executions=True)
     assert str(model.formula) == "F(p1)" and model.solvable
     assert [e.actions for e in execs] == [("(mk1)",)]
