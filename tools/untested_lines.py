@@ -70,16 +70,19 @@ class LineTracer:
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root) + os.sep
         self.hits: dict[str, set[int]] = {}
-        self._left: dict[object, set[int]] = {}
+        # Keyed by path and code object: equal code objects of two files
+        # compare equal.
+        self._left: dict[tuple[str, object], set[int]] = {}
 
     def _call(self, frame, event, arg):
         code = frame.f_code
-        left = self._left.get(code)
+        if not code.co_filename.startswith(self.root):
+            return None
+        key = (code.co_filename, code)
+        left = self._left.get(key)
         if left is None:
-            left = self._left[code] = set()
-            if code.co_filename.startswith(self.root):
-                left.update(line for _, _, line in code.co_lines())
-                left -= {None, code.co_firstlineno}
+            left = self._left[key] = {line for _, _, line in code.co_lines()}
+            left -= {None, code.co_firstlineno}
         if not left:
             return None
         hits = self.hits.setdefault(code.co_filename, set())
