@@ -684,9 +684,9 @@ class GroundedFond:
 
     def with_goal(self, goal: Formula) -> GroundedFond:
         """This model with the classical goal `goal`, whose atoms must be
-        fluents; the grounding and its precondition index are shared,
-        not redone, and the copy's `transition_table` is that of the
-        goal-free grounding it comes from, which neither makes here."""
+        fluents; the grounding and its precondition index are shared, not
+        redone, and the copy reads the `transition_table` of its goal-free
+        source, made on the first read, not here."""
         model = copy(self)
         model._source = self._source or self
         model.compiled_goal = None
