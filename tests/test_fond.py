@@ -52,16 +52,6 @@ def test_bad_pddl_is_rejected_word_for_word(domain, problem, error,
     assert type(err.value) is error and str(err.value) == message
 
 
-def test_goal_errors_are_worded():
-    base = fond.goal_free_grounding(*tireworld())
-    with pytest.raises(PddlParseError) as err:
-        base.is_goal(base.s0)
-    assert str(err.value) == "problem has no goal"
-    with pytest.raises(UnsupportedFeatureError) as err:
-        base.with_goal(logic.parse_formula("F((vAt 22))"))
-    assert str(err.value) == "temporal operator inside goal"
-
-
 def test_unsupported_constructs_rejected():
     text = """(define (domain d)
       (:predicates (p ?x) (q))
@@ -147,6 +137,13 @@ def test_goal_evaluation():
     assert g.is_goal(goal_state)
     with pytest.raises(PddlParseError):
         g.state_of({logic.Atom("nope")})
+    base = fond.goal_free_grounding(dom, prob)
+    with pytest.raises(PddlParseError) as err:
+        base.is_goal(base.s0)
+    assert str(err.value) == "problem has no goal"
+    with pytest.raises(UnsupportedFeatureError) as err:
+        base.with_goal(logic.parse_formula("F((vAt 22))"))
+    assert str(err.value) == "temporal operator inside goal"
 
 
 def test_state_str_is_sorted():
