@@ -24,7 +24,8 @@ strongly connected component matter: a configuration keeps just those,
 and every path that continues from it depends on nothing else. Each
 configuration is counted once however many paths reach it. The cap
 still counts raw goal-reaching paths, before deduplication, in the
-walk's order.
+walk's order, and a state the policy does not map raises where the walk
+first enters it, so the count fails as the walk does without walking.
 
 Both entry points take the recognition's `budget.Budget`: its execution
 cap, and its deadline, which they test only through `Budget.check`
@@ -60,6 +61,11 @@ class Execution:
     trace: tuple[frozenset[Atom], ...]
 
 
+def _not_closed(g: StateModel, state: int) -> TgrError:
+    return TgrError("policy is not closed: no action for "
+                    f"{g.state_str(state)}")
+
+
 def _walk(g: StateModel, graph: tuple, budget: Budget) -> list[Execution]:
     """The executions of the policy that `graph` (from `_graph_of`)
     numbers on the model `g`, walked depth first over the graph's ids:
@@ -89,15 +95,11 @@ def _walk(g: StateModel, graph: tuple, budget: Budget) -> list[Execution]:
         if key not in kept:
             kept[key] = Execution(key, tuple(trace))
 
-    def not_closed(v: int) -> TgrError:
-        return TgrError("policy is not closed: no action for "
-                        f"{g.state_str(states[v])}")
-
     if not states:
         arrive()
         return list(kept.values())
     if label_of[0] < 0:
-        raise not_closed(0)
+        raise _not_closed(g, states[0])
     # The frame at stack depth d holds the state after d actions and its
     # action's untried outcomes.
     visits = [0] * len(states)
@@ -126,7 +128,7 @@ def _walk(g: StateModel, graph: tuple, budget: Budget) -> list[Execution]:
             arrive()
             continue
         if label_of[t] < 0:
-            raise not_closed(t)
+            raise _not_closed(g, states[t])
         trace.append(views[t])
         visits[t] += 1
         stack.append((t, iter(outs[t])))
@@ -163,21 +165,23 @@ def goal_model(policy: Policy, *, budget: Budget = Budget()
     initial configuration counts, in post-order, each node's distinct
     suffixes and their summed length; a forward pass then counts each
     node's distinct prefixes and the labels on them. Together they give
-    the model as exact ints. An open policy is walked instead, so that it
-    fails as the walk does, and so is a policy whose s0 is a goal.
+    the model as exact ints. A policy whose s0 is a goal has one
+    execution, with no actions.
 
-    Raises as `enumerate_executions` does. The cap counts goal-reaching
-    paths before deduplication, in the walk's order, so the count raises
-    no later than the walk would. The deadline is checked at the start
-    and every 512 states, configurations or nodes expanded.
+    Raises as `enumerate_executions` does, at the same point of the
+    walk's order. The cap counts goal-reaching paths before
+    deduplication, in that order, so the count raises no later than the
+    walk would. An unmapped state raises when the count first expands
+    it, where the walk first enters it. The deadline is checked at the
+    start and every 512 states, configurations or nodes expanded.
     """
     budget.check("execution enumeration")
-    graph = _graph_of(policy, budget)
-    names, label_of, outs, comp, _, _ = graph
-    if not outs or -1 in label_of:
-        # s0 is a goal, which the walk answers, or the policy is open,
-        # and the walk raises where `enumerate_executions` would.
-        return len(_walk(policy.grounded, graph, budget)), {}, frozenset()
+    names, label_of, outs, comp, states, _ = _graph_of(policy, budget)
+    cap = budget.execution_cap
+    if not outs:  # s0 is a goal
+        if cap < 1:
+            raise budget.execution_cap_error()
+        return 1, {}, frozenset()
     n = len(outs)
     expanded = n  # states, configurations and nodes
 
@@ -190,7 +194,6 @@ def goal_model(policy: Policy, *, budget: Budget = Budget()
     # when empty, the key itself when single, else a frozenset.
     info: dict[int, tuple] = {}
     found = 0  # raw paths so far: +1 per goal outcome, +raw per memo hit
-    cap = budget.execution_cap
     once = 1 if comp[0] >= 0 else 0
     root = n * once
     stack = [[root, 0, once, 0, iter(outs[0]), [], 0, 0]]
@@ -230,6 +233,8 @@ def goal_model(policy: Policy, *, budget: Budget = Budget()
                 raise budget.execution_cap_error()
         else:
             stack.pop()
+            if label_of[i] < 0:  # expanded just now, with no outcomes
+                raise _not_closed(policy.grounded, states[i])
             node = (None if not kids else kids[0] if len(kids) == 1
                     else frozenset(kids))
             info[key] = ((label_of[i], ends, node), found - start)

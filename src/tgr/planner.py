@@ -75,9 +75,10 @@ The result is deterministic and is checked by `verify_policy`, which
 reads only the policy's own actions, through `applicable` and
 `successors`, never the table, so it checks the policy against the model
 rather than against what the search read, before the policy is returned.
-The check numbers the policy's states depth first, and the policy keeps
-that graph, from which `executions` counts its executions without
-reading the model again.
+The check numbers the policy's states depth first, once, whether the
+policy passes or fails: a failing policy's report is read off that
+graph. A policy that passes keeps the graph, from which `executions`
+counts its executions without reading the model again.
 
 The search and the check test the deadline only through the budget
 (`budget.Budget.check`), which raises "planner deadline exceeded" once
@@ -88,6 +89,7 @@ planner also reads the clock to give its process the time left.
 from __future__ import annotations
 
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -444,82 +446,47 @@ def verify_policy(policy: Policy, *,
     The traversal reads only the model and `policy.mapping`, through
     `_policy_graph`, and a policy that passes keeps the graph, so that
     it passes again without a traversal while the graph is current (see
-    `_kept_graph`). A policy that fails is searched again breadth first,
-    and the report names the first counterexample in that order. The
-    budget's deadline is checked every 512 states of the graph.
+    `_kept_graph`). A policy that fails is reported from the same graph:
+    a breadth-first pass over its ids names the first state in that
+    order with no applicable mapped action, else the first from which no
+    goal is reachable. The budget's deadline is checked every 512 states
+    of the graph, whether the policy passes or fails.
     """
     if _kept_graph(policy) is None:
-        found = _policy_graph(policy, budget, True)
-        if found is None:
-            return _search_report(policy)
-        policy._verified = (policy.grounded, *found)
+        graph, actions, reaches = _policy_graph(policy, budget, True)
+        if not all(reaches):
+            return _failure(policy.grounded, graph, actions, reaches)
+        policy._verified = (policy.grounded, graph, actions)
     return PolicyReport(True, True, None, "policy is closed and strong cyclic")
 
 
-def _search_report(policy: Policy) -> PolicyReport:
-    """The report of a breadth-first check of `policy`, whose
-    counterexample is the first failing state in breadth-first order."""
-    g = policy.grounded
-    reached: list[int] = [g.s0]
-    seen = {g.s0}
-    preds: dict[int, list[int]] = {}
-    goals: list[int] = []
-    closed = True
-    counterexample: int | None = None
-    reason = ""
-
-    i = 0
-    while i < len(reached):
-        state = reached[i]
-        i += 1
-        if g.is_goal(state):
-            goals.append(state)
-            continue
-        ai = policy.mapping.get(state)
-        if ai is None:
-            closed = False
-            if counterexample is None:
-                counterexample = state
-                reason = (f"non-goal state {g.state_str(state)} reachable "
-                          "under the policy has no mapped action")
-            continue
-        if not g.applicable(state, ai):
-            closed = False
-            if counterexample is None:
-                counterexample = state
-                reason = (f"mapped action {g.actions[ai].name} is not "
-                          f"applicable in {g.state_str(state)}")
-            continue
-        for succ in g.successors(state, ai):
-            preds.setdefault(succ, []).append(state)
-            if succ not in seen:
-                seen.add(succ)
-                reached.append(succ)
-
-    # Backward BFS from the goals along reversed policy edges.
-    can_reach = set(goals)
-    queue = list(goals)
-    qi = 0
-    while qi < len(queue):
-        for state in preds.get(queue[qi], ()):
-            if state not in can_reach:
-                can_reach.add(state)
-                queue.append(state)
-        qi += 1
-
-    strong_cyclic = closed
-    for state in reached:
-        if state not in can_reach:
-            strong_cyclic = False
-            if counterexample is None:
-                counterexample = state
-                reason = (f"no goal state is reachable from "
-                          f"{g.state_str(state)} along policy edges")
-            break
-
-    if closed and strong_cyclic and not reason:
-        reason = "policy is closed and strong cyclic"
-    return PolicyReport(closed, strong_cyclic, counterexample, reason)
+def _failure(g: StateModel, graph: tuple, actions: list[int | None],
+             reaches: list[bool]) -> PolicyReport:
+    """The report of a policy whose graph `_policy_graph` numbered and
+    found failing, naming the first failing state in breadth-first
+    order."""
+    _, label_of, outs, _, states, _ = graph
+    order = [0]  # the non-goal ids in breadth-first order
+    seen = {0}
+    for v in order:
+        for t in outs[v]:
+            if t >= 0 and t not in seen:
+                seen.add(t)
+                order.append(t)
+    v = next((v for v in order if label_of[v] < 0), None)
+    if v is None:
+        v = next(v for v in order if not reaches[v])
+        return PolicyReport(True, False, states[v],
+                            f"no goal state is reachable from "
+                            f"{g.state_str(states[v])} along policy edges")
+    state, ai = states[v], actions[v]
+    if ai is None:
+        reason = (f"non-goal state {g.state_str(state)} reachable under "
+                  "the policy has no mapped action")
+    else:
+        reason = (f"mapped action {g.actions[ai].name} is not applicable "
+                  f"in {g.state_str(state)}")
+    return PolicyReport(False, False, state, reason)
 
 
 def _kept_graph(policy: Policy) -> tuple | None:
@@ -545,30 +512,27 @@ def _graph_of(policy: Policy, budget: Budget) -> tuple:
 
 
 def _policy_graph(policy: Policy, budget: Budget, verify: bool = False
-                  ) -> tuple[tuple, list[int]] | None:
+                  ) -> tuple[tuple, list[int | None], list[bool]]:
     """Number the states of `policy` depth first from s0 and find the
     cycles through them (Tarjan's algorithm, iterative). The executions
-    walk and count over these ids; only this reads the policy's mapping
-    and the model's successors and goal test for them.
+    walk and count over these ids, and `verify_policy` reports from them;
+    only this reads the policy's mapping and the model's successors and
+    goal test for them.
 
-    Returns the graph (names, label_of, outs, comp, states, goals) and
-    the action index of each state (None where the policy maps none).
-    `names` are the action names by label. Per state id: its action's
-    label (-1 if the policy maps no action there), its outcomes' ids in
-    order (~j for the j-th goal state met), the id of its strongly
-    connected component if a cycle runs through the state, else -1, and
-    the state itself. `goals` are the goal states by j. When s0 is a
-    goal, only `goals` is non-empty. The budget's deadline is checked
-    every 512 states, for the stage that asked: the planner when
-    verifying, else execution enumeration.
-
-    With `verify`, returns None as soon as the policy is seen not to be
-    closed and strong cyclic: at a state it maps to no action or to an
-    inapplicable one, whose successors it then never asks for, or at a
-    component that reaches no goal. Components complete in reverse
-    topological order, and each earlier one reached a goal, so one
-    reaches a goal exactly when some outcome of its states is a goal or
-    a state outside it.
+    Returns the graph (names, label_of, outs, comp, states, goals), the
+    action index of each state (None where the policy maps none), and
+    whether a goal is reachable from each state. `names` are the action
+    names by label. Per state id: its action's label (-1 if the policy
+    maps no action there or, with `verify`, one not applicable there,
+    whose successors it then never asks for), its outcomes' ids in order
+    (~j for the j-th goal state met), the id of its strongly connected
+    component if a cycle runs through the state, else -1, and the state
+    itself. `goals` are the goal states by j. When s0 is a goal, only
+    `goals` is non-empty. Components complete in reverse topological
+    order, so one reaches a goal exactly when some outcome of its states
+    is a goal or a state of an earlier component that reaches one. The
+    budget's deadline is checked every 512 states, for the stage that
+    asked: the planner when verifying, else execution enumeration.
     """
     g = policy.grounded
     mapping = policy.mapping
@@ -579,11 +543,12 @@ def _policy_graph(policy: Policy, budget: Budget, verify: bool = False
     comp: list[int] = []
     states: list[int] = []
     goals: list[int] = []
-    actions: list[int] = []
+    actions: list[int | None] = []
+    reaches: list[bool] = []
     graph = names, label_of, outs, comp, states, goals
     if g.is_goal(g.s0):
         goals.append(g.s0)
-        return graph, actions
+        return graph, actions, reaches
     ids = {g.s0: 0}
     labels: dict[int, int] = {}  # action index -> label
     # Tarjan's low links, ids doubling as visit order; a state whose
@@ -600,13 +565,9 @@ def _policy_graph(policy: Policy, budget: Budget, verify: bool = False
             if i and not i % 512:
                 budget.check(stage)
             ai = mapping.get(state)
-            if ai is None:
-                if verify:
-                    return None
+            if ai is None or verify and not g.applicable(state, ai):
                 lab, succs = -1, ()
             else:
-                if verify and not g.applicable(state, ai):
-                    return None
                 lab = labels.get(ai)
                 if lab is None:
                     lab = labels[ai] = len(names)
@@ -617,6 +578,7 @@ def _policy_graph(policy: Policy, budget: Budget, verify: bool = False
             comp.append(-1)
             states.append(state)
             actions.append(ai)
+            reaches.append(False)
             low.append(i)
             path.append(i)
             stack.append((i, iter(succs)))
@@ -642,16 +604,17 @@ def _policy_graph(policy: Policy, budget: Budget, verify: bool = False
                 k = bisect_left(path, v)
                 members = path[k:]
                 del path[k:]
-                if verify and not any(t < 0 or low[t] == done
-                                      for w in members for t in outs[w]):
-                    return None
+                # The members' own flags are still False here.
+                found = any(t < 0 or reaches[t]
+                            for w in members for t in outs[w])
                 for w in members:
                     low[w] = done
+                    reaches[w] = found
                 if len(members) > 1 or v in row:
                     for w in members:
                         comp[w] = v
             if not stack:
-                return graph, actions
+                return graph, actions, reaches
             u = stack[-1][0]
             if low[v] < low[u]:
                 low[u] = low[v]
@@ -712,7 +675,9 @@ def policy_from_text(text: str, grounded: GroundedFond) -> Policy:
 def solve_with_external(command: str, grounded: GroundedFond,
                         domain_text: str, problem_text: str, *,
                         budget: Budget = Budget()) -> Policy:
-    """Run an external planner: `command domain.pddl problem.pddl`.
+    """Run an external planner: `command domain.pddl problem.pddl`, with
+    `command` split as a POSIX shell line would be (`shlex.split`), so
+    that a quoted path may hold spaces.
 
     The planner must print the policy in the text format above on stdout
     and exit 0; exit code 2 means the task is unsolvable; anything else
@@ -721,6 +686,11 @@ def solve_with_external(command: str, grounded: GroundedFond,
     and the verification checks the deadline too.
     """
     budget.check("planner")
+    try:
+        words = shlex.split(command)
+    except ValueError as exc:
+        raise ExternalPlannerError(
+            f"cannot split planner command {command!r}: {exc}") from exc
     timeout = (None if budget.deadline is None
                else budget.deadline - time.monotonic())
     with tempfile.TemporaryDirectory(prefix="tgr-planner-") as tmp:
@@ -730,7 +700,7 @@ def solve_with_external(command: str, grounded: GroundedFond,
             fh.write(domain_text)
         with open(prob, "w") as fh:
             fh.write(problem_text)
-        argv = command.split() + [dom, prob]
+        argv = words + [dom, prob]
         try:
             proc = subprocess.run(argv, capture_output=True, text=True,
                                   timeout=timeout)

@@ -77,6 +77,9 @@ PDDL_ERRORS = [
      "(oneof) needs at least one alternative (line 2, column 41)"),
     (_action(":effect (when (p))"), _PROBLEM, PddlParseError,
      "(when condition effect) takes two arguments (line 2, column 41)"),
+    (_action(":effect (not (p) (p))"), _PROBLEM, PddlParseError,
+     "(not ...) takes one argument (line 2, column 41)"),
+    (_domain("()"), _PROBLEM, PddlParseError, "malformed domain section"),
     (_action(":effect " + "(and " * 1500 + "(p)" + ")" * 1500), _PROBLEM,
      PddlParseError, "domain is nested too deeply"),
     ("(define (domain d e))", _PROBLEM, PddlParseError,
@@ -93,10 +96,14 @@ PDDL_ERRORS = [
      ":parameters expects a list (line 2, column 44)"),
     (_action(":precondition (q) :effect (p)"), _PROBLEM, PddlParseError,
      "precondition atom (q) of a is not a declared fluent"),
+    (_action(":effect (q)"), _PROBLEM, PddlParseError,
+     "effect atom (q) of a is not a declared fluent"),
     (_DOMAIN, "(define (problem x) (:domain))", PddlParseError,
      "expected (:domain NAME) (line 1, column 22)"),
     (_DOMAIN, "(define (problem x) (:domain d) (:init) (:goal))",
      PddlParseError, "expected (:goal CONDITION) (line 1, column 42)"),
     (_DOMAIN, "(define (problem x) (:init (p)))", PddlParseError,
      "problem x has no (:domain ...) section"),
+    (_DOMAIN, "(define (problem x) (:domain d) (:objects o - t) (:init) "
+     "(:goal (p)))", PddlParseError, "object o has undeclared type t"),
 ]

@@ -417,12 +417,20 @@ def test_a_verified_graph_is_not_read_once_the_mapping_changes():
     assert verified not in (changed[0], opened[0])
 
 
-def _chain_policy(n):
+def _chain_policy(n, branch=False):
     """A policy that steps from state 0 through states 1 .. n - 1 to the
-    goal n."""
-    model = ArbitraryModel(["(step)"], lambda pair: (pair[0] + 1,),
-                           frozenset({n}), [{0}] * n)
+    goal n; with `branch`, state 0 may also step first to state n + 1,
+    which the policy does not map."""
+    model = ArbitraryModel(
+        ["(step)"], lambda pair: ((n + 1, 1) if branch and pair[0] == 0
+                                  else (pair[0] + 1,)),
+        frozenset({n}), [{0}] * (n + 2))
     return planner.Policy(model, dict.fromkeys(range(n), 0))
+
+
+def _initial_goal():
+    """The empty policy of a model whose s0 is its goal."""
+    return planner.Policy(GoalSetModel(["(a)"], None, frozenset({0})), {})
 
 
 def _tireworld_base():
@@ -449,7 +457,8 @@ def _expired():
 
 
 # Each message a deadline or a cap raises, by the stage that raises it.
-# The chain policy's verification reads the clock at its 512th state.
+# The chain policy's verification reads the clock at its 512th state,
+# also when the policy is open at its second.
 @pytest.mark.parametrize("error, message, run", [
     (DeadlineExceeded, "planner deadline exceeded",
      lambda: planner.solve_strong_cyclic(_tireworld_base(),
@@ -458,6 +467,9 @@ def _expired():
      lambda: planner.solve_strong_cyclic(_f22_product(), budget=_expired())),
     (DeadlineExceeded, "planner deadline exceeded",
      lambda: planner.verify_policy(_chain_policy(600), budget=_expired())),
+    (DeadlineExceeded, "planner deadline exceeded",
+     lambda: planner.verify_policy(_chain_policy(600, branch=True),
+                                   budget=_expired())),
     (DeadlineExceeded, "execution enumeration deadline exceeded",
      lambda: executions.enumerate_executions(
          planner.solve_strong_cyclic(_f22_product()), budget=_expired())),
@@ -465,8 +477,9 @@ def _expired():
      lambda: executions.goal_model(
          planner.solve_strong_cyclic(_f22_product()), budget=_expired())),
     (DeadlineExceeded, "external planner exceeded its deadline",
-     lambda: _external(f"{sys.executable} -c __import__('time').sleep(30)",
-                       time.monotonic() + 0.2)),
+     lambda: _external(
+         f"{sys.executable} -c \"__import__('time').sleep(30)\"",
+         time.monotonic() + 0.2)),
     (PlannerCapError, "reachable state space exceeded 2 states",
      lambda: planner.solve_strong_cyclic(_tireworld_base(),
                                          budget=Budget(state_cap=2))),
@@ -481,10 +494,43 @@ def _expired():
      lambda: executions.goal_model(
          planner.solve_strong_cyclic(_f22_product()),
          budget=Budget(execution_cap=1))),
+    (ExecutionCapError, "policy has more than 0 goal-reaching paths",
+     lambda: executions.enumerate_executions(
+         _initial_goal(), budget=Budget(execution_cap=0))),
+    (ExecutionCapError, "policy has more than 0 goal-reaching paths",
+     lambda: executions.goal_model(_initial_goal(),
+                                   budget=Budget(execution_cap=0))),
 ], ids=["grounding-deadline", "product-deadline", "verify-deadline",
-        "walk-deadline", "count-deadline", "external-deadline",
-        "grounding-cap", "product-cap", "walk-cap", "count-cap"])
+        "open-verify-deadline", "walk-deadline", "count-deadline",
+        "external-deadline", "grounding-cap", "product-cap", "walk-cap",
+        "count-cap", "initial-goal-walk-cap", "initial-goal-count-cap"])
 def test_deadline_and_cap_messages_are_pinned(error, message, run):
     with pytest.raises(error) as raised:
         run()
     assert str(raised.value) == message
+
+
+def _counted_chain(n, last):
+    """A policy that steps from state 0 through states 1 .. n - 1, whose
+    last state is unmapped or steps to itself, and a list that holds a
+    state each time the model's successors are asked for there."""
+    asked = []
+
+    def outcomes(pair):
+        asked.append(pair[0])
+        return (pair[0] + 1 if pair[0] < n - 1 else n - 1,)
+
+    model = ArbitraryModel(["(step)"], outcomes, frozenset({n}), [{0}] * n)
+    mapping = dict.fromkeys(range(n - 1 if last == "open" else n), 0)
+    return planner.Policy(model, mapping), asked
+
+
+@pytest.mark.parametrize("last", ["open", "trapped"])
+def test_a_failing_policy_reads_each_state_once(last):
+    # The check fails at the deepest state, the last one numbered depth
+    # first, and reports from the graph it numbered.
+    policy, asked = _counted_chain(50, last)
+    report = planner.verify_policy(policy)
+    assert asked == sorted(policy.mapping)
+    assert report == reference_planner.verify_policy(policy)
+    assert report.counterexample == (49 if last == "open" else 0)

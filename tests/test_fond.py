@@ -164,9 +164,16 @@ def test_grounding_caps():
 
 
 def test_writers_reach_a_fixed_point():
-    for spec in (TIREWORLD, BLOCKS):
-        dom = fond.parse_domain(spec.domain_text)
-        prob = fond.parse_problem(spec.problem_text)
+    # The bundled problems, and tireworld's with goals true, false and
+    # "... | false", which the writer prints as (and), (or) and (or ...).
+    goals = ("(and)", "(or)", "(or (vAt 22) (or))")
+    problems = [(TIREWORLD.domain_text, TIREWORLD.problem_text),
+                (BLOCKS.domain_text, BLOCKS.problem_text)] + [
+        (TIREWORLD.domain_text, TIREWORLD.problem_text.replace(
+            "(:goal (vAt 22))", f"(:goal {goal})")) for goal in goals]
+    for domain_text, problem_text in problems:
+        dom = fond.parse_domain(domain_text)
+        prob = fond.parse_problem(problem_text)
         dom_text = fond.domain_to_pddl(dom)
         prob_text = fond.problem_to_pddl(prob)
         assert fond.domain_to_pddl(fond.parse_domain(dom_text)) == dom_text
@@ -178,6 +185,18 @@ def test_writers_reach_a_fixed_point():
         assert [a.name for a in g1.actions] == [a.name for a in g2.actions]
         assert g1.fluents == g2.fluents
         assert g1.s0 == g2.s0
+    assert [fond.parse_problem(text).goal.kind
+            for _, text in problems[2:]] == ["true", "false", "or"]
+
+
+def test_a_temporal_goal_is_not_written_as_pddl():
+    _, prob = tireworld()
+    eventually = dataclasses.replace(
+        prob, goal=logic.parse_formula("F((vAt 22))"))
+    with pytest.raises(UnsupportedFeatureError,
+                       match="^cannot write temporal operator eventually "
+                             "as PDDL$"):
+        fond.problem_to_pddl(eventually)
 
 
 def test_problem_domain_name_mismatch():

@@ -405,20 +405,39 @@ def write_script(tmp_path, name, body):
     return f"{sys.executable} {path}"
 
 
+# An external planner that runs the builtin one.
+BUILTIN_SCRIPT = """
+    import sys
+    from tgr import fond, planner
+    dom = fond.parse_domain(open(sys.argv[1]).read())
+    prob = fond.parse_problem(open(sys.argv[2]).read())
+    policy = planner.solve_strong_cyclic(fond.ground(dom, prob))
+    sys.stdout.write(planner.policy_to_text(policy))
+    """
+
+
 def test_external_planner_round_trip(tmp_path):
     g = grounded_tireworld()
-    command = write_script(tmp_path, "ok.py", """
-        import sys
-        from tgr import fond, planner
-        dom = fond.parse_domain(open(sys.argv[1]).read())
-        prob = fond.parse_problem(open(sys.argv[2]).read())
-        policy = planner.solve_strong_cyclic(fond.ground(dom, prob))
-        sys.stdout.write(planner.policy_to_text(policy))
-        """)
+    command = write_script(tmp_path, "ok.py", BUILTIN_SCRIPT)
     policy = planner.solve_with_external(
         command, g, fond.domain_to_pddl(g.domain),
         fond.problem_to_pddl(g.problem))
     assert planner.verify_policy(policy).ok
+
+
+def test_external_planner_command_is_split_as_a_shell_line(tmp_path):
+    g = grounded_tireworld()
+    texts = (fond.domain_to_pddl(g.domain), fond.problem_to_pddl(g.problem))
+    plain = write_script(tmp_path, "ok.py", BUILTIN_SCRIPT)
+    spaced = tmp_path / "dir with space"
+    spaced.mkdir()
+    write_script(spaced, "ok.py", BUILTIN_SCRIPT)
+    quoted = f'{sys.executable} "{spaced / "ok.py"}"'
+    assert planner.solve_with_external(quoted, g, *texts) == \
+        planner.solve_with_external(plain, g, *texts)
+    with pytest.raises(ExternalPlannerError,
+                       match="^cannot split planner command .*: No closing"):
+        planner.solve_with_external(quoted[:-1], g, *texts)
 
 
 def test_external_planner_exit_codes(tmp_path):

@@ -10,15 +10,18 @@ nothing; nor is `global` or `nonlocal`. Code that tests run in a
 subprocess is not seen, nor is what a test runs after it exhausts the
 interpreter's stack, which switches the tracer off until the next test.
 A test that counts cyclic garbage can fail under the tracer, which makes
-a frame object for every call it sees.
+a frame object for every call it sees; so the default arguments deselect
+`test_a_warm_recognition_leaves_no_reference_cycles`, which counts those
+frames as garbage and which the plain suite still runs.
 
 Usage: python tools/untested_lines.py [SOURCE_DIR [PYTEST_ARG ...]]
 
 SOURCE_DIR defaults to src/tgr, and its parent directory is put first
 on `sys.path` and on `PYTHONPATH`, for the tests' subprocesses. The
 pytest arguments default to the tier-1 suite's, with Hypothesis's seed
-fixed (`_TIER_1`). Run it from the repository root, since some tests
-open data by repository-relative paths. The exit status is pytest's.
+fixed and that test deselected (`_TIER_1`). Run it from the repository
+root, since some tests open data by repository-relative paths. The exit
+status is pytest's.
 """
 
 from __future__ import annotations
@@ -29,8 +32,11 @@ import sys
 import threading
 
 # The tier-1 suite's arguments, with Hypothesis's seed fixed so that two
-# runs draw the same examples and report the same statements.
-_TIER_1 = ["-q", "--continue-on-collection-errors", "--hypothesis-seed=0"]
+# runs draw the same examples and report the same statements, less the
+# one test that the tracer's frames fail.
+_TIER_1 = ["-q", "--continue-on-collection-errors", "--hypothesis-seed=0",
+           "--deselect", "tests/test_recognizer.py::"
+           "test_a_warm_recognition_leaves_no_reference_cycles"]
 
 
 def statement_lines(tree: ast.AST) -> dict[int, range]:
