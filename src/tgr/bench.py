@@ -19,13 +19,14 @@ summaries.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from typing import Callable
@@ -361,8 +362,9 @@ def evaluate_problem(gen: GeneratedProblem, cfg: BenchConfig, *,
     return records
 
 
-def _run_problem(cfg: BenchConfig, dataset_index: int, problem_index: int,
-                 canonical: bool) -> list[dict]:
+def _run_problem(cfg: BenchConfig, canonical: bool,
+                 task: tuple[int, int]) -> list[dict]:
+    dataset_index, problem_index = task
     spec = cfg.datasets[dataset_index]
     domain = fond.parse_domain(spec.domain_text)
     problem = fond.parse_problem(spec.problem_text)
@@ -375,23 +377,23 @@ def run_benchmark(cfg: BenchConfig, *, jobs: int = 1, canonical: bool = False,
                   ) -> tuple[list[dict], list[dict]]:
     """Generate and evaluate every problem; returns (records, summary rows).
 
-    Records come back sorted by dataset, problem, level regardless of
-    job count, so parallel runs are byte-identical to serial ones.
+    With `jobs` > 1 a process pool runs the problems, and an error in one
+    cancels those not yet started. Either way `progress` is called in
+    problem order, and records come back sorted by dataset, problem,
+    level, so parallel runs are byte-identical to serial ones.
     """
     tasks = [(di, pi) for di in range(len(cfg.datasets))
              for pi in range(cfg.problems_per_dataset)]
     records: list[dict] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_problem, cfg, di, pi, canonical)
-                       for di, pi in tasks]
-            for (di, pi), future in zip(tasks, futures):
-                records.extend(future.result())
-                if progress is not None:
-                    progress(cfg.datasets[di].name, pi)
-    else:
-        for di, pi in tasks:
-            records.extend(_run_problem(cfg, di, pi, canonical))
+    with contextlib.ExitStack() as stack:
+        each = map
+        if jobs > 1:
+            # Imported here: only a parallel run needs the process pool.
+            from concurrent.futures import ProcessPoolExecutor
+            each = stack.enter_context(ProcessPoolExecutor(jobs)).map
+        results = each(functools.partial(_run_problem, cfg, canonical), tasks)
+        for (di, pi), problem_records in zip(tasks, results):
+            records.extend(problem_records)
             if progress is not None:
                 progress(cfg.datasets[di].name, pi)
     records.sort(key=lambda r: (r["dataset"], r["problem"], r["level"]))

@@ -89,10 +89,7 @@ planner also reads the clock to give its process the time left.
 from __future__ import annotations
 
 import re
-import shlex
-import subprocess
 import sys
-import tempfile
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -685,6 +682,11 @@ def solve_with_external(command: str, grounded: GroundedFond,
     that has passed starts no process; the process gets the time left,
     and the verification checks the deadline too.
     """
+    # Imported here: only an external planner runs a process.
+    import shlex
+    import subprocess
+    import tempfile
+
     budget.check("planner")
     try:
         words = shlex.split(command)

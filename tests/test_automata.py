@@ -89,6 +89,12 @@ def test_formula_to_dfa_dispatches_on_dialect():
     prop = automata.formula_to_dfa(logic.parse_formula("p"))
     assert prop.accepts([JUST_P])
     assert not prop.accepts([EMPTY, JUST_P])
+    with pytest.raises(TgrError, match="^ltlf_to_dfa requires a "
+                       "future-dialect formula$"):
+        automata.ltlf_to_dfa(logic.parse_formula("O(p)"))
+    with pytest.raises(TgrError, match="^pltlf_to_dfa requires a "
+                       "past-dialect formula$"):
+        automata.pltlf_to_dfa(logic.parse_formula("F(p)"))
 
 
 def test_state_cap():
@@ -231,6 +237,9 @@ def test_lift_and_instantiate_round_trip():
     assert back.atoms == dfa.atoms
     swapped = pdfa.instantiate({"?x0": "33", "?x1": "22"})
     assert swapped.atoms != dfa.atoms
+    with pytest.raises(TgrError,
+                       match=r"^instantiate: no binding for '\?x0'$"):
+        pdfa.instantiate({})
 
 
 def test_lift_rejects_bad_objects():

@@ -321,6 +321,15 @@ def test_parallel_run_matches_serial():
         bench.records_json(cfg, parallel, canonical=True)
 
 
+def test_parallel_run_reports_progress_in_problem_order():
+    calls = {1: [], 2: []}
+    for jobs, seen in calls.items():
+        bench.run_benchmark(tiny_config(), jobs=jobs, canonical=True,
+                            progress=lambda *args, seen=seen: seen.append(args))
+    assert calls[2] == calls[1] == [("triangle-tireworld", 0),
+                                    ("triangle-tireworld", 1)]
+
+
 def test_timeout_counts_as_miss():
     cfg = tiny_config(timeout_s=1e-6, problems_per_dataset=1)
     records, rows = bench.run_benchmark(cfg)
@@ -400,6 +409,22 @@ def test_a_template_that_is_never_solved_falls_back_to_reachability():
         want_executions=True)
     assert str(model.formula) == "F(p1)" and model.solvable
     assert [e.actions for e in execs] == [("(mk1)",)]
+    # A goal already drawn is skipped: the next fallback atom is taken.
+    model, _, execs = bench._draw_goal(
+        fond.goal_free_grounding(domain, problem), bench.BenchConfig(),
+        random.Random(3), pool, ["F(p1)"], "conj", "once",
+        want_executions=True)
+    assert str(model.formula) == "F(p3)" and model.solvable
+    assert [e.actions for e in execs] == [("(mk3)",)]
+    # A state cap that every solve hits leaves no candidate.
+    with pytest.raises(BundleError) as err:
+        bench._draw_goal(
+            fond.goal_free_grounding(domain, problem),
+            bench.BenchConfig(state_cap=1), random.Random(3), pool, [],
+            "conj", "once", want_executions=True)
+    assert str(err.value) == (
+        "dataset once: could not generate a solvable goal (template "
+        "'conj' and every fallback atom failed)")
 
 
 def test_a_dataset_with_no_solvable_goal_is_a_bundle_error():

@@ -43,6 +43,23 @@ def test_python_m_tgr_runs_the_cli():
     assert proc.stdout.strip() == f"tgr {tgr.__version__}"
 
 
+def test_import_loads_no_process_modules():
+    # Only `bench --jobs N` and `--planner exec:` start processes; they
+    # import what they need when they run. Modules that `site` loaded
+    # before the import do not count.
+    src = os.path.dirname(os.path.dirname(tgr.__file__))
+    child = ("import sys; before = set(sys.modules); import tgr, tgr.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    new = set(proc.stdout.split())
+    assert "tgr.cli" in new
+    assert new.isdisjoint({"concurrent.futures", "multiprocessing",
+                           "subprocess", "shlex"})
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert cli.main([]) == 1
     assert cli.main(["frobnicate"]) == 1

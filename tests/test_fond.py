@@ -101,6 +101,18 @@ def test_ground_counts_and_static_pruning():
     assert len(set(names)) == len(names)
 
 
+def test_a_type_under_an_undeclared_parent_is_an_object():
+    # vehicle is never declared, so truck's chain ends without reaching
+    # object; t1 is an object all the same.
+    dom = fond.parse_domain(
+        "(define (domain d) (:types truck - vehicle) (:predicates (p ?x)) "
+        "(:action go :parameters (?x - object) :precondition (and) "
+        ":effect (p ?x)))")
+    prob = fond.parse_problem(
+        "(define (problem q) (:domain d) (:objects t1 - truck) (:init))")
+    assert [a.name for a in fond.ground(dom, prob).actions] == ["(go t1)"]
+
+
 def test_successors_and_applicability():
     dom, prob = tireworld()
     g = fond.ground(dom, prob)

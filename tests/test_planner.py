@@ -503,7 +503,7 @@ def chain_task(n):
 def test_external_planner_starts_no_process_past_its_deadline(monkeypatch):
     g = grounded_tireworld()
     started = []
-    monkeypatch.setattr(planner.subprocess, "run",
+    monkeypatch.setattr(subprocess, "run",
                         lambda *args, **kwargs: started.append(args))
     with pytest.raises(DeadlineExceeded,
                        match="^planner deadline exceeded$"):
@@ -534,7 +534,7 @@ def test_external_planner_gets_no_more_than_the_time_left(monkeypatch):
     fake = SimpleNamespace(monotonic=clock)
     monkeypatch.setattr(budget, "time", fake)
     monkeypatch.setattr(planner, "time", fake)
-    monkeypatch.setattr(planner.subprocess, "run", run)
+    monkeypatch.setattr(subprocess, "run", run)
     for left in (0.01, 0.05, 0.099, 0.5):
         deadline = readings[-1] + left
         planner.solve_with_external(
@@ -551,7 +551,7 @@ def test_external_policy_is_verified_under_the_deadline(monkeypatch):
     # the 512th state of the 600-state policy.
     g = chain_task(600)
     text = planner.policy_to_text(planner.solve_strong_cyclic(g))
-    monkeypatch.setattr(planner.subprocess, "run", lambda argv, **kwargs:
+    monkeypatch.setattr(subprocess, "run", lambda argv, **kwargs:
                         subprocess.CompletedProcess(argv, 0, text, ""))
     readings = []
 

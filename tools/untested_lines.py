@@ -1,4 +1,5 @@
-"""Print each statement of a package that no test executes.
+"""Print each statement of a package that no test executes, and fail on
+any that is not on the allowlist.
 
 Runs pytest in this process under a line tracer (`sys.settrace` and
 `threading.settrace`, installed by a pytest plugin before the first
@@ -14,6 +15,13 @@ a frame object for every call it sees; so the default arguments deselect
 `test_a_warm_recognition_leaves_no_reference_cycles`, which counts those
 frames as garbage and which the plain suite still runs.
 
+The allowlist is `untested_lines_allowed.json` beside this file: a JSON
+list of objects with a `path` (relative to the directory the tool runs
+from, with `/` separators), a `statement` (the first line of its source,
+stripped, as printed) and a one-line `reason` that no test runs it. A
+listed statement is printed with `# allowed:` and its reason. Keying by
+text, not line number, keeps an entry valid while lines above it move.
+
 Usage: python tools/untested_lines.py [SOURCE_DIR [PYTEST_ARG ...]]
 
 SOURCE_DIR defaults to src/tgr, and its parent directory is put first
@@ -21,12 +29,14 @@ on `sys.path` and on `PYTHONPATH`, for the tests' subprocesses. The
 pytest arguments default to the tier-1 suite's, with Hypothesis's seed
 fixed and that test deselected (`_TIER_1`). Run it from the repository
 root, since some tests open data by repository-relative paths. The exit
-status is pytest's.
+status is pytest's when pytest fails, else 1 when a statement that no
+test runs is not on the allowlist, else 0.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import sys
 import threading
@@ -37,6 +47,9 @@ import threading
 _TIER_1 = ["-q", "--continue-on-collection-errors", "--hypothesis-seed=0",
            "--deselect", "tests/test_recognizer.py::"
            "test_a_warm_recognition_leaves_no_reference_cycles"]
+
+ALLOWLIST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "untested_lines_allowed.json")
 
 
 def statement_lines(tree: ast.AST) -> dict[int, range]:
@@ -115,9 +128,11 @@ class LineTracer:
         threading.settrace(None)
 
 
-def untested(source_dir: str, hits: dict[str, set[int]]) -> list[str]:
-    """`path:line: source` for each statement under `source_dir` none of
-    whose lines is in `hits`, keyed by absolute path."""
+def untested(source_dir: str,
+             hits: dict[str, set[int]]) -> list[tuple[str, int, str]]:
+    """`(path, line, source)` for each statement under `source_dir` none
+    of whose lines is in `hits`, keyed by absolute path; `source` is the
+    statement's first line, stripped."""
     out = []
     for root, dirs, files in os.walk(source_dir):
         dirs.sort()
@@ -132,13 +147,28 @@ def untested(source_dir: str, hits: dict[str, set[int]]) -> list[str]:
             for first, lines in sorted(
                     statement_lines(ast.parse(source)).items()):
                 if ran.isdisjoint(lines):
-                    out.append(f"{path}:{first}: {text[first - 1].strip()}")
+                    out.append((path, first, text[first - 1].strip()))
     return out
+
+
+def load_allowlist(path: str) -> dict[tuple[str, str], str]:
+    """The reason for each allowed `(path, statement)`; an entry without
+    a reason is an error."""
+    with open(path, encoding="utf-8") as fh:
+        entries = json.load(fh)
+    allowed = {}
+    for entry in entries:
+        key = (entry["path"], entry["statement"])
+        if not entry.get("reason"):
+            raise SystemExit(f"{path}: no reason given for {key}")
+        allowed[key] = entry["reason"]
+    return allowed
 
 
 def main(argv: list[str]) -> int:
     import pytest
 
+    allowed = load_allowlist(ALLOWLIST)
     source_dir = argv[0] if argv else os.path.join("src", "tgr")
     parent = os.path.dirname(os.path.abspath(source_dir))
     sys.path.insert(0, parent)
@@ -146,9 +176,19 @@ def main(argv: list[str]) -> int:
         filter(None, (parent, os.environ.get("PYTHONPATH"))))
     tracer = LineTracer(source_dir)
     status = pytest.main(argv[1:] or _TIER_1, plugins=[tracer])
-    for line in untested(source_dir, tracer.hits):
-        print(line)
-    return int(status)
+    unlisted = 0
+    for path, line, text in untested(source_dir, tracer.hits):
+        reason = allowed.get((os.path.relpath(path).replace(os.sep, "/"),
+                              text))
+        if reason is None:
+            unlisted += 1
+            print(f"{path}:{line}: {text}")
+        else:
+            print(f"{path}:{line}: {text}  # allowed: {reason}")
+    if unlisted:
+        print(f"{unlisted} statement(s) that no test runs are not in "
+              f"{ALLOWLIST}", file=sys.stderr)
+    return int(status) or int(unlisted > 0)
 
 
 if __name__ == "__main__":
